@@ -28,7 +28,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .poly import Polynomial
-from .scalars import Rat, format_scalar
+from .scalars import ONE, ZERO, Rat, format_scalar
 from .streams import CoeffStream
 from .systems import ThreeTermSystem, monic_sequence
 
@@ -127,8 +127,7 @@ def minimal_parameters(d: ChainSequence, N: int) -> ParameterSeq:
     Raises NotAChainSequence(n) as soon as some m_n leaves (0,1): the input
     fails to be a chain sequence by index n.
     """
-    exact = not isinstance(d.at(1), float) if N >= 1 else True
-    m = [Rat(0) if exact else 0.0]
+    m = [ZERO]
     for n in range(1, N + 1):
         mn = d.at(n) / (1 - m[n - 1])
         if not (0 < mn < 1):
@@ -150,8 +149,7 @@ def maximal_parameters(d: ChainSequence, N: int, horizon: int) -> ParameterSeq:
     if d.d.is_finite():
         T = min(T, d.d.stop)
     m = minimal_parameters(d, T)  # also certifies d is a chain sequence to T
-    one = 1.0 if isinstance(d.at(1), float) else Rat(1)
-    cur = one
+    cur = ONE
     out = {T: cur}
     for n in range(T, 0, -1):
         cur = 1 - d.at(n) / cur
@@ -297,13 +295,12 @@ def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
     """The same d_n(t) through ratios of the monic polynomials at t.
 
     d_n(t) = P_n(t)/((t-b_n) P_{n-1}(t)) * [1 - P_{n+1}(t)/((t-b_{n+1}) P_n(t))];
-    equality with ``chain_at`` is exact on the rational backend and serves as
-    a cross-check of the recurrence itself.
+    equality with ``chain_at`` is exact and serves as a cross-check of the
+    recurrence itself.
     """
     if N == 0:
         return ChainSequence.from_values([])
-    backend = "float" if isinstance(t, float) else "rational"
-    P = monic_sequence(sys, N + 1, backend)
+    P = monic_sequence(sys, N + 1)
     pvals = [p(t) for p in P]
     vals = []
     for n in range(1, N + 1):
@@ -324,8 +321,7 @@ def complementary(m: ParameterSeq) -> ChainSequence:
     """
     if not m.minimal:
         raise NotMinimal("complementary construction needs minimal parameters (g_0 = 0)")
-    zero = 0.0 if isinstance(m[0], float) else Rat(0)
-    k = [zero] + [1 - m[n] for n in range(1, len(m))]
+    k = [ZERO] + [1 - m[n] for n in range(1, len(m))]
     params = ParameterSeq(tuple(k))
     vals = [(1 - k[n - 1]) * k[n] for n in range(1, len(k))]
     return ChainSequence.from_values(vals, parameters=params)
@@ -379,7 +375,7 @@ def wall_sppcs_test(m: ParameterSeq, N: int) -> WallVerdict:
     """
     if N < 1:
         return WallVerdict("Inconclusive", N)
-    half = Rat(1, 2) if not isinstance(m[min(1, len(m) - 1)], float) else 0.5
+    half = Rat(1, 2)
     unique = True
     for n in range(1, N + 1):
         mn = m[n]

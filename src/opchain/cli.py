@@ -2,12 +2,12 @@
 
 Subcommands expose the closed-form families, the swap-perturbed systems,
 the verification suites, and the numeric endpoints (zeros, LU, moments,
-convergents).  Everything defaults to the exact backend; only ``zeros``
-works in float64.  Output is canonical JSON (sorted keys) or CSV so
-identical invocations are byte-identical.
+convergents).  Everything is exact; only ``zeros`` works in float64, and
+``--float`` only formats exact output as floats.  Output is canonical JSON
+(sorted keys) or CSV so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 input validation,
-3 numerical breakdown.
+Exit codes: 0 success, 1 verification failure, 2 input validation (each
+error class carries its code), 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -25,45 +25,13 @@ from .chains import (
     gamma_from_system,
     minimal_parameters,
 )
-from .errors import (
-    AlphaOutOfRange,
-    BackendMismatch,
-    DegenerateFavard,
-    DegreeBeyondFamily,
-    Gamma1Zero,
-    InvalidGamma1,
-    InvalidRationalLiteral,
-    LengthMismatch,
-    NonPositiveGamma,
-    NonPositiveInput,
-    NotAChainSequence,
-    NotMinimal,
-    NonPositiveA2,
-    OpchainError,
-    ParameterOutOfRange,
-    PivotBreakdown,
-    PoleAtB,
-    PositivityBreak,
-    StreamExhausted,
-    ZeroDenominator,
-)
+from .errors import OpchainError
 from .jacobi import lu_factor, truncate, zeros_with_brackets
 from .scalars import Rat, format_scalar, parse_rational
 from .serialize import gamma_from_json, system_from_json, values_to_json
 from .systems import convergent, laurent_expand, moments, monic_sequence
 
-_VALIDATION = (
-    InvalidRationalLiteral, BackendMismatch, AlphaOutOfRange, InvalidGamma1,
-    Gamma1Zero, DegenerateFavard, DegreeBeyondFamily, NonPositiveGamma,
-    NonPositiveInput, NotMinimal, ParameterOutOfRange, StreamExhausted,
-    LengthMismatch, ValueError, KeyError,
-)
-_NUMERICAL = (
-    PivotBreakdown, ZeroDenominator, PositivityBreak, NotAChainSequence,
-    PoleAtB, NonPositiveA2,
-)
-
-FAMILY_NAMES = ("laguerre", "e_family", "laguerre_assoc1", "routh_romanovski")
+FAMILY_NAMES = tuple(families.FAMILIES)
 
 
 def _emit(doc, out=None):
@@ -80,19 +48,11 @@ def _fmt(values, as_float: bool):
 
 def _family_system(args):
     name = args.family
-    if name == "routh_romanovski":
-        if args.p is None:
-            raise ValueError("routh_romanovski requires --p")
-        return families.rr_system(families.RRParams(parse_rational(args.p))), \
-            {"name": name, "params": {"p": args.p}}
-    if args.alpha is None:
-        raise ValueError(f"{name} requires --alpha")
-    alpha = parse_rational(args.alpha)
-    if name == "laguerre":
-        return families.laguerre_system(alpha), {"name": name, "params": {"alpha": args.alpha}}
-    if name in ("e_family", "laguerre_assoc1"):
-        return families.e_family_system(alpha), {"name": name, "params": {"alpha": args.alpha}}
-    raise ValueError(f"unknown family {name!r}")
+    param, build, _ = families.FAMILIES[name]
+    value = getattr(args, param)
+    if value is None:
+        raise ValueError(f"{name} requires --{param}")
+    return build(parse_rational(value)), {"name": name, "params": {param: value}}
 
 
 def _resolve_system(args):
@@ -127,12 +87,10 @@ def _resolve_gamma(args, need: int):
 def cmd_family(args) -> int:
     sys_, closed = _family_system(args)
     n = args.n
-    if n < 1:
-        raise ValueError("--n must be >= 1")
-    g1 = args.gamma1
-    if g1 is None:
-        g1 = "1" if args.family == "laguerre_assoc1" else "0"
-    gamma1 = parse_rational(g1)
+    if args.gamma1 is None:
+        gamma1 = Rat(families.FAMILIES[args.family][2])
+    else:
+        gamma1 = parse_rational(args.gamma1)
     # recovery to depth N consumes b[1..N+1] and a2[1..N]; finite families
     # (finite streams) therefore cap the emitted gamma window
     depth = n
@@ -313,16 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("n", "samples"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag} must be >= 1")
         return args.fn(args)
-    except _NUMERICAL as exc:
+    except (OpchainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OpchainError as exc:  # anything else from the library is a bad input
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

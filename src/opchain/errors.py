@@ -2,12 +2,15 @@
 
 Errors that point at a specific index (a recurrence step, a gamma entry,
 a pivot) carry it as ``.index`` so callers and reports can name the first
-offending position.
+offending position.  ``exit_code`` is the command-line exit status: 2 for
+invalid input, 3 for a numerical breakdown.
 """
 
 
 class OpchainError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class IndexedError(OpchainError):
@@ -21,11 +24,8 @@ class IndexedError(OpchainError):
 # -- scalars / polynomials ------------------------------------------------
 
 class InvalidRationalLiteral(OpchainError):
-    """String is not an integer or 'p/q' with nonzero q."""
-
-
-class BackendMismatch(OpchainError):
-    """Exact-rational and float64 values mixed in one operation."""
+    """Not an exact rational: a float, or a string that is not an integer
+    or 'p/q' with nonzero q."""
 
 
 class NonEvenPolynomial(OpchainError):
@@ -60,9 +60,13 @@ class PositivityBreak(IndexedError):
     """gamma recovery produced a nonpositive entry: the zero-argument
     ratios do not form a chain sequence for this leading parameter."""
 
+    exit_code = 3
+
 
 class NotAChainSequence(IndexedError):
     """Minimal-parameter recurrence left (0,1) at this index."""
+
+    exit_code = 3
 
 
 class NotMinimal(OpchainError):
@@ -76,9 +80,13 @@ class ParameterOutOfRange(OpchainError):
 class PoleAtB(IndexedError):
     """Chain-sequence evaluation point t collides with a diagonal entry b_n."""
 
+    exit_code = 3
+
 
 class ZeroDenominator(IndexedError):
     """A denominator in a closed-form or polynomial ratio vanished."""
+
+    exit_code = 3
 
 
 # -- perturbed families -----------------------------------------------------
@@ -96,9 +104,19 @@ class DegenerateFavard(OpchainError):
 class PivotBreakdown(IndexedError):
     """LU elimination hit a nonpositive pivot."""
 
+    exit_code = 3
+
 
 class NonPositiveA2(IndexedError):
     """Subdiagonal entry a_n^2 <= 0 where positivity is required."""
+
+    exit_code = 3
+
+
+class FloatOverflow(OpchainError):
+    """An exact value is too large for the float64 spectra code."""
+
+    exit_code = 3
 
 
 class LengthMismatch(OpchainError):

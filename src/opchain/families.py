@@ -173,6 +173,15 @@ def rr_raw_coefficients(params: RRParams, n: int):
     return _rr_raw(params.p, n)
 
 
+#: Closed-form families by name: (parameter, constructor, default gamma_1).
+FAMILIES = {
+    "laguerre": ("alpha", laguerre_system, 0),
+    "e_family": ("alpha", e_family_system, 0),
+    "laguerre_assoc1": ("alpha", e_family_system, 1),
+    "routh_romanovski": ("p", lambda p: rr_system(RRParams(p)), 0),
+}
+
+
 # -- Christoffel-pair coefficient relations ------------------------------------------
 
 

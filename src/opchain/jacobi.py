@@ -13,11 +13,12 @@ similarity explicitly because the pivot recurrence only needs a_n^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chains import gamma_from_system
-from .errors import LengthMismatch, NonPositiveA2, PivotBreakdown
-from .scalars import Rat, format_scalar
+from .errors import FloatOverflow, LengthMismatch, NonPositiveA2, PivotBreakdown
+from .scalars import ONE, ZERO, format_scalar
 from .systems import ThreeTermSystem
 
 
@@ -44,10 +45,10 @@ class TridiagonalMatrix:
         if i == j:
             return self.diag[i - 1]
         if j == i + 1:
-            return Rat(1) if not isinstance(self.diag[0], float) else 1.0
+            return ONE
         if j == i - 1:
             return self.sub[j - 1]
-        return Rat(0) if not isinstance(self.diag[0], float) else 0.0
+        return ZERO
 
     def to_dense(self) -> list:
         return [[self.entry(i, j) for j in range(1, self.n + 1)]
@@ -78,7 +79,7 @@ class BidiagonalFactors:
 
     l_sub: tuple    # subdiagonal of L
     u_diag: tuple   # pivots
-    gamma1: object = Rat(0)
+    gamma1: object = ZERO
 
     @property
     def n(self) -> int:
@@ -101,7 +102,7 @@ class BidiagonalFactors:
                 "U_diag": [format_scalar(v) for v in self.u_diag]}
 
 
-def lu_factor(J: TridiagonalMatrix, gamma1=Rat(0)) -> BidiagonalFactors:
+def lu_factor(J: TridiagonalMatrix, gamma1=ZERO) -> BidiagonalFactors:
     """Factor J - gamma_1 e_1 e_1^T = L.U; with gamma_1 = 0 this is J = L.U.
 
     The elimination is exactly the gamma recovery: pivots u_i = gamma_{2i}
@@ -176,19 +177,22 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
 
     The zeros are the eigenvalues of the order-n truncation; each is
     bisected inside its Gershgorin bracket until the bracket is narrower
-    than tol.
+    than tol.  Data outside the float64 range raises FloatOverflow.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if n < 1:
         return []
-    diag = [float(sys.b_at(k)) for k in range(1, n + 1)]
-    sub2 = []
-    for k in range(1, n):
-        v = float(sys.a2_at(k))
-        if not v > 0:
-            raise NonPositiveA2(k, f"a2[{k}] = {v} must be positive for spectra")
-        sub2.append(v)
+    try:
+        diag = [float(sys.b_at(k)) for k in range(1, n + 1)]
+        sub2 = []
+        for k in range(1, n):
+            v = float(sys.a2_at(k))
+            if not v > 0:
+                raise NonPositiveA2(k, f"a2[{k}] = {v} must be positive for spectra")
+            sub2.append(v)
+    except OverflowError as exc:
+        raise FloatOverflow(f"recurrence data exceeds the float64 range: {exc}") from None
     radius = [0.0] * n
     for i in range(n):
         e_prev = sub2[i - 1] ** 0.5 if i >= 1 else 0.0
@@ -196,6 +200,8 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
         radius[i] = e_prev + e_next
     lo = min(d - r for d, r in zip(diag, radius))
     hi = max(d + r for d, r in zip(diag, radius))
+    if not math.isfinite(hi - lo):
+        raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
     out = []
     for j in range(n):  # j-th smallest eigenvalue
         a, b = lo, hi

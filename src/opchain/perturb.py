@@ -26,6 +26,7 @@ from .streams import CoeffStream
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
+    _recurrence,
     associated_sequence,
     monic_sequence,
     symmetric_sequence,
@@ -196,17 +197,8 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
 
 def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
     """T_0..T_n of T_m = (x - xi_m) T_{m-1} - eta_m T_{m-2}, T_{-1} = 0, T_0 = 1."""
-    prev = Polynomial.zero()
-    cur = Polynomial.one()
-    out = [cur]
-    x = Polynomial.x()
-    for m in range(1, n + 1):
-        nxt = (x - Polynomial.constant(xi[m])) * cur
-        if m >= 2:
-            nxt = nxt - prev.scale(eta[m])
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
+    return [Polynomial.one()] + _recurrence(
+        range(1, n + 1), lambda m: (xi[m], eta[m] if m >= 2 else None))
 
 
 # -- identity checks -------------------------------------------------------------

@@ -1,47 +1,28 @@
-"""Dense univariate polynomials over either scalar backend.
+"""Dense univariate polynomials with exact rational coefficients.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
 zero polynomial has an empty coefficient tuple.  All values are immutable.
-Arithmetic never mixes backends: exact-rational and float64 polynomials
-must be combined explicitly by the caller.
+A float coefficient or evaluation point raises InvalidRationalLiteral.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import BackendMismatch, NonEvenPolynomial, NonOddPolynomial
-from .scalars import Rat, coerce_exact, format_scalar, parse_rational
-
-RATIONAL = "rational"
-FLOAT = "float"
-
-
-def _coerce(values: Iterable, backend: str | None):
-    vals = list(values)
-    if backend is None:
-        backend = FLOAT if any(isinstance(v, float) for v in vals) else RATIONAL
-    if backend == FLOAT:
-        return [float(v) for v in vals], FLOAT
-    out = []
-    for v in vals:
-        if isinstance(v, float):
-            raise BackendMismatch("float coefficient in a rational polynomial")
-        out.append(coerce_exact(v))
-    return out, RATIONAL
+from .errors import InvalidRationalLiteral, NonEvenPolynomial, NonOddPolynomial
+from .scalars import ZERO, Rat, coerce_exact, format_scalar, parse_rational
 
 
 class Polynomial:
     """Immutable dense polynomial; degree is the index of the last nonzero."""
 
-    __slots__ = ("coeffs", "backend")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence = (), backend: str | None = None):
-        vals, back = _coerce(coeffs, backend)
+    def __init__(self, coeffs: Sequence = ()):
+        vals = [c if type(c) is Rat else coerce_exact(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "backend", back)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -49,24 +30,24 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, backend: str = RATIONAL) -> "Polynomial":
-        return cls((), backend)
+    def zero(cls) -> "Polynomial":
+        return cls(())
 
     @classmethod
-    def one(cls, backend: str = RATIONAL) -> "Polynomial":
-        return cls((1,), backend)
+    def one(cls) -> "Polynomial":
+        return cls((1,))
 
     @classmethod
-    def x(cls, backend: str = RATIONAL) -> "Polynomial":
-        return cls((0, 1), backend)
+    def x(cls) -> "Polynomial":
+        return cls((0, 1))
 
     @classmethod
-    def constant(cls, c, backend: str | None = None) -> "Polynomial":
-        return cls((c,), backend)
+    def constant(cls, c) -> "Polynomial":
+        return cls((c,))
 
     @classmethod
     def from_strings(cls, coeffs: Iterable[str]) -> "Polynomial":
-        return cls([parse_rational(c) for c in coeffs], RATIONAL)
+        return cls([parse_rational(c) for c in coeffs])
 
     # -- basic structure ----------------------------------------------
 
@@ -84,58 +65,49 @@ class Polynomial:
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return 0.0 if self.backend == FLOAT else Rat(0)
-
-    def _check(self, other: "Polynomial"):
-        if self.backend != other.backend:
-            raise BackendMismatch(
-                f"cannot combine {self.backend} and {other.backend} polynomials")
+        return ZERO
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial(out, self.backend)
+        return Polynomial(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.backend)
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.backend)
-        zero = 0.0 if self.backend == FLOAT else Rat(0)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Polynomial.zero()
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial(out, self.backend)
+        return Polynomial(out)
 
     def scale(self, c) -> "Polynomial":
-        c = float(c) if self.backend == FLOAT else coerce_exact(c)
-        return Polynomial([c * a for a in self.coeffs], self.backend)
+        c = coerce_exact(c)
+        return Polynomial([c * a for a in self.coeffs])
 
     def shift_up(self, k: int = 1) -> "Polynomial":
         """Multiply by x**k."""
         if self.is_zero():
             return self
-        zero = 0.0 if self.backend == FLOAT else Rat(0)
-        return Polynomial([zero] * k + list(self.coeffs), self.backend)
+        return Polynomial([ZERO] * k + list(self.coeffs))
 
     def __call__(self, x):
-        """Horner evaluation; exact when both the polynomial and x are exact."""
-        if isinstance(x, float) != (self.backend == FLOAT):
-            raise BackendMismatch("evaluation point backend differs from polynomial")
-        acc = 0.0 if self.backend == FLOAT else Rat(0)
+        """Horner evaluation at an exact point."""
+        if isinstance(x, float):
+            raise InvalidRationalLiteral(f"float {x!r} is not exact")
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -145,30 +117,12 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.backend != other.backend:
-            raise BackendMismatch("equality across backends is undefined")
-        if self.backend == FLOAT:
-            raise BackendMismatch(
-                "float polynomials compare via max_abs_diff with a tolerance")
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self.backend == FLOAT:
-            raise TypeError("float polynomials are unhashable")
         return hash(self.coeffs)
 
-    def max_abs_diff(self, other: "Polynomial") -> float:
-        """Largest |coefficient difference|; the float-mode comparison."""
-        n = max(len(self.coeffs), len(other.coeffs))
-        return max(
-            (abs(float(self.coefficient(k)) - float(other.coefficient(k))) for k in range(n)),
-            default=0.0,
-        )
-
     # -- conversions ------------------------------------------------------
-
-    def to_float(self) -> "Polynomial":
-        return Polynomial([float(c) for c in self.coeffs], FLOAT)
 
     def to_json(self) -> dict:
         return {"coeffs": [format_scalar(c) for c in self.coeffs]}
@@ -189,7 +143,7 @@ def even_part(p: Polynomial) -> Polynomial:
     for k in range(1, len(p.coeffs), 2):
         if p.coeffs[k] != 0:
             raise NonEvenPolynomial(f"nonzero coefficient at odd degree {k}")
-    return Polynomial(p.coeffs[0::2], p.backend)
+    return Polynomial(p.coeffs[0::2])
 
 
 def odd_part(p: Polynomial) -> Polynomial:
@@ -197,14 +151,13 @@ def odd_part(p: Polynomial) -> Polynomial:
     for k in range(0, len(p.coeffs), 2):
         if p.coeffs[k] != 0:
             raise NonOddPolynomial(f"nonzero coefficient at even degree {k}")
-    return Polynomial(p.coeffs[1::2], p.backend)
+    return Polynomial(p.coeffs[1::2])
 
 
 def substitute_square(p: Polynomial) -> Polynomial:
     """Return p(x^2)."""
-    zero = 0.0 if p.backend == FLOAT else Rat(0)
     out = []
     for c in p.coeffs:
         out.append(c)
-        out.append(zero)
-    return Polynomial(out[:-1] if out else out, p.backend)
+        out.append(ZERO)
+    return Polynomial(out[:-1] if out else out)

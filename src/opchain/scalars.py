@@ -1,38 +1,25 @@
-"""Scalar backends.
+"""The exact scalar type.
 
-Two backends live behind one duck-typed interface:
+Every value in this package is an arbitrary-precision rational ``p/q`` in
+gcd-normalised form, so equality is meaningful and no tolerance ever enters
+an algebraic test.  Float64 appears only in the spectra code of ``jacobi``;
+a float handed to the exact code is rejected, never rounded.
 
-* exact rationals -- arbitrary-precision ``p/q`` with gcd-normalised
-  representation.  Every identity check in this package runs on these, so
-  equality is meaningful and no tolerance ever enters an algebraic test.
-* binary float64 -- plain Python floats, used only where roots are
-  bracketed numerically.
-
-The exact backend itself has two interchangeable implementations selected
-once at import: ``gmpy2.mpq`` (GMP, compiled) when available, falling back
-to the stdlib ``fractions.Fraction``.  Both are normalised rationals with
-identical semantics; ``OPCHAIN_PURE_RATIONAL=1`` forces the pure-Python
-implementation (used by the backend benchmark).
+The rational type is chosen once at import: ``gmpy2.mpq`` (GMP, compiled)
+when available, otherwise the stdlib ``fractions.Fraction``.  Both are
+normalised rationals with identical semantics.
 """
 
 from __future__ import annotations
 
-import numbers
-import os
 import re
 
 from .errors import InvalidRationalLiteral
 
-_FORCE_PURE = os.environ.get("OPCHAIN_PURE_RATIONAL", "") not in ("", "0")
-
-if not _FORCE_PURE:
-    try:
-        from gmpy2 import mpq as _ratio
-        RAT_BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised via env toggle instead
-        from fractions import Fraction as _ratio
-        RAT_BACKEND = "fractions"
-else:
+try:
+    from gmpy2 import mpq as _ratio
+    RAT_BACKEND = "gmpy2"
+except ImportError:
     from fractions import Fraction as _ratio
     RAT_BACKEND = "fractions"
 
@@ -62,23 +49,12 @@ def parse_rational(text: str):
 
 
 def format_scalar(x) -> str:
-    """Canonical string form: 'p/q' or 'p' for exact values, repr for floats."""
-    if isinstance(x, float):
-        return repr(x)
+    """Canonical string form: 'p/q', or 'p' for integers."""
     return str(x)
 
 
-def is_exact(x) -> bool:
-    """True for the exact backend (rationals and ints), False for floats."""
-    return isinstance(x, numbers.Rational)
-
-
-def as_float(x) -> float:
-    return float(x)
-
-
 def coerce_exact(x):
-    """Normalise ints / Fractions / mpq onto the active exact type."""
+    """Normalise ints, rationals and 'p/q' strings onto the exact type."""
     if isinstance(x, float):
         raise InvalidRationalLiteral(f"float {x!r} is not exact")
     if isinstance(x, str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .chains import ChainSequence, GammaSeq, ParameterSeq
 from .errors import OpchainError
+from .families import FAMILIES
 from .scalars import format_scalar, parse_rational
 from .systems import ThreeTermSystem
 
@@ -34,19 +35,11 @@ def system_to_json(sys: ThreeTermSystem, depth: int, closed_form: dict | None = 
 def system_from_json(doc: dict) -> ThreeTermSystem:
     cf = doc.get("closed_form")
     if cf is not None:
-        from . import families
-
         name = cf.get("name")
-        params = cf.get("params", {})
-        if name == "laguerre":
-            return families.laguerre_system(parse_rational(params["alpha"]))
-        if name == "e_family":
-            return families.e_family_system(parse_rational(params["alpha"]))
-        if name == "laguerre_assoc1":
-            return families.e_family_system(parse_rational(params["alpha"]))
-        if name == "routh_romanovski":
-            return families.rr_system(families.RRParams(parse_rational(params["p"])))
-        raise OpchainError(f"unknown closed form {name!r}")
+        if not isinstance(name, str) or name not in FAMILIES:
+            raise OpchainError(f"unknown closed form {name!r}")
+        param, build, _ = FAMILIES[name]
+        return build(parse_rational(cf.get("params", {})[param]))
     b = values_from_json(doc["b"])
     a2 = values_from_json(doc.get("a2", []))
     return ThreeTermSystem.from_values(b, a2)

@@ -2,7 +2,9 @@
 
 Recurrence data arrives either as a finite vector or as a closed-form rule
 with an explicit validity range.  Every access is range-checked: reading
-past a finite vector raises StreamExhausted, never silently extends.
+past a finite vector raises StreamExhausted, never silently extends.  A
+value vector is normalised onto the exact type when the stream is built,
+and a float in it raises InvalidRationalLiteral.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import StreamExhausted
+from .scalars import Rat, coerce_exact
 
 
 class CoeffStream:
@@ -20,7 +23,9 @@ class CoeffStream:
     def __init__(self, *, values=None, fn=None, start: int = 1, stop: int | None = None):
         if (values is None) == (fn is None):
             raise ValueError("exactly one of values/fn required")
-        self._values = tuple(values) if values is not None else None
+        if values is not None:
+            values = tuple(v if type(v) is Rat else coerce_exact(v) for v in values)
+        self._values = values
         self._fn = fn
         self.start = start
         self.stop = (start + len(self._values) - 1) if self._values is not None else stop

@@ -6,11 +6,12 @@ A monic orthogonal family P_n obeys
 
 with P_{-1} = 0, P_0 = 1.  The numerators of the associated continued
 fraction obey the same recurrence with z_0 = 0, z_1 = 1.  Symmetric
-families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).
+families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them, and
+the unified recurrence of ``perturb``, run through one kernel.
 
-Moments are taken from powers of the truncated monic Jacobi matrix and the
+Moments come from a walk over the truncated monic Jacobi matrix and the
 continued-fraction convergents are expanded at infinity, so every quantity
-here is computable exactly on the rational backend without any measure.
+here is exact and needs no measure.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeViolation, NonPositiveA2
-from .poly import FLOAT, Polynomial
-from .scalars import Rat
+from .poly import Polynomial
+from .scalars import ONE, ZERO
 from .streams import CoeffStream
 
 
@@ -86,21 +87,34 @@ def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
 # -- polynomial evaluation ---------------------------------------------------
 
 
-def monic_sequence(sys: ThreeTermSystem, n: int, backend: str = "rational") -> list[Polynomial]:
-    """P_0 .. P_n of the monic recurrence."""
-    prev = Polynomial.zero(backend)
-    cur = Polynomial.one(backend)
-    out = [cur]
-    x = Polynomial.x(backend)
-    for k in range(1, n + 1):
-        bk = sys.b_at(k)
-        a2 = sys.a2_at(k - 1) if k >= 2 else None
-        nxt = (x - Polynomial.constant(bk, backend)) * cur
-        if a2 is not None:
-            nxt = nxt - prev.scale(a2)
+def _recurrence(ks: range, step) -> list[Polynomial]:
+    """Polynomials of P_k = (x - d_k) P_{k-1} - s_k P_{k-2} for k in ``ks``.
+
+    The two polynomials before the first step are 0 and 1.  ``step(k)``
+    returns (d_k, s_k) and reads d_k first; s_k is None where the P_{k-2}
+    term is skipped.  The work is done on coefficient lists and one
+    Polynomial is built per degree.
+    """
+    prev, cur = [], [ONE]
+    out = []
+    for k in ks:
+        d, s = step(k)
+        nxt = [ZERO] + cur  # x * P_{k-1}
+        if d:
+            for i, c in enumerate(cur):
+                nxt[i] -= d * c
+        if s is not None:
+            for i, c in enumerate(prev):
+                nxt[i] -= s * c
         prev, cur = cur, nxt
-        out.append(cur)
+        out.append(Polynomial(cur))
     return out
+
+
+def monic_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
+    """P_0 .. P_n of the monic recurrence."""
+    return [Polynomial.one()] + _recurrence(
+        range(1, n + 1), lambda k: (sys.b_at(k), sys.a2_at(k - 1) if k >= 2 else None))
 
 
 def monic_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
@@ -108,41 +122,25 @@ def monic_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
     return monic_sequence(sys, n)[n]
 
 
-def associated_sequence(sys: ThreeTermSystem, n: int, backend: str = "rational") -> list[Polynomial]:
+def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """z_0 .. z_n with z_0 = 0, z_1 = 1 under the same recurrence.
 
     z_n is monic of degree n-1 for n >= 1; these are the continued-fraction
     numerators belonging to the denominators P_n.
     """
-    prev = Polynomial.zero(backend)
-    cur = Polynomial.one(backend)
-    out = [prev]
     if n == 0:
-        return out
-    out.append(cur)
-    x = Polynomial.x(backend)
-    for k in range(2, n + 1):
-        nxt = (x - Polynomial.constant(sys.b_at(k), backend)) * cur - prev.scale(sys.a2_at(k - 1))
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
+        return [Polynomial.zero()]
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(
+        range(2, n + 1), lambda k: (sys.b_at(k), sys.a2_at(k - 1)))
 
 
 def associated_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
     return associated_sequence(sys, n)[n]
 
 
-def symmetric_sequence(sym: SymmetricSystem, n: int, backend: str = "rational") -> list[Polynomial]:
+def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    prev = Polynomial.zero(backend)
-    cur = Polynomial.one(backend)
-    out = [cur]
-    x = Polynomial.x(backend)
-    for k in range(1, n + 1):
-        nxt = x * cur - prev.scale(sym.nu[k])
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
+    return [Polynomial.one()] + _recurrence(range(1, n + 1), lambda k: (0, sym.nu[k]))
 
 
 def symmetric_eval(sym: SymmetricSystem, n: int) -> Polynomial:
@@ -153,30 +151,24 @@ def symmetric_eval(sym: SymmetricSystem, n: int) -> Polynomial:
 
 
 def moments(sys: ThreeTermSystem, k: int):
-    """Normalised moment mu_k / mu_0, exact on the rational backend.
+    """Normalised moment mu_k / mu_0, exact.
 
-    Computed as the (1,1) entry of J^k for the truncated monic Jacobi matrix
-    of size ceil(k/2)+1: a closed walk of length k from row 1 never leaves
-    the leading ceil(k/2)+1 block, so the truncation is lossless.
+    The (1,1) entry of J^k for the truncated monic Jacobi matrix of size
+    ceil(k/2)+1: a closed walk of length k from row 1 never leaves the
+    leading ceil(k/2)+1 block, so the truncation is lossless.  The row
+    vector e_1^T is walked k times over J, with b on the diagonal, 1 above
+    it and a2 below it.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = (k + 1) // 2 + 1
     diag = [sys.b_at(i) for i in range(1, size + 1)]
     sub = [sys.a2_at(i) for i in range(1, size)]
-    one, zero = Rat(1), Rat(0)
-    if isinstance(diag[0], float):
-        one, zero = 1.0, 0.0
-    J = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        J[i][i] = diag[i]
-        if i + 1 < size:
-            J[i][i + 1] = one
-            J[i + 1][i] = sub[i]
-    # row vector e_1^T times J^k, then first component
-    row = [one] + [zero] * (size - 1)
+    row = [ONE] + [ZERO] * (size - 1)
     for _ in range(k):
-        row = [sum(row[i] * J[i][j] for i in range(size)) for j in range(size)]
+        row = [(row[j - 1] if j else ZERO) + row[j] * diag[j]
+               + (row[j + 1] * sub[j] if j + 1 < size else ZERO)
+               for j in range(size)]
     return row[0]
 
 
@@ -200,7 +192,6 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
         raise DegreeViolation("denominator must be monic")
     if not num.is_zero() and num.degree >= den.degree:
         raise DegreeViolation("numerator degree must be below denominator degree")
-    zero = 0.0 if den.backend == FLOAT else Rat(0)
     gap = den.degree - (num.degree if not num.is_zero() else den.degree)
     # reversed coefficient lists: n_rev(u) with num(x) = x^deg(num) * n_rev(1/x)
     n_rev = list(reversed(num.coeffs))
@@ -208,12 +199,12 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     # power-series division n_rev/d_rev in u; d_rev[0] == 1 since den is monic
     series = []
     for j in range(order):
-        acc = n_rev[j] if j < len(n_rev) else zero
+        acc = n_rev[j] if j < len(n_rev) else ZERO
         for i in range(1, min(j, len(d_rev) - 1) + 1):
             acc = acc - d_rev[i] * series[j - i]
         series.append(acc)
     # num/den = sum_j series[j] * x^-(j + gap); gap >= 1
-    out = [zero] * order
+    out = [ZERO] * order
     for j in range(order):
         k = j + gap
         if 1 <= k <= order:

@@ -63,7 +63,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.status == "pass" for r in self.identities)
+        """Every identity passed, and at least one was checked."""
+        return bool(self.identities) and all(r.status == "pass" for r in self.identities)
 
     def add(self, name: str, n_range: str, ok: bool, witness=None):
         self.identities.append(IdentityResult(
@@ -291,7 +292,7 @@ _MOMENT_SYSTEMS = (
 
 
 def suite_moments(seed=0, samples=0, n=8, corrupt=False) -> SuiteReport:
-    """Convergent expansions match matrix-power moments; factorial oracle."""
+    """Convergent expansions match the walked moments; factorial oracle."""
     rep = SuiteReport("moments", seed, samples)
     for name, make in _MOMENT_SYSTEMS:
         sys = make()

@@ -1,8 +1,12 @@
+import contextlib
+import inspect
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from opchain import cli, verify
+from opchain import cli, errors, verify
 
 
 def run(capsys, *argv):
@@ -210,3 +214,123 @@ def test_verify_records_samples_for_replay(capsys):
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+def test_zero_identity_report_is_not_ok():
+    rep = verify.SuiteReport("theorem33", 0, 0)
+    assert not rep.ok
+    rep.add("an identity", "n<=1", True)
+    assert rep.ok
+
+
+# -- exit codes -------------------------------------------------------------------
+
+# the numerical-breakdown classes; every other library error is a bad input
+_EXIT_3 = {"PivotBreakdown", "ZeroDenominator", "PositivityBreak", "NotAChainSequence",
+           "PoleAtB", "NonPositiveA2", "FloatOverflow"}
+_ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(c, errors.OpchainError)]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, capsys, monkeypatch):
+    exc = cls(1) if issubclass(cls, errors.IndexedError) else cls("boom")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_moments", raise_it)
+    code, out, err = run(capsys, "moments", "--family", "laguerre", "--alpha", "0",
+                         "--k", "1")
+    assert code == (3 if cls.__name__ in _EXIT_3 else 2)
+    assert out == "" and err.startswith(f"error: {cls.__name__}: ")
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    (("verify", "--suite", "lu", "--n", "0"), 2, "ValueError"),
+    (("lu", "--family", "laguerre", "--alpha", "0", "--n", "0"), 2, "ValueError"),
+    (("verify", "--suite", "theorem33", "--samples", "0"), 2, "ValueError"),
+    (("verify", "--suite", "theorem33", "--samples", "-1"), 2, "ValueError"),
+    (("zeros", "--family", "laguerre", "--alpha", "1" + "0" * 400, "--n", "2"),
+     3, "FloatOverflow"),
+    (("zeros", "--family", "laguerre", "--alpha", "0", "--n", "2", "--tol", "nan"),
+     2, "ValueError"),
+    (("zeros", "--family", "laguerre", "--alpha", "0", "--n", "2", "--tol", "inf"),
+     2, "ValueError"),
+    (("zeros", "--family", "laguerre", "--alpha", "0", "--n", "2", "--tol", "0"),
+     2, "ValueError"),
+    (("moments", "--input", "no/such/file.json", "--k", "1"), 2, "FileNotFoundError"),
+])
+def test_edge_inputs_rejected(capsys, argv, code, name):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith(f"error: {name}: ")
+
+
+# -- argv fuzz ----------------------------------------------------------------------
+
+_INTS = st.integers(-2, 6).map(str)
+_SMALL_RATIONALS = st.fractions(min_value=0, max_value=9, max_denominator=9).map(str)
+_RATIONALS = st.one_of(
+    _SMALL_RATIONALS,
+    st.sampled_from(["0", "-1", "-1/2", "1/0", "1.5", "x"]),
+    st.from_regex(r"-?[1-9][0-9]{0,399}(/[1-9][0-9]{0,399})?", fullmatch=True),
+)
+# routh_romanovski scans its validity window eagerly, up to 4096 steps, which
+# takes seconds for a huge p; its p is drawn from small values only
+_RR_P = st.one_of(st.sampled_from(["10", "7/2", "1", "0", "-3"]), _INTS)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+@st.composite
+def _family_source(draw, positional=False):
+    name = draw(st.sampled_from(cli.FAMILY_NAMES))
+    head = [name] if positional else ["--family", name]
+    if name == "routh_romanovski":
+        return head + [f"--p={draw(_RR_P)}"] + draw(_opt("--alpha", _RATIONALS))
+    return head + [f"--alpha={draw(_RATIONALS)}"] + draw(_opt("--p", _RR_P))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["family", "perturb", "verify", "zeros", "lu",
+                                "moments", "convergent"]))
+    if cmd == "family":
+        return (["family"] + draw(_family_source(positional=True)) + draw(_opt("--n", _INTS))
+                + draw(_opt("--gamma1", _RATIONALS)) + draw(st.sampled_from([[], ["--float"]])))
+    if cmd == "perturb":
+        gamma = draw(st.lists(_SMALL_RATIONALS, min_size=1, max_size=16))
+        gamma[draw(st.integers(0, len(gamma) - 1))] = draw(_RATIONALS)
+        return (["perturb", "--variant", draw(st.sampled_from(sorted(cli._PERTURB_VARIANTS))),
+                 "--gamma=" + ",".join(gamma)] + draw(_opt("--n", _INTS)))
+    if cmd == "verify":
+        return (["verify", "--suite", draw(st.sampled_from(verify.SUITES)),
+                 "--n", draw(_INTS), "--samples", draw(_INTS), "--seed", draw(_INTS)]
+                + draw(st.sampled_from([[], ["--inject-corruption"]])))
+    source = draw(_family_source())
+    n = ["--n", draw(_INTS)]
+    if cmd == "zeros":
+        tol = draw(st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf"]))
+        return ["zeros"] + source + n + ["--tol", tol]
+    if cmd == "lu":
+        return ["lu"] + source + n + draw(_opt("--gamma1", _RATIONALS))
+    if cmd == "moments":
+        return ["moments"] + source + ["--k", draw(_INTS)]
+    return ["convergent"] + source + n + draw(_opt("--order", _INTS))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejecting the argv
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

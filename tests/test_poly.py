@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from opchain import Polynomial, Rat, even_part, odd_part, parse_rational, substitute_square
 from opchain.errors import (
-    BackendMismatch,
     InvalidRationalLiteral,
     NonEvenPolynomial,
     NonOddPolynomial,
 )
+from opchain.streams import CoeffStream
 
 
 def P(*coeffs):
@@ -117,24 +117,27 @@ def test_rational_addition_two_routes(a, b):
     assert a + b == Rat(an * bd + bn * ad, ad * bd)
 
 
-# -- backends ----------------------------------------------------------------------
+# -- float rejection -----------------------------------------------------------------
 
 def test_mixed_backend_addition_rejected():
-    with pytest.raises(BackendMismatch):
+    # a float polynomial cannot be built, so it never reaches arithmetic
+    with pytest.raises(InvalidRationalLiteral):
         Polynomial([0.5, 1.0]) + P(1, 1)
 
 
-def test_float_polynomials_need_tolerance_comparison():
-    p = Polynomial([0.5, 1.0])
-    q = Polynomial([0.5, 1.0 + 1e-12])
-    with pytest.raises(BackendMismatch):
-        p == q
-    assert p.max_abs_diff(q) < 1e-11
-
-
 def test_float_coefficient_in_rational_polynomial_rejected():
-    with pytest.raises(BackendMismatch):
-        Polynomial([0.5], backend="rational")
+    with pytest.raises(InvalidRationalLiteral):
+        Polynomial([Rat(1), 0.5])
+
+
+def test_float_evaluation_point_rejected():
+    with pytest.raises(InvalidRationalLiteral):
+        P(1, 1)(0.5)
+
+
+def test_float_in_coeff_stream_rejected():
+    with pytest.raises(InvalidRationalLiteral):
+        CoeffStream.from_values([Rat(1), 2, 0.5])
 
 
 # -- parsing and JSON -----------------------------------------------------------------
