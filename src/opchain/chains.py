@@ -11,6 +11,14 @@ ties a system with true interval inside [0, oo) to a gamma sequence whose
 odd/even split encodes a parameter choice g_n = gamma_{2n+1}/b_{n+1}; the
 complementary and generalised complementary constructions act on exactly
 these parameters.
+
+Every system built from a gamma sequence, here and in ``perturb``, is one
+row of offsets (i, j, k, l) in
+
+    b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
+
+with b_1 optionally replaced by a single gamma_r; ``_gamma_system`` builds
+all of them.
 """
 
 from __future__ import annotations
@@ -184,6 +192,28 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     return GammaSeq.from_values(g)
 
 
+def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple, b1: int | None = None,
+                  **kw) -> ThreeTermSystem:
+    """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
+    for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
+
+    Both streams read ``gamma.at`` lazily, left operand first; ``kw`` goes
+    to ``ThreeTermSystem``.
+    """
+    (i, j), (k, l) = b, a2
+
+    def diag(m: int):
+        if m == 1 and b1 is not None:
+            return gamma.at(b1)
+        return gamma.at(2 * m + i) + gamma.at(2 * m + j)
+
+    return ThreeTermSystem(
+        CoeffStream.from_fn(diag),
+        CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)),
+        **kw,
+    )
+
+
 def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTermSystem:
     """The system with b_n = gamma_{2n-1} + gamma_{2n}, a_n^2 = gamma_{2n} gamma_{2n+1}.
 
@@ -191,15 +221,7 @@ def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTer
     which is the convention forced by the even/odd split of a symmetric
     family; it coincides with the default exactly when gamma_1 = 0.
     """
-    def b(n: int):
-        if n == 1 and minimal_branch:
-            return gamma.at(2)
-        return gamma.at(2 * n - 1) + gamma.at(2 * n)
-
-    def a2(n: int):
-        return gamma.at(2 * n) * gamma.at(2 * n + 1)
-
-    return ThreeTermSystem(CoeffStream.from_fn(b), CoeffStream.from_fn(a2))
+    return _gamma_system(gamma, (-1, 0), (0, 1), b1=2 if minimal_branch else None)
 
 
 def parameters_from_gamma(gamma: GammaSeq, N: int) -> ParameterSeq:
@@ -217,10 +239,7 @@ def kernel_system(gamma: GammaSeq) -> ThreeTermSystem:
     b_n = gamma_{2n} + gamma_{2n+1} and a_n^2 = gamma_{2n+1} gamma_{2n+2};
     gamma_1 never enters.
     """
-    return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n) + gamma.at(2 * n + 1)),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + 1) * gamma.at(2 * n + 2)),
-    )
+    return _gamma_system(gamma, (0, 1), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -321,10 +340,7 @@ def complementary(m: ParameterSeq) -> ChainSequence:
     """
     if not m.minimal:
         raise NotMinimal("complementary construction needs minimal parameters (g_0 = 0)")
-    k = [ZERO] + [1 - m[n] for n in range(1, len(m))]
-    params = ParameterSeq(tuple(k))
-    vals = [(1 - k[n - 1]) * k[n] for n in range(1, len(k))]
-    return ChainSequence.from_values(vals, parameters=params)
+    return generalised_complementary(m)
 
 
 def generalised_complementary(g: ParameterSeq) -> ChainSequence:
@@ -335,9 +351,7 @@ def generalised_complementary(g: ParameterSeq) -> ChainSequence:
     which is no parameter at all, so the complementary convention k'_0 = 0
     applies and the output coincides with ``complementary``.
     """
-    if g.minimal:
-        return complementary(g)
-    k = [1 - g[n] for n in range(len(g))]
+    k = [ZERO if g.minimal else 1 - g[0]] + [1 - g[n] for n in range(1, len(g))]
     params = ParameterSeq(tuple(k))
     vals = [(1 - k[n - 1]) * k[n] for n in range(1, len(k))]
     return ChainSequence.from_values(vals, parameters=params)

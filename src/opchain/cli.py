@@ -73,7 +73,7 @@ def _resolve_gamma(args, need: int):
     if getattr(args, "input", None):
         with open(args.input) as fh:
             doc = json.load(fh)
-        if "gamma" in doc:
+        if isinstance(doc, dict) and "gamma" in doc:
             return gamma_from_json(doc)
         sys_ = system_from_json(doc)
         g1 = parse_rational(args.gamma1 or "0")
@@ -153,7 +153,10 @@ def cmd_verify(args) -> int:
 
 def cmd_zeros(args) -> int:
     sys_ = _resolve_system(args)
-    rows = zeros_with_brackets(sys_, args.n, args.tol)
+    tol = args.tol
+    if tol is None:
+        tol = float(os.environ.get("OPCHAIN_PRECISION", "1e-12"))
+    rows = zeros_with_brackets(sys_, args.n, tol)
     if args.output == "json":
         _emit({"zeros": [{"index": i + 1, "value": v, "bracket_width": w}
                          for i, (v, w) in enumerate(rows)]})
@@ -210,7 +213,6 @@ def _add_system_source(p, with_gamma1=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_tol = float(os.environ.get("OPCHAIN_PRECISION", "1e-12"))
     ap = argparse.ArgumentParser(prog="opchain")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="zeros of P_n by Sturm bisection (CSV)")
     _add_system_source(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=default_tol)
+    p.add_argument("--tol", type=float, default=None,
+                   help="bisection tolerance (default: $OPCHAIN_PRECISION or 1e-12)")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_zeros)
 

@@ -84,44 +84,51 @@ def laguerre_gamma(alpha, gamma1: int) -> GammaSeq:
 @dataclass(frozen=True)
 class RRParams:
     """Parameter p of the finite family; n_max is the largest degree whose
-    monic recurrence data exists (no vanishing denominator, positive a_n^2)."""
+    monic recurrence data exists (no vanishing denominator, positive a_n^2).
+
+    The scan that finds n_max keeps the monic data it computes: b_1..b_{n_max}
+    and a_1^2..a_{n_max-1}^2.  It stops at 4096 steps.
+    """
 
     p: object
     n_max: int = field(init=False)
+    b: tuple = field(init=False, repr=False, compare=False)
+    a2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = coerce_exact(self.p)
+        b, a2 = [], []
+        A_prev = None
+        for n in range(4096):
+            try:
+                A, B, C = _rr_raw(p, n)
+            except ZeroDenominator:
+                break
+            if n >= 1:
+                bn, a2n = monicize_step(A, B, C, A_prev)
+                if not a2n > 0:
+                    break
+                a2.append(a2n)
+            else:
+                bn = -B / A
+            b.append(bn)
+            A_prev = A
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_max", _rr_scan(p))
-
-
-def _rr_step_denominators(p, n: int):
-    return (p - 2 * n, p - (2 * n + 1), p - (2 * n + 2), p - (n + 1))
+        object.__setattr__(self, "n_max", len(b))
+        object.__setattr__(self, "b", tuple(b))
+        object.__setattr__(self, "a2", tuple(a2))
 
 
 def _rr_raw(p, n: int):
     """Raw recurrence pieces (A_n, B_n, C_n) of the non-monic form
     N_{n+1} = (A_n x + B_n) N_n - C_n N_{n-1}."""
-    d2n, d2n1, d2n2, dn1 = _rr_step_denominators(p, n)
+    d2n, d2n1, d2n2, dn1 = p - 2 * n, p - (2 * n + 1), p - (2 * n + 2), p - (n + 1)
     if 0 in (d2n, d2n1, d2n2, dn1):
         raise ZeroDenominator(n, f"vanishing factor at step n = {n}")
     A = d2n2 * d2n1 / dn1
     B = -p * d2n1 / (dn1 * d2n)
     C = n * d2n2 / (dn1 * d2n)
     return A, B, C
-
-
-def _rr_scan(p, cap: int = 4096) -> int:
-    """Largest degree m such that steps 0..m-1 have nonzero denominators and
-    a_n^2 > 0 for 1 <= n < m."""
-    for n in range(cap):
-        if 0 in _rr_step_denominators(p, n):
-            return n
-        if n >= 1:
-            b, a2 = _rr_monic_step(p, n)
-            if not a2 > 0:
-                return n
-    return cap
 
 
 def monicize_step(A_n, B_n, C_n, A_prev):
@@ -159,13 +166,7 @@ def rr_monicize(params: RRParams, n: int):
 
 def rr_system(params: RRParams) -> ThreeTermSystem:
     """Finite-stream system serving degrees up to n_max."""
-    b, a2 = [], []
-    for n in range(params.n_max):
-        bn, a2n = _rr_monic_step(params.p, n)
-        b.append(bn)
-        if n >= 1:
-            a2.append(a2n)
-    return ThreeTermSystem.from_values(b, a2)
+    return ThreeTermSystem.from_values(params.b, params.a2)
 
 
 def rr_raw_coefficients(params: RRParams, n: int):

@@ -7,6 +7,9 @@ chain sequence (requires gamma_1 > 0) and its kernel companion.  Running
 the same tilde recurrence from index zero gives the "hat" family of the
 generalised complementary chain sequence, co-recursive with tilde.  The
 constructions on the associated polynomials give the Q and U families.
+Each of these systems is one row of gamma offsets built by
+``chains._gamma_system``; the co-recursive pairs (tilde/hat, U/kernel)
+differ only in b_1.
 
 Every identity in this module is checked exactly; reports carry the first
 violated index or the nonzero difference polynomial instead of a boolean
@@ -17,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import GammaSeq, IdentityReport, kernel_system, system_from_gamma
+from .chains import GammaSeq, IdentityReport, _gamma_system, kernel_system, system_from_gamma
 from .errors import DegenerateFavard, Gamma1Zero
 from .jacobi import interlace_check, truncate, zeros
 from .poly import Polynomial, even_part, odd_part
 from .scalars import Rat, format_scalar
-from .streams import CoeffStream
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
@@ -61,16 +63,7 @@ def tilde_system(gamma: GammaSeq) -> ThreeTermSystem:
     """
     if gamma.at(1) == 0:
         raise Gamma1Zero("tilde construction requires gamma_1 > 0")
-
-    def b(m: int):
-        if m == 1:
-            return gamma.at(1)
-        return gamma.at(2 * m - 1) + gamma.at(2 * m)
-
-    def a2(n: int):
-        return gamma.at(2 * n - 1) * gamma.at(2 * n + 2)
-
-    return ThreeTermSystem(CoeffStream.from_fn(b), CoeffStream.from_fn(a2))
+    return _gamma_system(gamma, (-1, 0), (-1, 2), b1=1)
 
 
 def hat_system(gamma: GammaSeq, allow_degenerate: bool = False) -> ThreeTermSystem:
@@ -85,22 +78,13 @@ def hat_system(gamma: GammaSeq, allow_degenerate: bool = False) -> ThreeTermSyst
     degenerate = gamma.at(1) == 0
     if degenerate and not allow_degenerate:
         raise DegenerateFavard("hat system has a_1^2 = gamma_1*gamma_4 = 0")
-
-    return ThreeTermSystem(
-        CoeffStream.from_fn(lambda m: gamma.at(2 * m - 1) + gamma.at(2 * m)),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n - 1) * gamma.at(2 * n + 2)),
-        validate_a2=not degenerate,
-        degenerate=degenerate,
-    )
+    return _gamma_system(gamma, (-1, 0), (-1, 2), validate_a2=not degenerate)
 
 
 def tilde_kernel_system(gamma: GammaSeq) -> ThreeTermSystem:
     """Kernel companion of the swapped family:
     b_m = gamma_{2m-1} + gamma_{2m+2}, a_n^2 = gamma_{2n+1} gamma_{2n+2}."""
-    return ThreeTermSystem(
-        CoeffStream.from_fn(lambda m: gamma.at(2 * m - 1) + gamma.at(2 * m + 2)),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + 1) * gamma.at(2 * n + 2)),
-    )
+    return _gamma_system(gamma, (-1, 2), (1, 2))
 
 
 def kernel_invariance_condition(gamma: GammaSeq, N: int) -> bool:
@@ -119,10 +103,7 @@ def kernel_invariance_condition(gamma: GammaSeq, N: int) -> bool:
 def q_system(gamma: GammaSeq) -> ThreeTermSystem:
     """Kernel-type family from the associated polynomials of the hat family:
     b_m = gamma_{2m+1} + gamma_{2m+2}, a_n^2 = gamma_{2n+2} gamma_{2n+3}."""
-    return ThreeTermSystem(
-        CoeffStream.from_fn(lambda m: gamma.at(2 * m + 1) + gamma.at(2 * m + 2)),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + 2) * gamma.at(2 * n + 3)),
-    )
+    return _gamma_system(gamma, (1, 2), (2, 3))
 
 
 def u_system(gamma: GammaSeq) -> ThreeTermSystem:
@@ -133,16 +114,7 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
     orthogonal family under that condition)."""
     if not gamma.at(3) * gamma.at(4) > 0:
         raise DegenerateFavard("u system has a_1^2 <= 0")
-
-    def b(m: int):
-        if m == 1:
-            return gamma.at(3)
-        return gamma.at(2 * m) + gamma.at(2 * m + 1)
-
-    return ThreeTermSystem(
-        CoeffStream.from_fn(b),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + 1) * gamma.at(2 * n + 2)),
-    )
+    return _gamma_system(gamma, (0, 1), (1, 2), b1=3)
 
 
 def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
@@ -159,18 +131,7 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
     T_{-1} = 0 and is only meaningful for TildeK where it equals
     gamma_1 gamma_2.
     """
-    def base_b(m):      # diagonal of the unperturbed system, m >= 2
-        return gamma.at(2 * m - 1) + gamma.at(2 * m)
-
-    def base_a2(n):     # subdiagonal of the unperturbed system
-        return gamma.at(2 * n) * gamma.at(2 * n + 1)
-
-    def ker_b(m):       # diagonal of the kernel system
-        return gamma.at(2 * m) + gamma.at(2 * m + 1)
-
-    def ker_a2(n):      # subdiagonal of the kernel system
-        return gamma.at(2 * n + 1) * gamma.at(2 * n + 2)
-
+    base, ker = system_from_gamma(gamma), kernel_system(gamma)
     xi = [None] * (N + 1)
     eta = [None] * (N + 1)
     if variant == TILDE_P:
@@ -178,18 +139,18 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
             raise Gamma1Zero("TildeP unified coefficients require gamma_1 > 0")
         xi[1] = gamma.at(1)
         for m in range(2, N + 1):
-            xi[m] = base_b(m)
+            xi[m] = base.b[m]
         if N >= 2:
             eta[2] = gamma.at(1) * gamma.at(4)
         for m in range(3, N + 1):
             n = m - 1
-            eta[m] = ker_a2(n - 1) * ker_a2(n) / base_a2(n)
+            eta[m] = ker.a2[n - 1] * ker.a2[n] / base.a2[n]
     elif variant == TILDE_K:
         xi[1] = gamma.at(1) + gamma.at(4)
         eta[1] = gamma.at(1) * gamma.at(2)
         for m in range(2, N + 1):
-            xi[m] = base_b(m) + base_b(m + 1) - ker_b(m)
-            eta[m] = ker_a2(m - 1)
+            xi[m] = base.b[m] + base.b[m + 1] - ker.b[m]
+            eta[m] = ker.a2[m - 1]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return xi, eta

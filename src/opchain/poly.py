@@ -62,11 +62,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return ZERO
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -96,12 +91,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = coerce_exact(c)
         return Polynomial([c * a for a in self.coeffs])
-
-    def shift_up(self, k: int = 1) -> "Polynomial":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Polynomial([ZERO] * k + list(self.coeffs))
 
     def __call__(self, x):
         """Horner evaluation at an exact point."""

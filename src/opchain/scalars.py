@@ -36,9 +36,12 @@ _LITERAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 def parse_rational(text: str):
     """Parse 'p/q' or an integer string into an exact rational.
 
-    Zero denominators and anything outside the integer / ratio grammar
-    (decimals, exponents, whitespace inside the token) are rejected.
+    Zero denominators, anything outside the integer / ratio grammar
+    (decimals, exponents, whitespace inside the token) and values that are
+    not strings are rejected.
     """
+    if not isinstance(text, str):
+        raise InvalidRationalLiteral(f"not a rational literal: {text!r}")
     token = text.strip()
     if not _LITERAL.match(token):
         raise InvalidRationalLiteral(f"not a rational literal: {text!r}")

@@ -18,6 +18,13 @@ def values_to_json(values) -> list[str]:
     return [format_scalar(v) for v in values]
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the type ``kind``, else an OpchainError naming ``what``."""
+    if not isinstance(value, kind):
+        raise OpchainError(f"{what}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def values_from_json(items) -> list:
     return [parse_rational(s) for s in items]
 
@@ -33,15 +40,15 @@ def system_to_json(sys: ThreeTermSystem, depth: int, closed_form: dict | None = 
 
 
 def system_from_json(doc: dict) -> ThreeTermSystem:
-    cf = doc.get("closed_form")
+    cf = _expect(doc, dict, "system document").get("closed_form")
     if cf is not None:
-        name = cf.get("name")
+        name = _expect(cf, dict, "closed_form").get("name")
         if not isinstance(name, str) or name not in FAMILIES:
             raise OpchainError(f"unknown closed form {name!r}")
         param, build, _ = FAMILIES[name]
-        return build(parse_rational(cf.get("params", {})[param]))
-    b = values_from_json(doc["b"])
-    a2 = values_from_json(doc.get("a2", []))
+        return build(parse_rational(_expect(cf.get("params", {}), dict, "params")[param]))
+    b = values_from_json(_expect(doc["b"], list, "b"))
+    a2 = values_from_json(_expect(doc.get("a2", []), list, "a2"))
     return ThreeTermSystem.from_values(b, a2)
 
 
@@ -50,7 +57,7 @@ def gamma_to_json(gamma: GammaSeq, upto: int) -> dict:
 
 
 def gamma_from_json(doc: dict) -> GammaSeq:
-    return GammaSeq.from_values(values_from_json(doc["gamma"]))
+    return GammaSeq.from_values(values_from_json(_expect(doc["gamma"], list, "gamma")))
 
 
 def chain_to_json(chain: ChainSequence, upto: int) -> dict:

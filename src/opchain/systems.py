@@ -30,13 +30,16 @@ class ThreeTermSystem:
 
     ``validate_a2`` guards the positive-definite case: accesses to a2 raise
     NonPositiveA2 on entries <= 0.  Constructors of deliberately degenerate
-    systems switch it off and set ``degenerate``.
+    systems switch it off, which is what ``degenerate`` reports.
     """
 
     b: CoeffStream
     a2: CoeffStream
     validate_a2: bool = True
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.validate_a2
 
     def b_at(self, n: int):
         return self.b[n]

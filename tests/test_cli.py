@@ -161,6 +161,24 @@ def test_closed_form_input_file(capsys, tmp_path):
     assert code == 0 and out == "6\n"
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (("moments", "--k", "2"), {"b": 5}),
+    (("moments", "--k", "2"), {"closed_form": "x"}),
+    (("moments", "--k", "2"), [1, 2]),
+    (("moments", "--k", "2"), {"b": [3]}),
+    (("moments", "--k", "2"), {"closed_form": {"name": "laguerre", "params": {"alpha": 0}}}),
+    (("moments", "--k", "2"), {"closed_form": {"name": "laguerre", "params": ["0"]}}),
+    (("moments", "--k", "2"), {"b": ["12", "1"], "a2": "12"}),
+    (("perturb", "--variant", "tilde"), {"gamma": 5}),
+])
+def test_malformed_input_document_rejected(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_precision_env_sets_default_tol(capsys, monkeypatch):
     monkeypatch.setenv("OPCHAIN_PRECISION", "1e-3")
     code, out, _ = run(capsys, "zeros", "--family", "laguerre", "--alpha", "0",
@@ -169,6 +187,17 @@ def test_precision_env_sets_default_tol(capsys, monkeypatch):
     widths = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
     assert all(w <= 1e-3 for w in widths)
     assert any(w > 1e-6 for w in widths)  # coarse tolerance actually applied
+
+
+def test_bad_precision_env_fails_zeros_only(capsys, monkeypatch):
+    monkeypatch.setenv("OPCHAIN_PRECISION", "abc")
+    code, out, err = run(capsys, "zeros", "--family", "laguerre", "--alpha", "0",
+                         "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ")
+    code, out, _ = run(capsys, "moments", "--family", "laguerre", "--alpha", "0",
+                       "--k", "2")
+    assert code == 0 and out == "2\n"
 
 
 # -- verify -----------------------------------------------------------------------
@@ -277,7 +306,7 @@ _RATIONALS = st.one_of(
     st.from_regex(r"-?[1-9][0-9]{0,399}(/[1-9][0-9]{0,399})?", fullmatch=True),
 )
 # routh_romanovski scans its validity window eagerly, up to 4096 steps, which
-# takes seconds for a huge p; its p is drawn from small values only
+# takes most of a second for a huge p; its p is drawn from small values only
 _RR_P = st.one_of(st.sampled_from(["10", "7/2", "1", "0", "-3"]), _INTS)
 
 

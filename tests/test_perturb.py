@@ -19,6 +19,7 @@ from opchain import (
     quasi_orthogonality_check,
     swap_split_check,
     swapped_nu,
+    system_from_gamma,
     systems_agree,
     tilde_kernel_system,
     tilde_system,
@@ -38,6 +39,29 @@ def P(*coeffs):
 
 G1234 = GammaSeq.from_values([1, 2, 3, 4])
 G16 = GammaSeq.from_values([1, 2, 3, 4, 5, 6])
+
+
+# -- gamma offsets ------------------------------------------------------------
+
+# gamma_k = the k-th prime separates every offset row; gamma_k = k cannot,
+# since there gamma_{2m-1} + gamma_{2m+2} = gamma_{2m} + gamma_{2m+1}
+PRIMES = GammaSeq.from_values([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+
+
+@pytest.mark.parametrize("build, b, a2", [
+    (system_from_gamma, [5, 12, 24, 36], [15, 77, 221]),
+    (lambda g: system_from_gamma(g, minimal_branch=True), [3, 12, 24, 36], [15, 77, 221]),
+    (kernel_system, [8, 18, 30, 42], [35, 143, 323]),
+    (tilde_system, [2, 12, 24, 36], [14, 65, 209]),
+    (hat_system, [5, 12, 24, 36], [14, 65, 209]),
+    (tilde_kernel_system, [9, 18, 30, 46], [35, 143, 323]),
+    (q_system, [12, 24, 36, 52], [77, 221, 437]),
+    (u_system, [5, 18, 30, 42], [35, 143, 323]),
+], ids=["base", "base_minimal", "kernel", "tilde", "hat", "tilde_kernel", "q", "u"])
+def test_gamma_offsets_on_primes(build, b, a2):
+    s = build(PRIMES)
+    assert s.b.window(1, 4) == b
+    assert s.a2.window(1, 3) == a2
 
 
 # -- the pairwise swap --------------------------------------------------------
