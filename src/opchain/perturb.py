@@ -110,10 +110,10 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
     """The family co-recursive with the kernel system: b_1 = gamma_3,
     b_m = gamma_{2m} + gamma_{2m+1} for m >= 2, a_n^2 = gamma_{2n+1} gamma_{2n+2}.
 
-    Its subdiagonal is checked positive (the recurrence only defines an
-    orthogonal family under that condition)."""
-    if not gamma.at(3) * gamma.at(4) > 0:
-        raise DegenerateFavard("u system has a_1^2 <= 0")
+    A gamma_3 or gamma_4 that is not positive raises NonPositiveGamma here,
+    at construction: then a_1^2 <= 0 and the recurrence defines no
+    orthogonal family."""
+    gamma.at(3), gamma.at(4)
     return _gamma_system(gamma, (0, 1), (1, 2), b1=3)
 
 

@@ -1,12 +1,18 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient tuple.  All values are immutable.
-A float coefficient or evaluation point raises InvalidRationalLiteral.
+A polynomial is stored as integers over one denominator, the canonical
+form of FLINT's ``fmpq_poly``: ``nums`` is a tuple of integers ascending by
+degree and ``den`` a positive integer, with ``gcd(den, *nums) == 1`` and no
+trailing zero; the zero polynomial is ``((), 1)``.  So the form of a value
+is unique and equality is a tuple comparison.  ``coeffs`` gives the
+coefficients as exact rationals, built once on first use.  All values are
+immutable.  A float coefficient or evaluation point raises
+InvalidRationalLiteral.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidRationalLiteral, NonEvenPolynomial, NonOddPolynomial
@@ -16,16 +22,38 @@ from .scalars import ZERO, Rat, coerce_exact, format_scalar, parse_rational
 class Polynomial:
     """Immutable dense polynomial; degree is the index of the last nonzero."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Sequence = ()):
         vals = [c if type(c) is Rat else coerce_exact(c) for c in coeffs]
-        while vals and vals[-1] == 0:
+        while vals and not vals[-1]:
             vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+        # The lcm of reduced denominators is already coprime to the content.
+        dens = [v.denominator for v in vals]
+        den = lcm(*dens) if vals else 1
+        _set(self, tuple(v.numerator * (den // d) for v, d in zip(vals, dens)), den, tuple(vals))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _raw(cls, nums: tuple, den: int) -> "Polynomial":
+        """Wrap a vector that is already in canonical form."""
+        p = object.__new__(cls)
+        _set(p, nums, den)
+        return p
+
+    @classmethod
+    def _reduced(cls, nums: list, den: int) -> "Polynomial":
+        """Canonical form of nums/den, for den > 0."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return cls._raw((), 1)
+        g = gcd(den, *nums)
+        if g != 1:
+            return cls._raw(tuple(n // g for n in nums), den // g)
+        return cls._raw(tuple(nums), den)
 
     # -- constructors -------------------------------------------------
 
@@ -52,64 +80,82 @@ class Polynomial:
     # -- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by degree, as exact rationals."""
+        c = self._coeffs
+        if c is None:
+            d = self.den
+            c = tuple(Rat(n, d) for n in self.nums) if d != 1 else tuple(map(Rat, self.nums))
+            object.__setattr__(self, "_coeffs", c)
+        return c
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._raw(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
+        a, b = self.nums, other.nums
+        if not a or not b:
             return Polynomial.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Polynomial._reduced(out, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         c = coerce_exact(c)
-        return Polynomial([c * a for a in self.coeffs])
+        p, q = c.numerator, c.denominator
+        if not p or not self.nums:
+            return Polynomial.zero()
+        # p/q and nums/den are both reduced, so gcd(p, den) * gcd(q, nums)
+        # is the whole common factor of the product.
+        gp, gq = gcd(p, self.den), gcd(q, *self.nums)
+        p, q = p // gp, q // gq
+        return Polynomial._raw(tuple(n // gq * p for n in self.nums), self.den // gp * q)
 
     def __call__(self, x):
-        """Horner evaluation at an exact point."""
+        """Horner evaluation at an exact point, on numerators."""
         if isinstance(x, float):
             raise InvalidRationalLiteral(f"float {x!r} is not exact")
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        nums = self.nums
+        if not nums:
+            return ZERO
+        p, q = x.numerator, x.denominator
+        acc, qk = nums[-1], 1
+        for n in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + n * qk
+        return Rat(acc, self.den * qk)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- conversions ------------------------------------------------------
 
@@ -124,29 +170,50 @@ class Polynomial:
         return f"Polynomial([{', '.join(format_scalar(c) for c in self.coeffs)}])"
 
 
+def _set(p: Polynomial, nums: tuple, den: int, coeffs: tuple | None = None) -> None:
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+
+
+def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + sign * q over the lcm of the two denominators."""
+    a, b, da, db = p.nums, q.nums, p.den, q.den
+    if da == db:
+        ma = mb = 1
+        den = da
+    else:
+        den = lcm(da, db)
+        ma, mb = den // da, den // db
+    mb *= sign
+    out = [x * ma for x in a] if ma != 1 else list(a)
+    out += [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y * mb
+    return Polynomial._reduced(out, den)
+
+
 def even_part(p: Polynomial) -> Polynomial:
     """Invert the square substitution: return q with q(x^2) = p(x).
 
     Requires every odd-degree coefficient of p to vanish.
     """
-    for k in range(1, len(p.coeffs), 2):
-        if p.coeffs[k] != 0:
+    for k in range(1, len(p.nums), 2):
+        if p.nums[k]:
             raise NonEvenPolynomial(f"nonzero coefficient at odd degree {k}")
-    return Polynomial(p.coeffs[0::2])
+    return Polynomial._raw(p.nums[0::2], p.den)
 
 
 def odd_part(p: Polynomial) -> Polynomial:
     """Return q with x * q(x^2) = p(x); every even-degree coefficient must vanish."""
-    for k in range(0, len(p.coeffs), 2):
-        if p.coeffs[k] != 0:
+    for k in range(0, len(p.nums), 2):
+        if p.nums[k]:
             raise NonOddPolynomial(f"nonzero coefficient at even degree {k}")
-    return Polynomial(p.coeffs[1::2])
+    return Polynomial._raw(p.nums[1::2], p.den)
 
 
 def substitute_square(p: Polynomial) -> Polynomial:
     """Return p(x^2)."""
-    out = []
-    for c in p.coeffs:
-        out.append(c)
-        out.append(ZERO)
-    return Polynomial(out[:-1] if out else out)
+    out = [0] * (2 * len(p.nums) - 1) if p.nums else []
+    out[0::2] = p.nums
+    return Polynomial._raw(tuple(out), p.den)

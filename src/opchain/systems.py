@@ -12,15 +12,22 @@ the unified recurrence of ``perturb``, run through one kernel.
 Moments come from a walk over the truncated monic Jacobi matrix and the
 continued-fraction convergents are expanded at infinity, so every quantity
 here is exact and needs no measure.
+
+The recurrence kernel, the moment walk and the Laurent division run on
+integers over a common denominator, as ``Polynomial`` stores its
+coefficients; they read rationals only through ``numerator`` and
+``denominator``, so either rational backend takes the same path, and build
+one rational or one canonical polynomial per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import DegreeViolation, NonPositiveA2
 from .poly import Polynomial
-from .scalars import ONE, ZERO
+from .scalars import ZERO, Rat
 from .streams import CoeffStream
 
 
@@ -95,22 +102,30 @@ def _recurrence(ks: range, step) -> list[Polynomial]:
 
     The two polynomials before the first step are 0 and 1.  ``step(k)``
     returns (d_k, s_k) and reads d_k first; s_k is None where the P_{k-2}
-    term is skipped.  The work is done on coefficient lists and one
-    Polynomial is built per degree.
+    term is skipped.  Each step runs on integer vectors over the lcm of
+    the denominators of its three terms, with one gcd reduction per degree.
     """
-    prev, cur = [], [ONE]
+    prev, pden, cur, cden = (), 1, (1,), 1
     out = []
     for k in ks:
         d, s = step(k)
-        nxt = [ZERO] + cur  # x * P_{k-1}
-        if d:
-            for i, c in enumerate(cur):
-                nxt[i] -= d * c
-        if s is not None:
-            for i, c in enumerate(prev):
-                nxt[i] -= s * c
-        prev, cur = cur, nxt
-        out.append(Polynomial(cur))
+        # P_k = (mx x P_{k-1} - md P_{k-1} - ms P_{k-2}) / den on numerators
+        den = cden * d.denominator
+        ms = 0
+        if s is not None and prev:
+            sd = pden * s.denominator
+            den = lcm(den, sd)
+            ms = s.numerator * (den // sd)
+        mx = den // cden
+        md = d.numerator * (mx // d.denominator)
+        low = prev + (0,) * (len(cur) + 1 - len(prev))
+        nxt = [mx * u - md * v - ms * w for u, v, w in zip((0, *cur), (*cur, 0), low)]
+        g = gcd(den, *nxt)
+        if g != 1:
+            nxt = [c // g for c in nxt]
+            den //= g
+        prev, pden, cur, cden = cur, cden, tuple(nxt), den
+        out.append(Polynomial._raw(cur, den))
     return out
 
 
@@ -159,20 +174,23 @@ def moments(sys: ThreeTermSystem, k: int):
     The (1,1) entry of J^k for the truncated monic Jacobi matrix of size
     ceil(k/2)+1: a closed walk of length k from row 1 never leaves the
     leading ceil(k/2)+1 block, so the truncation is lossless.  The row
-    vector e_1^T is walked k times over J, with b on the diagonal, 1 above
-    it and a2 below it.
+    vector e_1^T is walked k times over L*J, with b on the diagonal, 1 above
+    it and a2 below it, where L is the lcm of the denominators of b and a2;
+    the moment is the first entry over L^k.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = (k + 1) // 2 + 1
     diag = [sys.b_at(i) for i in range(1, size + 1)]
     sub = [sys.a2_at(i) for i in range(1, size)]
-    row = [ONE] + [ZERO] * (size - 1)
+    L = lcm(*[v.denominator for v in diag + sub])
+    diag = [v.numerator * (L // v.denominator) for v in diag]
+    sub = [v.numerator * (L // v.denominator) for v in sub] + [0]
+    row = [1] + [0] * (size - 1)
     for _ in range(k):
-        row = [(row[j - 1] if j else ZERO) + row[j] * diag[j]
-               + (row[j + 1] * sub[j] if j + 1 < size else ZERO)
-               for j in range(size)]
-    return row[0]
+        r = [0, *row, 0]
+        row = [r[j] * L + r[j + 1] * diag[j] + r[j + 2] * sub[j] for j in range(size)]
+    return Rat(row[0], L ** k)
 
 
 # -- continued-fraction convergents -------------------------------------------
@@ -189,27 +207,28 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     """First ``order`` coefficients of num/den expanded at infinity.
 
     Requires deg num < deg den and den monic, so the expansion starts at
-    x^-1.  Long division is done in the variable u = 1/x.
+    x^-1.  Long division is done in the variable u = 1/x, on integers.
     """
     if den.is_zero() or not den.is_monic():
         raise DegreeViolation("denominator must be monic")
     if not num.is_zero() and num.degree >= den.degree:
         raise DegreeViolation("numerator degree must be below denominator degree")
     gap = den.degree - (num.degree if not num.is_zero() else den.degree)
-    # reversed coefficient lists: n_rev(u) with num(x) = x^deg(num) * n_rev(1/x)
-    n_rev = list(reversed(num.coeffs))
-    d_rev = list(reversed(den.coeffs))
-    # power-series division n_rev/d_rev in u; d_rev[0] == 1 since den is monic
-    series = []
-    for j in range(order):
-        acc = n_rev[j] if j < len(n_rev) else ZERO
-        for i in range(1, min(j, len(d_rev) - 1) + 1):
-            acc = acc - d_rev[i] * series[j - i]
-        series.append(acc)
-    # num/den = sum_j series[j] * x^-(j + gap); gap >= 1
+    # Power-series division in u of the reversed vectors, fraction-free:
+    # with num = N/N_den, den = D/D_den and D_rev[0] = D_den (den is monic),
+    # t_j = series_j * N_den * D_den^j is the integer
+    # t_j = N_rev[j] D_den^j - sum_{i>=1} D_rev[i] D_den^(i-1) t_{j-i}.
+    n_rev, d_rev, dd = num.nums[::-1], den.nums[::-1], den.den
+    c = [0] + [v * dd ** (i - 1) for i, v in enumerate(d_rev) if i]
+    # num/den = sum_j series_j x^-(j + gap), and only j + gap <= order is kept
     out = [ZERO] * order
-    for j in range(order):
-        k = j + gap
-        if 1 <= k <= order:
-            out[k - 1] = series[j]
+    t, ddj = [], 1
+    for j in range(min(order, order - gap + 1)):
+        acc = n_rev[j] * ddj if j < len(n_rev) else 0
+        for i in range(1, min(j, len(c) - 1) + 1):
+            acc -= c[i] * t[j - i]
+        t.append(acc)
+        if j + gap >= 1:
+            out[j + gap - 1] = Rat(acc, num.den * ddj)
+        ddj *= dd
     return LaurentSeries(tuple(out))

@@ -298,8 +298,9 @@ def suite_moments(seed=0, samples=0, n=8, corrupt=False) -> SuiteReport:
         sys = make()
         ok = True
         witness = None
+        mus = [moments(sys, k) for k in range(2 * n)]
         for m in range(1, n + 1):
-            mu = [moments(sys, k) for k in range(2 * m)]
+            mu = mus[:2 * m]
             if corrupt:
                 mu[-1] = mu[-1] + 1
             num, den = convergent(sys, m)

@@ -28,7 +28,7 @@ from opchain import (
     unified_sequence,
     zero_sum_interlacing_report,
 )
-from opchain.errors import DegenerateFavard, Gamma1Zero
+from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveGamma
 from opchain.perturb import quasi_sides
 from opchain.verify import random_gamma
 
@@ -125,6 +125,14 @@ def test_hat_degenerate_leading_entry():
     # polynomials still emitted; a_1^2 = 0 never multiplies anything nonzero,
     # so P_2 = (x - 3)(x - 1) with no correction term
     assert monic_eval(h, 2) == P(3, -4, 1)
+
+
+@pytest.mark.parametrize("index", [3, 4])
+def test_u_system_rejects_zero_gamma_at_construction(index):
+    vals = [1, 2, 3, 4, 5, 6]
+    vals[index - 1] = 0
+    with pytest.raises(NonPositiveGamma, match=f"gamma_{index} = 0"):
+        u_system(GammaSeq.from_values(vals))
 
 
 def test_co_recursive_shift():

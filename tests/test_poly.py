@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -166,3 +167,93 @@ def test_degree_conventions():
     assert P(0, 0, Rat(1, 2)).degree == 2
     assert P(2, -4, 1).is_monic()
     assert not P(2, -4, 2).is_monic()
+
+
+# -- canonical integer-vector form ------------------------------------------------------
+
+def _frac(v):
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
+def _ref(p):
+    return [_frac(c) for c in p.coeffs]
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _trim(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.nums or p.den == 1
+    assert all(type(c) is Rat for c in p.coeffs)
+    assert _ref(p) == [Fraction(int(n), int(p.den)) for n in p.nums]
+
+
+wide = st.fractions(max_denominator=10**9).map(lambda f: Rat(f.numerator, f.denominator))
+wide_polys = st.lists(st.one_of(wide, st.just(Rat(0))), max_size=8).map(Polynomial)
+
+
+@given(wide_polys, wide_polys, wide)
+def test_every_operation_matches_a_fraction_list(p, q, c):
+    a, b = _ref(p), _ref(q)
+    results = {
+        "add": (p + q, _ref_add(a, b)),
+        "sub": (p - q, _ref_add(a, b, -1)),
+        "neg": (-p, [-x for x in a]),
+        "mul": (p * q, _ref_mul(a, b)),
+        "scale": (p.scale(c), _trim([_frac(c) * x for x in a])),
+        "square": (substitute_square(p), _trim([y for x in a for y in (x, Fraction(0))])),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert _ref(got) == want, name
+        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want)), name
+    x = _frac(c)
+    assert _frac(p(c)) == sum((v * x ** i for i, v in enumerate(a)), Fraction(0))
+    assert p.degree == len(a) - 1
+    assert p.is_monic() == (bool(a) and a[-1] == 1)
+    assert (p == q) == (a == b)
+    assert even_part(substitute_square(p)) == p
+    assert odd_part(substitute_square(p) * Polynomial.x()) == p
+
+
+@given(wide_polys, wide_polys, wide_polys)
+def test_equal_values_by_different_routes_are_equal_and_hash_equal(p, q, r):
+    left, right = (p * q) + r, r + (q * p)
+    _assert_canonical(left)
+    assert left == right and hash(left) == hash(right)
+    assert left.nums == right.nums and left.den == right.den
+    diff = (p + q) - q - p
+    assert diff == Polynomial.zero() and hash(diff) == hash(Polynomial.zero())
+    rebuilt = Polynomial(left.coeffs)
+    assert rebuilt == left and hash(rebuilt) == hash(left)
+
+
+def test_constructor_forms_share_one_canonical_vector():
+    p = Polynomial(["1/2", 3, Rat(-5, 4), 0, 0])
+    assert (p.nums, p.den) == ((2, 12, -5), 4)
+    assert p.coeffs == (Rat(1, 2), Rat(3), Rat(-5, 4))
+    assert Polynomial([Rat(2, 4), Rat(6, 2), "-10/8"]) == p
+    assert Polynomial.zero().nums == () and Polynomial.zero().den == 1

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +9,7 @@ from opchain import (
     Polynomial,
     Rat,
     SymmetricSystem,
+    associated_sequence,
     ThreeTermSystem,
     associated_eval,
     convergent,
@@ -235,3 +238,101 @@ def test_finite_stream_never_extends_silently():
     assert monic_eval(sys, 2) == P(2, -4, 1)
     with pytest.raises(StreamExhausted):
         monic_eval(sys, 3)
+
+
+# -- deep sizes against a plain Fraction reference ---------------------------------------------
+
+def _frac(v):
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
+def _ref_recurrence(d, s, k0, n, first):
+    """Coefficient lists ``first`` = [T_{k0-2}, T_{k0-1}], then
+    T_k = (x - d_k) T_{k-1} - s_k T_{k-2} for k0 <= k <= n."""
+    seq = [list(t) for t in first]
+    for k in range(k0, n + 1):
+        prev, cur = seq[-2], seq[-1]
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= d[k] * c
+        for i, c in enumerate(prev):
+            nxt[i] -= s[k] * c
+        seq.append(nxt)
+    return seq
+
+
+def _ref_moments(b, a2, K):
+    """(1,1) entries of J^0 .. J^K for the untruncated (K+1) x (K+1) Jacobi
+    matrix, walked densely."""
+    size = K + 1
+    J = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        J[i][i] = b[i + 1]
+        if i + 1 < size:
+            J[i][i + 1] = Fraction(1)
+            J[i + 1][i] = a2[i + 1]
+    row = [Fraction(1)] + [Fraction(0)] * K
+    out = [row[0]]
+    for _ in range(K):
+        row = [sum(row[i] * J[i][j] for i in range(size) if row[i]) for j in range(size)]
+        out.append(row[0])
+    return out
+
+
+def _ref_laurent(num, den, order):
+    """num/den at infinity by long division, x^-1 first (den monic, deg num <
+    deg den): shift the remainder by x, take its x^deg(den) coefficient as the
+    next term and subtract that multiple of den."""
+    deg = len(den) - 1
+    rem, out = list(num) + [Fraction(0)] * (deg - len(num)), []
+    for _ in range(order):
+        rem = [Fraction(0)] + rem
+        q = rem[deg]
+        rem = [r - q * c for r, c in zip(rem, den)][:deg]
+        out.append(q)
+    return out
+
+
+def _compare_deep_with_reference(seed):
+    rng = random.Random(seed)
+    gamma = random_gamma(rng, 128)
+    n = rng.randint(40, 60)
+    sys = system_from_gamma(gamma)
+    top = max(n, 40) + 1
+    b = [None] + [_frac(sys.b_at(k)) for k in range(1, top + 1)]
+    a2 = [Fraction(0)] + [_frac(sys.a2_at(k)) for k in range(1, top + 1)]
+    lag = [Fraction(0)] + a2[:-1]  # s_k = a2_{k-1}; s_1 multiplies zero
+    one, zero = [Fraction(1)], []
+    nu = [None] + [_frac(v) for v in gamma.window(1, n + 1)]
+    refs = {
+        "monic": (monic_sequence(sys, n), _ref_recurrence(b, lag, 1, n, [zero, one])[1:]),
+        "associated": (associated_sequence(sys, n), _ref_recurrence(b, lag, 2, n, [zero, one])),
+        "symmetric": (symmetric_sequence(SymmetricSystem(gamma.gamma), n),
+                      _ref_recurrence([Fraction(0)] * (n + 1), nu, 1, n, [zero, one])[1:]),
+    }
+    for name, (got, want) in refs.items():
+        assert len(got) == n + 1, name
+        for k, (p, w) in enumerate(zip(got, want)):
+            assert [_frac(c) for c in p.coeffs] == w, (name, k)
+            assert p.den > 0 and math.gcd(p.den, *p.nums) == 1, (name, k)
+    mus = [moments(sys, k) for k in range(41)]
+    assert [_frac(m) for m in mus] == _ref_moments(b, a2, 40)
+    m = 20
+    num, den = refs["associated"][0][m], refs["monic"][0][m]
+    series = laurent_expand(num, den, 2 * m)
+    want = _ref_laurent(refs["associated"][1][m], refs["monic"][1][m], 2 * m)
+    assert [_frac(c) for c in series.coeffs] == want
+    assert want == [_frac(v) for v in mus[:2 * m]]
+
+
+@pytest.mark.parametrize("seed", [202, 203])
+def test_deep_sequences_match_a_fraction_reference(seed):
+    _compare_deep_with_reference(seed)
+
+
+def test_deep_sequences_match_a_fraction_reference_on_gmpy2():
+    pytest.importorskip("gmpy2")
+    from opchain.scalars import RAT_BACKEND
+
+    assert RAT_BACKEND == "gmpy2"
+    _compare_deep_with_reference(202)
