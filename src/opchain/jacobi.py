@@ -8,7 +8,11 @@ kernel family's matrix except for a documented boundary entry.
 
 Zeros of P_n are eigenvalues of the order-n truncation; they are found by
 Sturm-sequence bisection on the symmetrised matrix, which never forms the
-similarity explicitly because the pivot recurrence only needs a_n^2.
+similarity explicitly because the pivot recurrence only needs a_n^2.  The
+float data are laid out once per call as pairs (b_k, a_{k-1}^2), the first
+being (b_1, 0.0), so each count is one loop over the pairs; a pivot below
+the floor 1e-300 counts as negative and is clamped to at most -1e-300.
+The result is a deterministic function of the float64 data and tol.
 """
 
 from __future__ import annotations
@@ -153,22 +157,27 @@ def darboux_pivot_check(sys: ThreeTermSystem, gamma1, n: int) -> bool:
 _PIVOT_FLOOR = 1e-300
 
 
-def _count_below(diag, sub2, x: float) -> int:
+def _count_below(pairs, x: float) -> int:
     """Eigenvalues of the symmetrised matrix strictly below x.
 
-    Standard pivot-sign recurrence q_i = (d_i - x) - e_{i-1}^2 / q_{i-1};
-    the subdiagonal enters only through its square, which is a_n^2 itself,
-    so no square roots are taken.  Exact-zero pivots are floored to
-    +/-1e-300.
+    Standard pivot-sign recurrence q_k = (b_k - x) - a_{k-1}^2 / q_{k-1}
+    over ``pairs`` = ((b_1, 0.0), (b_2, a_1^2), ...), starting from
+    q_0 = 1.0; the subdiagonal enters only through its square, which is
+    a_n^2 itself, so no square roots are taken.  A pivot q < 1e-300 counts
+    as negative and one in (-1e-300, 1e-300) is set to -1e-300, so an exact
+    hit on a minor's eigenvalue counts below and the next division stays
+    finite; a NaN pivot is not counted.
     """
+    floor = _PIVOT_FLOOR
+    neg = -floor
     count = 0
     q = 1.0
-    for i in range(len(diag)):
-        q = (diag[i] - x) - (sub2[i - 1] / q if i else 0.0)
-        if abs(q) < _PIVOT_FLOOR:
-            q = -_PIVOT_FLOOR  # exact hit on a minor's eigenvalue counts below
-        if q < 0:
+    for d, s in pairs:
+        q = (d - x) - s / q
+        if q < floor:
             count += 1
+            if q > neg:
+                q = neg
     return count
 
 
@@ -202,14 +211,15 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     hi = max(d + r for d, r in zip(diag, radius))
     if not math.isfinite(hi - lo):
         raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
+    pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
     out = []
     for j in range(n):  # j-th smallest eigenvalue
         a, b = lo, hi
         while b - a > tol:
             mid = 0.5 * (a + b)
-            if mid in (a, b):  # float resolution; bracket cannot shrink further
+            if mid == a or mid == b:  # float resolution; bracket cannot shrink further
                 break
-            if _count_below(diag, sub2, mid) > j:
+            if _count_below(pairs, mid) > j:
                 b = mid
             else:
                 a = mid

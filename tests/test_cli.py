@@ -112,6 +112,36 @@ def test_zeros_csv(capsys):
     assert abs(v2 - 3.414213562373095) < 1e-10
 
 
+_LAGUERRE_7_3_ZEROS = [  # (value, bracket_width) printed at n=8, tol=1e-12
+    ("0.8054062175458091", "8.613110225041964e-13"),
+    ("2.0763818741756603", "8.615330671091215e-13"),
+    ("3.921320426580005", "8.610889778992714e-13"),
+    ("6.40564020291102", "8.615330671091215e-13"),
+    ("9.634180250806661", "8.615330671091215e-13"),
+    ("13.787015351057278", "8.615330671091215e-13"),
+    ("19.215024198593966", "8.633094239485217e-13"),
+    ("26.821698144995626", "8.597567102697212e-13"),
+]
+
+
+@pytest.mark.parametrize("output", [(), ("--output", "json")], ids=["csv", "json"])
+def test_zeros_stdout_golden(capsys, output):
+    # zeros output is a deterministic function of the float64 data and tol,
+    # so its stdout is pinned byte for byte in both formats
+    code, out, err = run(capsys, "zeros", "--family", "laguerre", "--alpha", "7/3",
+                         "--n", "8", "--tol", "1e-12", *output)
+    assert code == 0 and err == ""
+    rows = list(enumerate(_LAGUERRE_7_3_ZEROS, 1))
+    if not output:
+        expected = "index,value,bracket_width\n" + "".join(
+            f"{i},{v},{w}\n" for i, (v, w) in rows)
+    else:
+        expected = '{\n  "zeros": [\n' + ",\n".join(
+            f'    {{\n      "bracket_width": {w},\n      "index": {i},\n'
+            f'      "value": {v}\n    }}' for i, (v, w) in rows) + "\n  ]\n}\n"
+    assert out == expected
+
+
 def test_lu_document(capsys):
     doc = run_json(capsys, "lu", "--family", "laguerre", "--alpha", "0",
                    "--n", "3", "--gamma1", "0")

@@ -5,6 +5,7 @@ import pytest
 from opchain import (
     GammaSeq,
     Rat,
+    ThreeTermSystem,
     TridiagonalMatrix,
     gamma_from_system,
     interlace_check,
@@ -157,10 +158,83 @@ def test_zero_brackets_reported():
 
 
 def test_zeros_reject_nonpositive_subdiagonal():
-    from opchain import ThreeTermSystem
     sys = ThreeTermSystem.from_values([1, 2], [-1], validate_a2=False)
     with pytest.raises(NonPositiveA2):
         zeros(sys, 2, 1e-10)
+
+
+# Reference: the indexed pivot loop and tuple-membership bisection that
+# the paired loop in jacobi replaced.  Both do the same float operations in
+# the same order, so their results must agree bit for bit.
+
+def _reference_count_below(diag, sub2, x):
+    count = 0
+    q = 1.0
+    for i in range(len(diag)):
+        q = (diag[i] - x) - (sub2[i - 1] / q if i else 0.0)
+        if abs(q) < 1e-300:
+            q = -1e-300
+        if q < 0:
+            count += 1
+    return count
+
+
+def _reference_zeros_with_brackets(sys, n, tol):
+    diag = [float(sys.b_at(k)) for k in range(1, n + 1)]
+    sub2 = [float(sys.a2_at(k)) for k in range(1, n)]
+    radius = [(sub2[i - 1] ** 0.5 if i >= 1 else 0.0)
+              + (sub2[i] ** 0.5 if i < n - 1 else 0.0) for i in range(n)]
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
+    out = []
+    for j in range(n):
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if _reference_count_below(diag, sub2, mid) > j:
+                b = mid
+            else:
+                a = mid
+        out.append((0.5 * (a + b), b - a))
+    out.sort()
+    return out
+
+
+def _hex_rows(rows):
+    return [(v.hex(), w.hex()) for v, w in rows]
+
+
+def _reference_cases():
+    rng = random.Random(606)
+    for i in range(4):
+        n = rng.randint(30, 40)
+        yield f"random_gamma[{i}] n={n}", system_from_gamma(random_gamma(rng, 2 * n + 2)), n
+    for alpha in (Rat(0), Rat(7, 3), Rat(-1, 2), Rat(24)):
+        for n in (*range(1, 9), 35):
+            yield f"laguerre alpha={alpha} n={n}", laguerre_system(alpha), n
+    for n in (3, 6):
+        yield f"zero diagonal n={n}", ThreeTermSystem.from_values([0] * n, [1] * (n - 1)), n
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-12])
+def test_zeros_bit_identical_to_reference(tol):
+    for label, sys, n in _reference_cases():
+        assert _hex_rows(zeros_with_brackets(sys, n, tol)) == \
+            _hex_rows(_reference_zeros_with_brackets(sys, n, tol)), label
+
+
+def test_zeros_pivot_floor_branch():
+    # The Gershgorin bracket is [-2, 2], so the first midpoint is 0 and the
+    # first pivot q_1 = b_1 - 0 is exactly zero: it is floored to -1e-300,
+    # counted below, and the next division stays finite.
+    sys = ThreeTermSystem.from_values([0, 0, 0], [1, 1])
+    assert _hex_rows(zeros_with_brackets(sys, 3, 1e-10)) == [
+        ("-0x1.6a09e667e0000p+0", "0x1.0000000000000p-34"),
+        ("-0x1.0000000000000p-35", "0x1.0000000000000p-34"),
+        ("0x1.6a09e667e0000p+0", "0x1.0000000000000p-34"),
+    ]
 
 
 def test_zeros_invalid_tolerance():
