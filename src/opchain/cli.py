@@ -55,11 +55,19 @@ def _family_system(args):
     return build(parse_rational(value)), {"name": name, "params": {param: value}}
 
 
+def _read_input(path):
+    """The JSON document at ``path``; nesting too deep to parse is bad input."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise OpchainError(f"{path}: JSON document nested too deeply") from None
+
+
 def _resolve_system(args):
     """System from --family flags or an --input JSON document."""
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            return system_from_json(json.load(fh))
+        return system_from_json(_read_input(args.input))
     if getattr(args, "family", None):
         return _family_system(args)[0]
     raise ValueError("provide --family or --input")
@@ -71,8 +79,7 @@ def _resolve_gamma(args, need: int):
         vals = [parse_rational(tok) for tok in args.gamma.split(",")]
         return GammaSeq.from_values(vals)
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            doc = json.load(fh)
+        doc = _read_input(args.input)
         if isinstance(doc, dict) and "gamma" in doc:
             return gamma_from_json(doc)
         sys_ = system_from_json(doc)

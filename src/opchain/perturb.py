@@ -203,20 +203,31 @@ class QuasiOrthReport:
         return {"n": self.n, "ok": self.ok, "difference": self.difference.to_json()}
 
 
+def _quasi_sequences(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
+    """Q_0..Q_n and K1_0..K1_{n+1} of ``gamma_lhs`` and P_0..P_{n+2} of
+    ``gamma_rhs``: every polynomial ``_quasi_pair`` reads for m <= n."""
+    return (monic_sequence(q_system(gamma_lhs), n),
+            associated_sequence(kernel_system(gamma_lhs), n + 1),
+            monic_sequence(system_from_gamma(gamma_rhs, minimal_branch=True), n + 2))
+
+
+def _quasi_pair(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, seqs, m: int):
+    """(lhs, rhs) of the identity at degree m from ``_quasi_sequences``."""
+    Q, K1, P = seqs
+    x = Polynomial.x()
+    g = gamma_lhs.at
+    lhs = (x * x) * Q[m] - (x * (K1[m + 1] + K1[m].scale(g(2 * m + 3)))).scale(g(2))
+    h = gamma_rhs.at
+    rhs = (P[m + 2]
+           + P[m + 1].scale(h(2 * m + 3) + h(2 * m + 4))
+           + P[m].scale(h(2 * m + 2) * h(2 * m + 3)))
+    return lhs, rhs
+
+
 def quasi_sides(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
     """Both sides of the order-2 quasi-orthogonality identity, separately
     parameterised so negative controls can corrupt one side only."""
-    x = Polynomial.x()
-    g = gamma_lhs.at
-    Q = monic_sequence(q_system(gamma_lhs), n)
-    K1 = associated_sequence(kernel_system(gamma_lhs), n + 1)
-    lhs = (x * x) * Q[n] - (x * (K1[n + 1] + K1[n].scale(g(2 * n + 3)))).scale(g(2))
-    h = gamma_rhs.at
-    P = monic_sequence(system_from_gamma(gamma_rhs, minimal_branch=True), n + 2)
-    rhs = (P[n + 2]
-           + P[n + 1].scale(h(2 * n + 3) + h(2 * n + 4))
-           + P[n].scale(h(2 * n + 2) * h(2 * n + 3)))
-    return lhs, rhs
+    return _quasi_pair(gamma_lhs, gamma_rhs, _quasi_sequences(gamma_lhs, gamma_rhs, n), n)
 
 
 def quasi_orthogonality_check(gamma: GammaSeq, n: int) -> QuasiOrthReport:

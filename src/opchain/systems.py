@@ -209,6 +209,8 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     Requires deg num < deg den and den monic, so the expansion starts at
     x^-1.  Long division is done in the variable u = 1/x, on integers.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if den.is_zero() or not den.is_monic():
         raise DegreeViolation("denominator must be monic")
     if not num.is_zero() and num.degree >= den.degree:

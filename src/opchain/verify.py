@@ -2,10 +2,14 @@
 
 Each suite re-derives a family of exact identities over closed-form
 families and seeded random gamma sequences and reports one line per
-identity.  Randomness is a seeded generator producing uniform rationals
-with denominators up to 64; every drawn sequence is recorded in the report
-so a failure can be replayed.  The ``corrupt`` hook feeds deliberately
-inconsistent inputs through the same checks, proving each suite can fail.
+identity.  Sampled suites draw through one seeded generator, ``_samples``
+(uniform rationals with denominators up to 64 by default), which records
+every drawn sequence in the report so a failure can be replayed.
+Closed-form inputs are ``(family, parameter literal)`` rows of
+``families.FAMILIES``, and ``_SUITE_FNS`` is the one list of suite names.
+The ``corrupt`` hook feeds deliberately inconsistent inputs through the
+same checks, proving each suite can fail.  Each suite corrupts its own
+input, lines and witness, so each stays a plain function, not a table row.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from .chains import (
     parameters_from_gamma,
     system_from_gamma,
 )
-from .families import e_family_system, laguerre_gamma, laguerre_system, RRParams, rr_system
+from .families import FAMILIES, laguerre_gamma, laguerre_system
 from .jacobi import darboux_pivot_check, lu_factor, truncate, ul_product
 from .poly import even_part
-from .scalars import Rat, format_scalar
+from .scalars import Rat, format_scalar, parse_rational
 from .systems import (
     associated_sequence,
     laurent_expand,
@@ -36,21 +40,6 @@ from .systems import (
     symmetric_sequence,
     systems_agree,
 )
-
-SUITES = ("theorem33", "gccs", "kernel_invariance", "quasi_orth",
-          "lu", "laguerre", "moments", "all")
-
-
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    n_range: str
-    status: str               # pass | fail
-    witness: str | None = None
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "n_range": self.n_range,
-                "status": self.status, "witness": self.witness}
 
 
 @dataclass
@@ -64,16 +53,12 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         """Every identity passed, and at least one was checked."""
-        return bool(self.identities) and all(r.status == "pass" for r in self.identities)
+        return bool(self.identities) and all(r["status"] == "pass" for r in self.identities)
 
     def add(self, name: str, n_range: str, ok: bool, witness=None):
-        self.identities.append(IdentityResult(
-            name, n_range, "pass" if ok else "fail",
-            None if ok else (witness if witness is None or isinstance(witness, str)
-                             else str(witness))))
-
-    def record_gamma(self, gamma: GammaSeq, upto: int):
-        self.gamma_samples.append([format_scalar(v) for v in gamma.window(1, upto)])
+        self.identities.append({
+            "name": name, "n_range": n_range, "status": "pass" if ok else "fail",
+            "witness": None if ok or witness is None else str(witness)})
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +66,7 @@ class SuiteReport:
             "seed": self.seed,
             "samples": self.samples,
             "ok": self.ok,
-            "identities": [r.to_json() for r in self.identities],
+            "identities": self.identities,
             "gamma_samples": self.gamma_samples,
         }
 
@@ -98,6 +83,33 @@ def random_gamma(rng: random.Random, length: int, gamma1_positive: bool = True) 
     return GammaSeq.from_values(vals)
 
 
+def _progression_gamma(rng: random.Random, length: int) -> GammaSeq:
+    """Odd and even entries in two arithmetic progressions with a common
+    difference: gamma_{2j+1} = a + j d, gamma_{2j+2} = c + j d."""
+    a = Rat(rng.randint(1, 64), rng.randint(1, 16))
+    c = Rat(rng.randint(1, 64), rng.randint(1, 16))
+    d = Rat(rng.randint(1, 32), rng.randint(1, 16))
+    return GammaSeq.from_values([(a if k % 2 else c) + (k - 1) // 2 * d
+                                 for k in range(1, length + 1)])
+
+
+def _samples(rep: SuiteReport, need: int, draw=None):
+    """Yield ``(s, gamma)`` per sample, gamma = ``draw(rng, need)`` from one
+    generator seeded with the report's seed (``random_gamma`` by default)."""
+    rng = random.Random(rep.seed)
+    for s in range(rep.samples):
+        gamma = (draw or random_gamma)(rng, need)
+        rep.gamma_samples.append([format_scalar(v) for v in gamma.window(1, need)])
+        yield s, gamma
+
+
+def _family(name: str, value: str):
+    """Label and system of the closed-form family ``name`` at the parameter
+    literal ``value``, e.g. ``("laguerre alpha=7/3", laguerre_system(7/3))``."""
+    param, build, _ = FAMILIES[name]
+    return f"{name} {param}={value}", build(parse_rational(value))
+
+
 def _bumped(gamma: GammaSeq, index: int, upto: int) -> GammaSeq:
     vals = gamma.window(1, upto)
     vals[index - 1] = vals[index - 1] + 1
@@ -110,34 +122,27 @@ _LAGUERRE_ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
 def suite_theorem33(seed=0, samples=25, n=15, corrupt=False) -> SuiteReport:
     """Even/odd split of the pairwise-swapped symmetric family."""
     rep = SuiteReport("theorem33", seed, samples)
-    rng = random.Random(seed)
     need = 2 * n + 4
-    for s in range(samples):
-        gamma = random_gamma(rng, need)
-        rep.record_gamma(gamma, need)
+    for s, gamma in _samples(rep, need):
         if corrupt:
             # negative control: compare the split of the original symmetric
             # family against the tilde family of a corrupted gamma
             S = symmetric_sequence(perturb.swapped_nu(gamma, n + 1), 2 * n)
             P = monic_sequence(perturb.tilde_system(_bumped(gamma, 4, need)), n)
             bad = next((m for m in range(n + 1) if even_part(S[2 * m]) != P[m]), None)
-            rep.add("even/odd split equals perturbed families",
-                    f"sample {s}, n<={n}", bad is None, bad)
+            ok, witness = bad is None, bad
         else:
             report = perturb.swap_split_check(gamma, n)
-            rep.add("even/odd split equals perturbed families",
-                    f"sample {s}, n<={n}", report.ok, report.first_failure)
+            ok, witness = report.ok, report.first_failure
+        rep.add("even/odd split equals perturbed families", f"sample {s}, n<={n}", ok, witness)
     return rep
 
 
 def suite_gccs(seed=0, samples=25, n=30, corrupt=False) -> SuiteReport:
     """Generalised complementary parameters and the shifted closed form."""
     rep = SuiteReport("gccs", seed, samples)
-    rng = random.Random(seed)
     need = 2 * n + 4
-    for s in range(samples):
-        gamma = random_gamma(rng, need)
-        rep.record_gamma(gamma, need)
+    for s, gamma in _samples(rep, need):
         g = parameters_from_gamma(gamma, n)
         gcc = generalised_complementary(g)
         kprime = gcc.parameters
@@ -167,74 +172,57 @@ def suite_gccs(seed=0, samples=25, n=30, corrupt=False) -> SuiteReport:
 def suite_kernel_invariance(seed=0, samples=10, n=30, corrupt=False) -> SuiteReport:
     """Matching increments leave the kernel recurrence coefficients fixed."""
     rep = SuiteReport("kernel_invariance", seed, samples)
-    rng = random.Random(seed)
+
+    def invariant(gamma):
+        return (perturb.kernel_invariance_condition(gamma, n)
+                and systems_agree(perturb.tilde_kernel_system(gamma),
+                                  kernel_system(gamma), n))
+
     for alpha in (Rat(0), Rat(7, 3)):
         for g1 in (0, 1):
-            gamma = laguerre_gamma(alpha, g1)
-            ok = (perturb.kernel_invariance_condition(gamma, n)
-                  and systems_agree(perturb.tilde_kernel_system(gamma),
-                                    kernel_system(gamma), n))
             rep.add(f"laguerre gamma (alpha={format_scalar(alpha)}, g1={g1}) invariant",
-                    f"n<={n}", ok)
+                    f"n<={n}", invariant(laguerre_gamma(alpha, g1)))
     need = 2 * n + 6
-    for s in range(samples):
-        a = Rat(rng.randint(1, 64), rng.randint(1, 16))
-        c = Rat(rng.randint(1, 64), rng.randint(1, 16))
-        d = Rat(rng.randint(1, 32), rng.randint(1, 16))
-        vals = []
-        for k in range(1, need + 1):
-            j = (k - 1) // 2  # arithmetic progressions with a common difference
-            vals.append((a if k % 2 else c) + j * d)
-        gamma = GammaSeq.from_values(vals)
-        rep.record_gamma(gamma, need)
+    for s, gamma in _samples(rep, need, _progression_gamma):
         src = _bumped(gamma, 6, need) if corrupt else gamma
-        cond = perturb.kernel_invariance_condition(src, n)
-        agree = systems_agree(perturb.tilde_kernel_system(src), kernel_system(src), n)
-        rep.add("progression gamma invariant", f"sample {s}, n<={n}", cond and agree)
+        rep.add("progression gamma invariant", f"sample {s}, n<={n}", invariant(src))
     return rep
 
 
 def suite_quasi_orth(seed=0, samples=25, n=10, corrupt=False) -> SuiteReport:
     """Order-2 quasi-orthogonal combination collapses onto three base terms."""
     rep = SuiteReport("quasi_orth", seed, samples)
-    rng = random.Random(seed)
     need = 2 * n + 6
-    for s in range(samples):
-        gamma = random_gamma(rng, need)
-        rep.record_gamma(gamma, need)
+    for s, gamma in _samples(rep, need):
         if corrupt:
-            src = _bumped(gamma, 2 * n + 2, need)
-            lhs, _ = perturb.quasi_sides(gamma, gamma, n)
-            _, rhs = perturb.quasi_sides(src, src, n)
+            lhs, rhs = perturb.quasi_sides(gamma, _bumped(gamma, 2 * n + 2, need), n)
             rep.add("quasi-orthogonality identity", f"sample {s}, n={n}",
                     (lhs - rhs).is_zero(), "corrupted coefficient")
         else:
-            bad = None
-            for m in range(1, n + 1):
-                r = perturb.quasi_orthogonality_check(gamma, m)
-                if not r.ok:
-                    bad = m
-                    break
+            # one build to degree n serves the identity at every m <= n
+            seqs = perturb._quasi_sequences(gamma, gamma, n)
+            pairs = (perturb._quasi_pair(gamma, gamma, seqs, m) for m in range(1, n + 1))
+            bad = next((m for m, (lhs, rhs) in enumerate(pairs, 1) if lhs != rhs), None)
             rep.add("quasi-orthogonality identity", f"sample {s}, n<={n}", bad is None, bad)
     return rep
 
 
 _LU_FAMILIES = (
-    ("laguerre alpha=0", lambda: laguerre_system(Rat(0)), 25),
-    ("laguerre alpha=1", lambda: laguerre_system(Rat(1)), 25),
-    ("laguerre alpha=7/3", lambda: laguerre_system(Rat(7, 3)), 25),
-    ("e_family alpha=0", lambda: e_family_system(Rat(0)), 25),
-    ("e_family alpha=1/2", lambda: e_family_system(Rat(1, 2)), 25),
+    ("laguerre", "0", 25),
+    ("laguerre", "1", 25),
+    ("laguerre", "7/3", 25),
+    ("e_family", "0", 25),
+    ("e_family", "1/2", 25),
     # finite family: gamma recovery to depth n needs b_{n+1}, capping n at 3
-    ("routh_romanovski p=10", lambda: rr_system(RRParams(10)), 3),
+    ("routh_romanovski", "10", 3),
 )
 
 
 def suite_lu(seed=0, samples=0, n=25, corrupt=False) -> SuiteReport:
     """LU multiply-back, pivot identification, and the reversed product."""
     rep = SuiteReport("lu", seed, samples)
-    for name, make, n_cap in _LU_FAMILIES:
-        sys = make()
+    for family, value, n_cap in _LU_FAMILIES:
+        name, sys = _family(family, value)
         size = min(n, n_cap)
         J = truncate(sys, size)
         f = lu_factor(J, Rat(0))
@@ -282,20 +270,15 @@ def suite_laguerre(seed=0, samples=0, n=50, corrupt=False) -> SuiteReport:
     return rep
 
 
-_MOMENT_SYSTEMS = (
-    ("laguerre alpha=0", lambda: laguerre_system(Rat(0))),
-    ("laguerre alpha=1", lambda: laguerre_system(Rat(1))),
-    ("e_family alpha=0", lambda: e_family_system(Rat(0))),
-    ("gamma 1,2,3,...", lambda: system_from_gamma(
-        GammaSeq.from_fn(lambda k: Rat(k)))),
-)
+_MOMENT_SYSTEMS = (("laguerre", "0"), ("laguerre", "1"), ("e_family", "0"))
 
 
 def suite_moments(seed=0, samples=0, n=8, corrupt=False) -> SuiteReport:
     """Convergent expansions match the walked moments; factorial oracle."""
     rep = SuiteReport("moments", seed, samples)
-    for name, make in _MOMENT_SYSTEMS:
-        sys = make()
+    systems = [_family(*row) for row in _MOMENT_SYSTEMS]
+    systems.append(("gamma 1,2,3,...", system_from_gamma(GammaSeq.from_fn(lambda k: Rat(k)))))
+    for name, sys in systems:
         ok = True
         witness = None
         mus = [moments(sys, k) for k in range(2 * n)]
@@ -333,6 +316,7 @@ _SUITE_FNS = {
     "laguerre": suite_laguerre,
     "moments": suite_moments,
 }
+SUITES = (*_SUITE_FNS, "all")
 
 
 def run_suite(name: str, seed: int = 0, samples: int | None = None,
@@ -340,14 +324,6 @@ def run_suite(name: str, seed: int = 0, samples: int | None = None,
     """Run one named suite (or 'all'); returns one report per suite."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
-    reports = []
-    for nm in names:
-        fn = _SUITE_FNS[nm]
-        kw = {"seed": seed, "corrupt": corrupt}
-        if samples is not None:
-            kw["samples"] = samples
-        if n is not None:
-            kw["n"] = n
-        reports.append(fn(**kw))
-    return reports
+    kw = {k: v for k, v in (("samples", samples), ("n", n)) if v is not None}
+    names = _SUITE_FNS if name == "all" else [name]
+    return [_SUITE_FNS[nm](seed=seed, corrupt=corrupt, **kw) for nm in names]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -209,6 +210,15 @@ def test_malformed_input_document_rejected(capsys, tmp_path, argv, doc):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [("moments", "--k", "2"), ("perturb", "--variant", "tilde")])
+def test_deeply_nested_input_document_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: OpchainError: ")
+
+
 def test_precision_env_sets_default_tol(capsys, monkeypatch):
     monkeypatch.setenv("OPCHAIN_PRECISION", "1e-3")
     code, out, _ = run(capsys, "zeros", "--family", "laguerre", "--alpha", "0",
@@ -261,6 +271,23 @@ def test_verify_deterministic_bytes(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of `verify --suite all --seed 0` stdout, pinned when the suites were
+# rewritten onto one shared sampler and report shape
+_VERIFY_GOLDEN = {
+    "clean": ((), 0, "650a666c4e9f3a1e9c30150eba1a9790fd7522fd8b1910602c6ffd9fa05c8a82"),
+    "corrupt": (("--inject-corruption",), 1,
+                "98104b7d43236ce78595870bd8c69ac229cd2ec3571568ba834ea76b5fbcd39e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_GOLDEN))
+def test_verify_stdout_golden(capsys, case):
+    extra, want_code, want_sha = _VERIFY_GOLDEN[case]
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0", *extra)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
 def test_verify_records_samples_for_replay(capsys):
@@ -319,6 +346,8 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
     (("zeros", "--family", "laguerre", "--alpha", "0", "--n", "2", "--tol", "0"),
      2, "ValueError"),
     (("moments", "--input", "no/such/file.json", "--k", "1"), 2, "FileNotFoundError"),
+    (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2", "--order", "-3"),
+     2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)

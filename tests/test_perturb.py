@@ -29,7 +29,7 @@ from opchain import (
     zero_sum_interlacing_report,
 )
 from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveGamma
-from opchain.perturb import quasi_sides
+from opchain.perturb import _quasi_pair, _quasi_sequences, quasi_sides
 from opchain.verify import random_gamma
 
 
@@ -306,6 +306,16 @@ def test_quasi_orthogonality_boundary_gammas_cancel():
     lhs, rhs = quasi_sides(gamma, gamma, n)
     lhs2, rhs2 = quasi_sides(other, other, n)
     assert lhs == lhs2 and rhs == rhs2
+
+
+def test_quasi_pairs_from_one_build_match_quasi_sides():
+    # one build to degree n serves every m <= n, each side from its own gamma
+    rng = random.Random(31)
+    for _ in range(5):
+        g, h = random_gamma(rng, 30), random_gamma(rng, 30)
+        seqs = _quasi_sequences(g, h, 8)
+        for m in range(1, 9):
+            assert _quasi_pair(g, h, seqs, m) == quasi_sides(g, h, m)
 
 
 # -- even/odd split of the swapped family -----------------------------------------------------------
