@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidGamma1,
+    LengthMismatch,
     NonPositiveGamma,
     NotAChainSequence,
     NotMinimal,
@@ -66,11 +67,11 @@ class GammaSeq:
 
     @classmethod
     def from_values(cls, values) -> "GammaSeq":
-        return cls(CoeffStream.from_values(values, start=1))
+        return cls(CoeffStream.from_values(values))
 
     @classmethod
-    def from_fn(cls, fn, stop=None) -> "GammaSeq":
-        return cls(CoeffStream.from_fn(fn, start=1, stop=stop))
+    def from_fn(cls, fn) -> "GammaSeq":
+        return cls(CoeffStream.from_fn(fn))
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class ChainSequence:
 
     @classmethod
     def from_values(cls, values, parameters=None) -> "ChainSequence":
-        return cls(CoeffStream.from_values(values, start=1), parameters)
+        return cls(CoeffStream.from_values(values), parameters)
 
 
 # -- parameter sequences -------------------------------------------------------
@@ -154,7 +155,7 @@ def maximal_parameters(d: ChainSequence, N: int, horizon: int) -> ParameterSeq:
     the horizon actually used is recorded on the result.
     """
     T = N + horizon
-    if d.d.is_finite():
+    if d.d.stop is not None:
         T = min(T, d.d.stop)
     m = minimal_parameters(d, T)  # also certifies d is a chain sequence to T
     cur = ONE
@@ -389,6 +390,8 @@ def wall_sppcs_test(m: ParameterSeq, N: int) -> WallVerdict:
     """
     if N < 1:
         return WallVerdict("Inconclusive", N)
+    if N >= len(m):
+        raise LengthMismatch(f"window N = {N} needs m_0..m_{N}, got {len(m)} parameters")
     half = Rat(1, 2)
     unique = True
     for n in range(1, N + 1):

@@ -13,6 +13,7 @@ from .chains import GammaSeq
 from .errors import (
     AlphaOutOfRange,
     DegreeBeyondFamily,
+    IndexedError,
     NonPositiveInput,
     ZeroDenominator,
 )
@@ -87,26 +88,30 @@ class RRParams:
     monic recurrence data exists (no vanishing denominator, positive a_n^2).
 
     The scan that finds n_max keeps the monic data it computes: b_1..b_{n_max}
-    and a_1^2..a_{n_max-1}^2.  It stops at 4096 steps.
+    and a_1^2..a_{n_max-1}^2, and ``stop_error``, the error of step n_max
+    (None when the scan hits its cap of 4096 steps).
     """
 
     p: object
     n_max: int = field(init=False)
     b: tuple = field(init=False, repr=False, compare=False)
     a2: tuple = field(init=False, repr=False, compare=False)
+    stop_error: Exception | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = coerce_exact(self.p)
         b, a2 = [], []
-        A_prev = None
+        A_prev = stop_error = None
         for n in range(4096):
             try:
                 A, B, C = _rr_raw(p, n)
-            except ZeroDenominator:
+            except ZeroDenominator as exc:
+                stop_error = exc
                 break
             if n >= 1:
                 bn, a2n = monicize_step(A, B, C, A_prev)
                 if not a2n > 0:
+                    stop_error = DegreeBeyondFamily(f"a_{n}^2 = {a2n} is not positive")
                     break
                 a2.append(a2n)
             else:
@@ -117,6 +122,7 @@ class RRParams:
         object.__setattr__(self, "n_max", len(b))
         object.__setattr__(self, "b", tuple(b))
         object.__setattr__(self, "a2", tuple(a2))
+        object.__setattr__(self, "stop_error", stop_error)
 
 
 def _rr_raw(p, n: int):
@@ -139,29 +145,20 @@ def monicize_step(A_n, B_n, C_n, A_prev):
     return -B_n / A_n, C_n / (A_n * A_prev)
 
 
-def _rr_monic_step(p, n: int):
-    A, B, C = _rr_raw(p, n)
-    if n == 0:
-        return -B / A, Rat(0)  # a_0^2 multiplies P_{-1} and never enters
-    A_prev, _, _ = _rr_raw(p, n - 1)
-    return monicize_step(A, B, C, A_prev)
-
-
 def rr_monicize(params: RRParams, n: int):
-    """Monic coefficients (b_{n+1}, a_n^2) of the finite family at step n.
+    """Monic coefficients (b_{n+1}, a_n^2) of the finite family at step n,
+    read from the scan; a_0^2 multiplies P_{-1} and is 0.
 
-    Steps whose denominators vanish raise ZeroDenominator; steps past the
-    family's validity window raise DegreeBeyondFamily.
+    Step n_max raises a fresh copy of the scan's ``stop_error``; other steps
+    outside the window, and step n_max at the cap, raise DegreeBeyondFamily.
     """
-    if n < 0:
-        raise DegreeBeyondFamily("n must be >= 0")
-    if n > params.n_max:
-        raise DegreeBeyondFamily(
-            f"step n = {n} beyond validity window (n_max = {params.n_max})")
-    b, a2 = _rr_monic_step(params.p, n)  # raises ZeroDenominator at the boundary
-    if n >= 1 and not a2 > 0:
-        raise DegreeBeyondFamily(f"a_{n}^2 = {a2} is not positive")
-    return b, a2
+    if 0 <= n < params.n_max:
+        return params.b[n], params.a2[n - 1] if n else Rat(0)
+    err = params.stop_error
+    if n == params.n_max and err is not None:
+        raise type(err)(*(err.index, str(err)) if isinstance(err, IndexedError) else err.args)
+    raise DegreeBeyondFamily("n must be >= 0" if n < 0 else
+                             f"step n = {n} beyond validity window (n_max = {params.n_max})")
 
 
 def rr_system(params: RRParams) -> ThreeTermSystem:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .chains import gamma_from_system
-from .errors import FloatOverflow, LengthMismatch, NonPositiveA2, PivotBreakdown
+from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
 from .scalars import ONE, ZERO, format_scalar
 from .systems import ThreeTermSystem
 
@@ -115,7 +115,9 @@ def lu_factor(J: TridiagonalMatrix, gamma1=ZERO) -> BidiagonalFactors:
     ratio sequence is not a chain sequence for this leading parameter.
     """
     if gamma1 < 0:
-        raise PivotBreakdown(1, "gamma_1 must be >= 0")
+        raise InvalidGamma1(f"gamma_1 = {format_scalar(gamma1)} must be >= 0")
+    if J.n == 0:
+        raise ValueError("lu_factor needs a matrix of order n >= 1, got n = 0")
     u = [J.diag[0] - gamma1]
     if not u[0] > 0:
         raise PivotBreakdown(1, f"pivot u_1 = {format_scalar(u[0])} <= 0")

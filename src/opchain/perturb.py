@@ -129,8 +129,10 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
 
     Returned lists are 1-indexed (position 0 is None); eta_1 multiplies
     T_{-1} = 0 and is only meaningful for TildeK where it equals
-    gamma_1 gamma_2.
+    gamma_1 gamma_2.  N must be at least 1.
     """
+    if N < 1:
+        raise ValueError(f"unified coefficients need N >= 1, got N = {N}")
     base, ker = system_from_gamma(gamma), kernel_system(gamma)
     xi = [None] * (N + 1)
     eta = [None] * (N + 1)

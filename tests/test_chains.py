@@ -27,6 +27,7 @@ from opchain import (
 )
 from opchain.errors import (
     InvalidGamma1,
+    LengthMismatch,
     NotAChainSequence,
     NotMinimal,
     ParameterOutOfRange,
@@ -271,6 +272,13 @@ def test_wall_complement_for_alpha_zero():
     v = wall_sppcs_test(m, 50)
     assert v.kind == "ComplementIsSPPCS"
     assert "up to N=50" in v.tag()
+
+
+def test_wall_window_longer_than_parameters():
+    m = ParameterSeq((Rat(0), Rat(1, 3), Rat(2, 5), Rat(3, 7)))
+    assert wall_sppcs_test(m, 3).up_to == 3
+    with pytest.raises(LengthMismatch, match="window N = 4 needs m_0..m_4, got 4"):
+        wall_sppcs_test(m, 4)
 
 
 def test_wall_inconclusive():

@@ -348,6 +348,8 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
     (("moments", "--input", "no/such/file.json", "--k", "1"), 2, "FileNotFoundError"),
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2", "--order", "-3"),
      2, "ValueError"),
+    (("lu", "--family", "laguerre", "--alpha", "0", "--n", "3", "--gamma1", "-1"),
+     2, "InvalidGamma1"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)

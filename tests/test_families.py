@@ -24,9 +24,10 @@ from opchain.errors import (
     AlphaOutOfRange,
     DegreeBeyondFamily,
     NonPositiveInput,
+    StreamExhausted,
     ZeroDenominator,
 )
-from opchain.families import rr_raw_coefficients
+from opchain.families import _rr_raw, rr_raw_coefficients
 
 
 def P(*coeffs):
@@ -132,6 +133,67 @@ def test_rr_monic_polynomials_match_raw_recurrence():
         prev, cur = cur, nxt
         lead = lead * A
         assert monic[m + 1] == cur.scale(1 / lead)
+
+
+def _direct_monicize(params, n):
+    """Step n recomputed from the raw pieces at n and n-1, without the scan."""
+    if n < 0:
+        raise DegreeBeyondFamily("n must be >= 0")
+    if n > params.n_max:
+        raise DegreeBeyondFamily(
+            f"step n = {n} beyond validity window (n_max = {params.n_max})")
+    A, B, C = _rr_raw(params.p, n)
+    if n == 0:
+        return -B / A, Rat(0)
+    b, a2 = monicize_step(A, B, C, _rr_raw(params.p, n - 1)[0])
+    if not a2 > 0:
+        raise DegreeBeyondFamily(f"a_{n}^2 = {a2} is not positive")
+    return b, a2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegreeBeyondFamily, ZeroDenominator) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def test_rr_monicize_matches_direct_route():
+    ps = sorted({Rat(num, den) for den in (1, 2, 3, 4, 5, 7) for num in range(-30, 61)})
+    assert len(ps) == 391
+    stops = set()
+    for p in ps:
+        params = RRParams(p)
+        stops.add(type(params.stop_error))
+        for n in range(-1, params.n_max + 3):
+            assert _outcome(rr_monicize, params, n) == _outcome(_direct_monicize, params, n), (p, n)
+    assert stops == {ZeroDenominator, DegreeBeyondFamily}
+
+
+def test_rr_monicize_raises_fresh_errors():
+    params = RRParams(10)
+    seen = []
+    for _ in range(2):
+        with pytest.raises(ZeroDenominator) as info:
+            rr_monicize(params, 4)
+        seen.append(info.value)
+    assert seen[0] is not seen[1] and params.stop_error not in seen
+
+
+def test_rr_stop_reason_is_not_compared():
+    assert RRParams(10) == RRParams(10)
+    assert repr(RRParams(10)).endswith(", n_max=4)")
+
+
+def test_rr_scan_cap_agrees_with_system():
+    params = RRParams(10**5)
+    assert params.n_max == 4096 and params.stop_error is None
+    sys = rr_system(params)
+    assert rr_monicize(params, 4095) == (sys.b_at(4096), sys.a2_at(4095))
+    with pytest.raises(DegreeBeyondFamily, match=r"step n = 4096 beyond .*n_max = 4096"):
+        rr_monicize(params, 4096)
+    with pytest.raises(StreamExhausted):
+        sys.b_at(4097)
 
 
 def test_rr_subdiagonal_positive_inside_window():

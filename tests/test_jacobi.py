@@ -62,6 +62,11 @@ def test_lu_laguerre_multiply_back():
     assert f.reconstruct() == J
 
 
+def test_lu_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="n = 0"):
+        lu_factor(truncate(LAG0, 0))
+
+
 def test_lu_with_positive_split():
     # recovery for gamma = (1,2,3,4): pivots are the even entries and
     # L.U reproduces J once the corner split is added back

@@ -187,6 +187,12 @@ def test_unified_coefficients_values():
     assert xi_k[1] == 5 and eta_k[1] == 2
 
 
+@pytest.mark.parametrize("variant", ["TildeP", "TildeK"])
+def test_unified_coefficients_reject_empty_window(variant):
+    with pytest.raises(ValueError, match="N = 0"):
+        unified_coefficients(G16, variant, 0)
+
+
 def test_unified_reproduces_tilde():
     rng = random.Random(21)
     gamma = random_gamma(rng, 36)
