@@ -54,11 +54,13 @@ class GammaSeq:
     gamma: CoeffStream
 
     def at(self, k: int):
+        # Signs are read off numerators: both exact types keep the
+        # denominator positive, and a numerator test skips a rational compare.
         v = self.gamma[k]
         if k == 1:
-            if v < 0:
+            if v.numerator < 0:
                 raise NonPositiveGamma(1, f"gamma_1 = {v} is negative")
-        elif not v > 0:
+        elif v.numerator <= 0:
             raise NonPositiveGamma(k, f"gamma_{k} = {v} is not positive")
         return v
 

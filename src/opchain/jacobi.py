@@ -13,11 +13,23 @@ float data are laid out once per call as pairs (b_k, a_{k-1}^2), the first
 being (b_1, 0.0), so each count is one loop over the pairs; a pivot below
 the floor 1e-300 counts as negative and is clamped to at most -1e-300.
 The result is a deterministic function of the float64 data and tol.
+
+The bisection is replayed rather than counted at every midpoint.  The
+float64 count is monotone in x (Kahan 1966; Demmel, Dhillon and Ren 1995,
+the basis of LAPACK dstebz), so a count already taken at x <= mid with
+count <= j, or at x >= mid with count > j, decides the midpoint of zero j
+exactly as a count there would.  Every count of a call is kept as such a
+certificate, and once zero j is isolated, safeguarded Newton iterates,
+each carrying its own count, narrow its certificates to far below tol.
+The bisection path, and so every output bit, is the plain loop's.  A
+count that breaks the order of the certificates would void that argument:
+the call then starts over with a count at every midpoint.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .chains import gamma_from_system
@@ -183,12 +195,164 @@ def _count_below(pairs, x: float) -> int:
     return count
 
 
+def _count_and_slope(pairs, x: float) -> tuple[int, float]:
+    """``_count_below(pairs, x)`` and d/dx log|det(J - x)| from one pass.
+
+    The pivots come from the same float operations as in _count_below, so
+    the count is the same function of x.  The derivative is the sum of
+    q_k'/q_k, with q_k' = -1 + (a_{k-1}^2 / q_{k-1}) q_{k-1}'/q_{k-1}; it may
+    overflow to inf or NaN near a minor's eigenvalue.
+    """
+    floor = _PIVOT_FLOOR
+    neg = -floor
+    count = 0
+    q = 1.0
+    r = 0.0  # q_{k-1}' / q_{k-1}
+    slope = 0.0
+    for d, s in pairs:
+        t = s / q
+        q = (d - x) - t
+        if q < floor:
+            count += 1
+            if q > neg:
+                q = neg
+        r = (t * r - 1.0) / q
+        slope += r
+    return count, slope
+
+
+class _Certificates:
+    """Every (x, count below x) taken during one zeros call, ascending in x.
+
+    ``add`` refuses a count that breaks the order, which would be a
+    violation of the count's monotonicity in x.
+    """
+
+    __slots__ = ("xs", "counts")
+
+    def __init__(self):
+        self.xs = []
+        self.counts = []
+
+    def add(self, x: float, count: int) -> bool:
+        i = bisect_right(self.xs, x)
+        counts = self.counts
+        if (i and counts[i - 1] > count) or (i < len(counts) and counts[i] < count):
+            return False
+        self.xs.insert(i, x)
+        counts.insert(i, count)
+        return True
+
+    def bracket(self, j: int):
+        """(L, count(L), U, count(U)) for the j-th zero: the largest recorded
+        x with count <= j and the smallest with count > j (+-inf if none)."""
+        i = bisect_right(self.counts, j)
+        lo = (self.xs[i - 1], self.counts[i - 1]) if i else (-math.inf, None)
+        hi = (self.xs[i], self.counts[i]) if i < len(self.xs) else (math.inf, None)
+        return (*lo, *hi)
+
+
+# Bounds the Newton and probe passes for one zero; past it the replay
+# counts its way down instead.
+_NEWTON_PASSES = 40
+
+
+def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
+                   certs: _Certificates) -> bool:
+    """Record counts at safeguarded Newton iterates for the j-th zero.
+
+    (lo, hi) isolates it: count(lo) = j and count(hi) = j + 1.  An iterate
+    leaving the bracket, or a Newton step above half the previous one (slow,
+    linear progress), is replaced by the bracket's midpoint.  Once a Newton
+    step is below ``width``, probes cross the count's threshold from the
+    last evaluated iterate, 4x further each time one lands on the same side.
+    Stops when the bracket is at most ``width`` wide, or after
+    _NEWTON_PASSES passes; False if a count broke monotonicity.
+    """
+    x = 0.5 * (lo + hi)
+    base = None  # evaluated point the probes start from
+    last = math.inf  # size of the previous Newton step
+    for _ in range(_NEWTON_PASSES):
+        count, slope = _count_and_slope(pairs, x)
+        if not certs.add(x, count):
+            return False
+        below = count <= j
+        if below:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= width:
+            return True
+        if base is not None and below == base_below:
+            dist *= 4.0
+        else:
+            step = 1.0 / slope if slope else math.inf
+            if abs(step) < width or math.isnan(step):  # NaN: det(J - x) ~ 0
+                base, base_below, dist = x, below, 0.5 * width
+            else:
+                base = None
+                x = 0.5 * (lo + hi) if abs(step) > 0.5 * last else x - step
+                last = abs(step)
+        if base is not None:
+            x = base + dist if base_below else base - dist
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return True
+
+
+def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
+                  certs: _Certificates | None):
+    """Bisect each zero inside [lo, hi] until its bracket is narrower than tol.
+
+    With ``certs`` the bisection is replayed: a midpoint at or below L_j or
+    at or above U_j (see _Certificates.bracket) takes the decision a count
+    there would give, and only a midpoint strictly between them is
+    counted; before the first of these for an isolated zero, Newton
+    iterates narrow (L_j, U_j).  Returns None as soon as a count breaks
+    monotonicity.  With ``certs=None`` every midpoint is counted.
+    """
+    L, cL, U, cU = -math.inf, None, math.inf, None
+    out = []
+    for j in range(n):  # j-th smallest eigenvalue
+        if certs is not None:
+            L, cL, U, cU = certs.bracket(j)
+        newton = certs is not None
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:  # float resolution; bracket cannot shrink further
+                break
+            if mid <= L:  # count(mid) <= count(L) <= j
+                a = mid
+            elif mid >= U:  # count(mid) >= count(U) > j
+                b = mid
+            elif newton and cL == j and cU == j + 1:
+                newton = False
+                width = max(tol / 64, 64 * math.ulp(max(-L, U)))
+                if U - L > width and not _newton_counts(pairs, j, L, U, width, certs):
+                    return None
+                L, cL, U, cU = certs.bracket(j)
+            else:
+                count = _count_below(pairs, mid)
+                if count > j:
+                    b = mid
+                else:
+                    a = mid
+                if certs is not None:
+                    if not certs.add(mid, count):
+                        return None
+                    L, cL, U, cU = certs.bracket(j)
+        out.append((0.5 * (a + b), b - a))
+    return out
+
+
 def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[float, float]]:
     """Zeros of P_n as (value, bracket_width) pairs, ascending.
 
     The zeros are the eigenvalues of the order-n truncation; each is
     bisected inside its Gershgorin bracket until the bracket is narrower
-    than tol.  Data outside the float64 range raises FloatOverflow.
+    than tol (replayed from certificates, see the module docstring).  Data
+    outside the float64 range raises FloatOverflow.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -214,18 +378,9 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     if not math.isfinite(hi - lo):
         raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
     pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
-    out = []
-    for j in range(n):  # j-th smallest eigenvalue
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:  # float resolution; bracket cannot shrink further
-                break
-            if _count_below(pairs, mid) > j:
-                b = mid
-            else:
-                a = mid
-        out.append((0.5 * (a + b), b - a))
+    out = _bisect_zeros(pairs, n, lo, hi, tol, _Certificates())
+    if out is None:  # a count broke monotonicity: count at every midpoint
+        out = _bisect_zeros(pairs, n, lo, hi, tol, None)
     out.sort()
     return out
 

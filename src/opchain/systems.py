@@ -53,7 +53,7 @@ class ThreeTermSystem:
 
     def a2_at(self, n: int):
         v = self.a2[n]
-        if self.validate_a2 and not v > 0:
+        if self.validate_a2 and v.numerator <= 0:  # denominators are positive
             raise NonPositiveA2(n, f"a2[{n}] = {v} is not positive")
         return v
 

@@ -126,9 +126,10 @@ def suite_theorem33(seed=0, samples=25, n=15, corrupt=False) -> SuiteReport:
     for s, gamma in _samples(rep, need):
         if corrupt:
             # negative control: compare the split of the original symmetric
-            # family against the tilde family of a corrupted gamma
+            # family against the tilde family of a corrupted gamma; P~_1
+            # reads only gamma_1, so n = 1 bumps that one
             S = symmetric_sequence(perturb.swapped_nu(gamma, n + 1), 2 * n)
-            P = monic_sequence(perturb.tilde_system(_bumped(gamma, 4, need)), n)
+            P = monic_sequence(perturb.tilde_system(_bumped(gamma, 1 if n == 1 else 4, need)), n)
             bad = next((m for m in range(n + 1) if even_part(S[2 * m]) != P[m]), None)
             ok, witness = bad is None, bad
         else:
@@ -184,7 +185,8 @@ def suite_kernel_invariance(seed=0, samples=10, n=30, corrupt=False) -> SuiteRep
                     f"n<={n}", invariant(laguerre_gamma(alpha, g1)))
     need = 2 * n + 6
     for s, gamma in _samples(rep, need, _progression_gamma):
-        src = _bumped(gamma, 6, need) if corrupt else gamma
+        # the n = 1 checks never read gamma_6, but they do read gamma_4
+        src = _bumped(gamma, min(6, 2 * n + 2), need) if corrupt else gamma
         rep.add("progression gamma invariant", f"sample {s}, n<={n}", invariant(src))
     return rep
 

@@ -257,6 +257,14 @@ def test_verify_corruption_hook_fails(capsys):
     assert any(i["status"] == "fail" for r in doc["reports"] for i in r["identities"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "all"])
+def test_verify_corruption_fails_at_small_n(capsys, suite, n):
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--n", str(n), "--samples", "1",
+                     "--inject-corruption")
+    assert code == 1
+
+
 def test_verify_split_suite_full_depth(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorem33", "--n", "15",
                        "--seed", "7", "--samples", "25")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from opchain import (
     zeros,
     zeros_with_brackets,
 )
+from opchain import jacobi, perturb
 from opchain.errors import LengthMismatch, NonPositiveA2, PivotBreakdown
 from opchain.jacobi import darboux_pivot_check
 from opchain.verify import random_gamma
@@ -169,8 +171,9 @@ def test_zeros_reject_nonpositive_subdiagonal():
 
 
 # Reference: the indexed pivot loop and tuple-membership bisection that
-# the paired loop in jacobi replaced.  Both do the same float operations in
-# the same order, so their results must agree bit for bit.
+# the paired loop in jacobi replaced, with a count at every midpoint.  The
+# pivots are the same float operations in the same order, and the library
+# replays this bisection's decisions, so results must agree bit for bit.
 
 def _reference_count_below(diag, sub2, x):
     count = 0
@@ -184,7 +187,7 @@ def _reference_count_below(diag, sub2, x):
     return count
 
 
-def _reference_zeros_with_brackets(sys, n, tol):
+def _reference_zeros_with_brackets(sys, n, tol, count=_reference_count_below):
     diag = [float(sys.b_at(k)) for k in range(1, n + 1)]
     sub2 = [float(sys.a2_at(k)) for k in range(1, n)]
     radius = [(sub2[i - 1] ** 0.5 if i >= 1 else 0.0)
@@ -198,7 +201,7 @@ def _reference_zeros_with_brackets(sys, n, tol):
             mid = 0.5 * (a + b)
             if mid in (a, b):
                 break
-            if _reference_count_below(diag, sub2, mid) > j:
+            if count(diag, sub2, mid) > j:
                 b = mid
             else:
                 a = mid
@@ -211,6 +214,13 @@ def _hex_rows(rows):
     return [(v.hex(), w.hex()) for v, w in rows]
 
 
+def _wilkinson(m, scale):
+    """W_{2m+1}^+ times scale: diagonal |m - k|, unit couplings; its top
+    eigenvalues come in pairs that agree to about 1e-13 for m = 10."""
+    diag = [abs(m - k) * scale for k in range(2 * m + 1)]
+    return ThreeTermSystem.from_values(diag, [scale * scale] * (2 * m))
+
+
 def _reference_cases():
     rng = random.Random(606)
     for i in range(4):
@@ -221,13 +231,62 @@ def _reference_cases():
             yield f"laguerre alpha={alpha} n={n}", laguerre_system(alpha), n
     for n in (3, 6):
         yield f"zero diagonal n={n}", ThreeTermSystem.from_values([0] * n, [1] * (n - 1)), n
+    for variant in ("tilde", "hat", "q", "u"):
+        for n in (1, 2, 23, 60):
+            gamma = random_gamma(rng, 2 * n + 8)
+            yield f"{variant} n={n}", getattr(perturb, f"{variant}_system")(gamma), n
+    for i in range(3):
+        n = rng.randint(8, 16)
+        b = [Rat(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 999)) for _ in range(n)]
+        a2 = [Rat(rng.randint(1, 999)) * Rat(10) ** rng.randint(-20, 20) for _ in range(n - 1)]
+        yield f"wide scales[{i}] n={n}", ThreeTermSystem.from_values(b, a2), n
+    for m, scale in ((10, Rat(1)), (7, Rat(10 ** 6, 7)), (4, Rat(1, 10 ** 5))):
+        yield f"wilkinson m={m} scale={scale}", _wilkinson(m, scale), 2 * m + 1
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-12])
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-12, 5e-324, 1e-300, 10.0])
 def test_zeros_bit_identical_to_reference(tol):
     for label, sys, n in _reference_cases():
         assert _hex_rows(zeros_with_brackets(sys, n, tol)) == \
             _hex_rows(_reference_zeros_with_brackets(sys, n, tol)), label
+
+
+def _nonmonotone_count(diag, sub2, x):
+    """The reference count, one too high on every third 1/64-wide cell of
+    the axis: deliberately not monotone in x."""
+    count = _reference_count_below(diag, sub2, x)
+    return count + (math.floor(64 * x) % 3 == 0 and count < len(diag))
+
+
+def test_zeros_fall_back_to_counting_every_midpoint(monkeypatch):
+    # A count that breaks monotonicity voids every certificate: the call
+    # must return what the plain bisection returns with that same count.
+    def count_below(pairs, x):
+        return _nonmonotone_count([d for d, _ in pairs], [s for _, s in pairs[1:]], x)
+
+    slope_pass = jacobi._count_and_slope
+    monkeypatch.setattr(jacobi, "_count_below", count_below)
+    monkeypatch.setattr(jacobi, "_count_and_slope",
+                        lambda pairs, x: (count_below(pairs, x), slope_pass(pairs, x)[1]))
+    for label, sys, n in list(_reference_cases())[:4]:
+        want = _reference_zeros_with_brackets(sys, n, 1e-10, _nonmonotone_count)
+        assert want != _reference_zeros_with_brackets(sys, n, 1e-10), label
+        assert _hex_rows(zeros_with_brackets(sys, n, 1e-10)) == _hex_rows(want), label
+
+
+def test_zeros_pass_count(monkeypatch):
+    # Certified replay takes about 9 pivot passes per zero on these cases,
+    # plain bisection 38; the bound catches a slide back to the latter.
+    passes = []
+    for name in ("_count_below", "_count_and_slope"):
+        def counted(pairs, x, f=getattr(jacobi, name)):
+            passes.append(x)
+            return f(pairs, x)
+        monkeypatch.setattr(jacobi, name, counted)
+    zeros_found = 0
+    for _, sys, n in list(_reference_cases())[:4]:
+        zeros_found += len(zeros_with_brackets(sys, n, 1e-10))
+    assert len(passes) <= 12 * zeros_found
 
 
 def test_zeros_pivot_floor_branch():
