@@ -154,10 +154,16 @@ def maximal_parameters(d: ChainSequence, N: int, horizon: int) -> ParameterSeq:
     at the stream's end, where 1 is exact for a finite chain sequence) and
     overestimates: outputs decrease monotonically toward the true maxima as
     the horizon grows.  Entries are clamped below by the minimal parameters;
-    the horizon actually used is recorded on the result.
+    the horizon actually used is recorded on the result.  A negative
+    horizon is a ValueError, and a window N past the end of a finite chain
+    sequence is a LengthMismatch.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     T = N + horizon
     if d.d.stop is not None:
+        if N > d.d.stop:
+            raise LengthMismatch(f"window N = {N} needs d_1..d_{N}, got {d.d.stop} terms")
         T = min(T, d.d.stop)
     m = minimal_parameters(d, T)  # also certifies d is a chain sequence to T
     cur = ONE
@@ -178,7 +184,8 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     gamma_2 = b_1 - gamma_1, then alternately gamma_{2n+1} = a_n^2/gamma_{2n}
     and gamma_{2n+2} = b_{n+1} - gamma_{2n+1}.  PositivityBreak(k) signals
     that the zero-argument ratios are not a chain sequence for this choice
-    of leading parameter.
+    of leading parameter.  The data are read lazily, one step at a time,
+    so the error names the first failing index.
     """
     b1 = sys.b_at(1)
     if not (0 <= gamma1 < b1):
@@ -303,14 +310,11 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
 
 def chain_at(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
     """omega_n(t) = a_n^2 / ((t - b_n)(t - b_{n+1})) for n = 1..N."""
-    for n in range(1, N + 2):
-        if t == sys.b_at(n):
+    b, a2 = sys.block(N + 1)
+    for n, bn in enumerate(b, 1):
+        if t == bn:
             raise PoleAtB(n, f"t = {format_scalar(t)} equals b_{n}")
-    vals = [
-        sys.a2_at(n) / ((t - sys.b_at(n)) * (t - sys.b_at(n + 1)))
-        for n in range(1, N + 1)
-    ]
-    return ChainSequence.from_values(vals)
+    return ChainSequence.from_values([s / ((t - u) * (t - v)) for s, u, v in zip(a2, b, b[1:])])
 
 
 def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
@@ -318,7 +322,8 @@ def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
 
     d_n(t) = P_n(t)/((t-b_n) P_{n-1}(t)) * [1 - P_{n+1}(t)/((t-b_{n+1}) P_n(t))];
     equality with ``chain_at`` is exact and serves as a cross-check of the
-    recurrence itself.
+    recurrence itself, so it reads b_n and b_{n+1} on its own instead of
+    sharing ``chain_at``'s block.
     """
     if N == 0:
         return ChainSequence.from_values([])
@@ -425,7 +430,8 @@ def true_interval_predicate(sys: ThreeTermSystem, a, b, N: int) -> TrueIntervalV
     Checks b_1..b_{N+1} in (a, b) and that the ratio sequences at both
     endpoints admit minimal parameters up to N.  Pass ``b = INFINITY``
     (None) for the one-sided interval (a, oo); the right-endpoint ratio
-    check is then skipped.
+    check is then skipped.  The b's are read one at a time, so the verdict
+    comes at the first b outside the interval.
     """
     for n in range(1, N + 2):
         bn = sys.b_at(n)

@@ -110,12 +110,13 @@ def cmd_family(args) -> int:
     chain = chain_at(sys_, Rat(0), n - 1)
     m = minimal_parameters(chain, n - 1)
     comp = complementary(m)
+    b, a2 = sys_.block(n)
     doc = {
         "family": closed,
         "n": n,
         "gamma1": format_scalar(gamma1),
-        "b": _fmt(sys_.b.window(1, n), args.float),
-        "a2": _fmt(sys_.a2.window(1, n - 1), args.float),
+        "b": _fmt(b, args.float),
+        "a2": _fmt(a2, args.float),
         "gamma": _fmt(gamma.window(1, gamma_upto), args.float),
         "chain_d": _fmt(chain.window(1, n - 1), args.float),
         "minimal_m": _fmt(m.g, args.float),
@@ -138,12 +139,13 @@ def cmd_perturb(args) -> int:
     n = args.n
     gamma = _resolve_gamma(args, n + 2)
     sys_ = _PERTURB_VARIANTS[args.variant](gamma)
+    b, a2 = sys_.block(n)
     polys = monic_sequence(sys_, n)
     doc = {
         "variant": args.variant,
         "n": n,
-        "b": _fmt(sys_.b.window(1, n), args.float),
-        "a2": _fmt(sys_.a2.window(1, n - 1), args.float),
+        "b": _fmt(b, args.float),
+        "a2": _fmt(a2, args.float),
         "polys": [p.to_json() for p in polys],
     }
     _emit(doc)

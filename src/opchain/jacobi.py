@@ -77,10 +77,8 @@ class TridiagonalMatrix:
 
 def truncate(sys: ThreeTermSystem, n: int) -> TridiagonalMatrix:
     """Leading n x n block of the system's monic Jacobi matrix."""
-    return TridiagonalMatrix(
-        tuple(sys.b_at(k) for k in range(1, n + 1)),
-        tuple(sys.a2_at(k) for k in range(1, n)),
-    )
+    diag, sub = sys.block(n)
+    return TridiagonalMatrix(tuple(diag), tuple(sub))
 
 
 @dataclass(frozen=True)
@@ -352,22 +350,20 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     The zeros are the eigenvalues of the order-n truncation; each is
     bisected inside its Gershgorin bracket until the bracket is narrower
     than tol (replayed from certificates, see the module docstring).  Data
-    outside the float64 range raises FloatOverflow.
+    outside the float64 range, or zeros so close to it that a bisection
+    midpoint overflows, raises FloatOverflow.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if n < 1:
         return []
     try:
-        diag = [float(sys.b_at(k)) for k in range(1, n + 1)]
-        sub2 = []
-        for k in range(1, n):
-            v = float(sys.a2_at(k))
-            if not v > 0:
-                raise NonPositiveA2(k, f"a2[{k}] = {v} must be positive for spectra")
-            sub2.append(v)
+        diag, sub2 = ([float(v) for v in w] for w in sys.block(n))
     except OverflowError as exc:
         raise FloatOverflow(f"recurrence data exceeds the float64 range: {exc}") from None
+    for k, v in enumerate(sub2, 1):
+        if not v > 0:
+            raise NonPositiveA2(k, f"a2[{k}] = {v} must be positive for spectra")
     radius = [0.0] * n
     for i in range(n):
         e_prev = sub2[i - 1] ** 0.5 if i >= 1 else 0.0
@@ -381,6 +377,10 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     out = _bisect_zeros(pairs, n, lo, hi, tol, _Certificates())
     if out is None:  # a count broke monotonicity: count at every midpoint
         out = _bisect_zeros(pairs, n, lo, hi, tol, None)
+    # a midpoint is infinite only when a + b overflows, and every later
+    # decision keeps that end, so this test changes no finite output
+    if not all(math.isfinite(v) for v, _ in out):
+        raise FloatOverflow("a bisection midpoint exceeds the float64 range")
     out.sort()
     return out
 

@@ -160,8 +160,10 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
 
 def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
     """T_0..T_n of T_m = (x - xi_m) T_{m-1} - eta_m T_{m-2}, T_{-1} = 0, T_0 = 1."""
-    return [Polynomial.one()] + _recurrence(
-        range(1, n + 1), lambda m: (xi[m], eta[m] if m >= 2 else None))
+    if n >= len(xi) or (n >= 2 and n >= len(eta)):
+        raise ValueError(f"n = {n} exceeds xi, eta of lengths {len(xi)}, {len(eta)}")
+    return [Polynomial.one()] + _recurrence([xi[m] for m in range(1, n + 1)],
+                                            [eta[m] for m in range(2, n + 1)])
 
 
 # -- identity checks -------------------------------------------------------------

@@ -7,9 +7,13 @@ A monic orthogonal family P_n obeys
 with P_{-1} = 0, P_0 = 1.  The numerators of the associated continued
 fraction obey the same recurrence with z_0 = 0, z_1 = 1.  Symmetric
 families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them, and
-the unified recurrence of ``perturb``, run through one kernel.
+the unified recurrence of ``perturb``, run through one kernel over a block
+(diagonal, subdiagonal) of a monic Jacobi matrix.
 
-Moments come from a walk over the truncated monic Jacobi matrix and the
+``ThreeTermSystem.block(n)`` is the one reader of the order-n block:
+b_1..b_n first, then the validated a_1^2..a_{n-1}^2.  The polynomials, the
+moments, the truncated matrix, the spectra and the chain sequence at t are
+all read off it.  Moments come from a walk over that block and the
 continued-fraction convergents are expanded at infinity, so every quantity
 here is exact and needs no measure.
 
@@ -57,6 +61,10 @@ class ThreeTermSystem:
             raise NonPositiveA2(n, f"a2[{n}] = {v} is not positive")
         return v
 
+    def block(self, n: int) -> tuple[list, list]:
+        """Order-n monic Jacobi block: (b_1..b_n, then validated a_1^2..a_{n-1}^2)."""
+        return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
+
     @classmethod
     def from_values(cls, b, a2, **kw) -> "ThreeTermSystem":
         return cls(CoeffStream.from_values(b), CoeffStream.from_values(a2), **kw)
@@ -90,32 +98,27 @@ class LaurentSeries:
 
 def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
     """Coefficientwise equality of b[1..n] and a2[1..n-1] (exact)."""
-    return (all(s.b_at(k) == t.b_at(k) for k in range(1, n + 1))
-            and all(s.a2_at(k) == t.a2_at(k) for k in range(1, n)))
+    return s.block(n) == t.block(n)
 
 
 # -- polynomial evaluation ---------------------------------------------------
 
 
-def _recurrence(ks: range, step) -> list[Polynomial]:
-    """Polynomials of P_k = (x - d_k) P_{k-1} - s_k P_{k-2} for k in ``ks``.
+def _recurrence(diag, sub) -> list[Polynomial]:
+    """P_1..P_m of P_k = (x - d_k) P_{k-1} - s_{k-1} P_{k-2} over the block
+    ``diag`` = d_1..d_m, ``sub`` = s_1..s_{m-1}.
 
-    The two polynomials before the first step are 0 and 1.  ``step(k)``
-    returns (d_k, s_k) and reads d_k first; s_k is None where the P_{k-2}
-    term is skipped.  Each step runs on integer vectors over the lcm of
-    the denominators of its three terms, with one gcd reduction per degree.
+    Before P_1 come 0 and 1, and s_0 = 0 multiplies the 0.  Each step runs
+    on integer vectors over the lcm of the denominators of its three terms,
+    with one gcd reduction per degree.
     """
     prev, pden, cur, cden = (), 1, (1,), 1
     out = []
-    for k in ks:
-        d, s = step(k)
+    for d, s in zip(diag, (0, *sub)):
         # P_k = (mx x P_{k-1} - md P_{k-1} - ms P_{k-2}) / den on numerators
-        den = cden * d.denominator
-        ms = 0
-        if s is not None and prev:
-            sd = pden * s.denominator
-            den = lcm(den, sd)
-            ms = s.numerator * (den // sd)
+        sd = pden * s.denominator
+        den = lcm(cden * d.denominator, sd)
+        ms = s.numerator * (den // sd)
         mx = den // cden
         md = d.numerator * (mx // d.denominator)
         low = prev + (0,) * (len(cur) + 1 - len(prev))
@@ -131,8 +134,7 @@ def _recurrence(ks: range, step) -> list[Polynomial]:
 
 def monic_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """P_0 .. P_n of the monic recurrence."""
-    return [Polynomial.one()] + _recurrence(
-        range(1, n + 1), lambda k: (sys.b_at(k), sys.a2_at(k - 1) if k >= 2 else None))
+    return [Polynomial.one()] + _recurrence(*sys.block(n))
 
 
 def monic_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
@@ -148,8 +150,13 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """
     if n == 0:
         return [Polynomial.zero()]
-    return [Polynomial.zero(), Polynomial.one()] + _recurrence(
-        range(2, n + 1), lambda k: (sys.b_at(k), sys.a2_at(k - 1)))
+    # b_2..b_n and a_2^2..a_{n-1}^2.  a_1^2 only meets z_0 = 0 but is validated
+    # right after b_2: gamma-derived, it reads a gamma b_2..b_n never read.
+    diag = sys.b.window(2, min(n, 2))
+    sub = [sys.a2_at(k) for k in range(1, min(n, 2))]
+    diag += sys.b.window(3, n)
+    sub += [sys.a2_at(k) for k in range(2, n)]
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(diag, sub[1:])
 
 
 def associated_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
@@ -158,7 +165,7 @@ def associated_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
 
 def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    return [Polynomial.one()] + _recurrence(range(1, n + 1), lambda k: (0, sym.nu[k]))
+    return [Polynomial.one()] + _recurrence([0] * n, sym.nu.window(1, n)[1:])
 
 
 def symmetric_eval(sym: SymmetricSystem, n: int) -> Polynomial:
@@ -181,8 +188,7 @@ def moments(sys: ThreeTermSystem, k: int):
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = (k + 1) // 2 + 1
-    diag = [sys.b_at(i) for i in range(1, size + 1)]
-    sub = [sys.a2_at(i) for i in range(1, size)]
+    diag, sub = sys.block(size)
     L = lcm(*[v.denominator for v in diag + sub])
     diag = [v.numerator * (L // v.denominator) for v in diag]
     sub = [v.numerator * (L // v.denominator) for v in sub] + [0]

@@ -98,6 +98,16 @@ def test_maximal_finite_chain_terminal_is_one():
     assert M.horizon == 0
 
 
+def test_maximal_window_past_a_finite_chain():
+    with pytest.raises(LengthMismatch, match="window N = 5 needs d_1..d_5, got 3 terms"):
+        maximal_parameters(const_chain(Rat(1, 4), 3), 5, 10)
+
+
+def test_maximal_rejects_negative_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+        maximal_parameters(const_chain(Rat(1, 4), 3), 2, -1)
+
+
 def test_maximal_monotone_in_horizon_for_sppcs_chain():
     d = chain_at(LAG_HALF, Rat(0), 400)
     m128 = maximal_parameters(d, 2, 128)

@@ -298,6 +298,40 @@ def test_verify_stdout_golden(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
+# sha256 of the stdout of commands whose b and a2 windows are read through
+# ThreeTermSystem.block, pinned before the readers shared it
+_GAMMA_1_TO_12 = ",".join(str(k) for k in range(1, 13))
+_BLOCK_GOLDEN = {
+    "family laguerre": (("family", "laguerre", "--alpha", "7/3", "--n", "6"),
+                        "524b4e08f04673f0edbba37ca898ec8fe15a7396d3ceec105cbbcfcf78829f98"),
+    "family laguerre float": (("family", "laguerre", "--alpha", "7/3", "--n", "6", "--float"),
+                              "c6a71aa1ee5bceac42344f190dde3b448870b5b9966779da8d539a2897da2e69"),
+    "family routh_romanovski": (("family", "routh_romanovski", "--p", "10", "--n", "4"),
+                                "1cfccf5f712532c8294fca11957b6c0b930c9a118544c4ac0addd7d4bb12497a"),
+    **{f"perturb {v}": (("perturb", "--variant", v, "--gamma", _GAMMA_1_TO_12, "--n", "4"), sha)
+       for v, sha in (
+           ("tilde", "8d09d3cf5ebaea62913077549c081362ed770220aacbba9a4d24fa5769f1da7e"),
+           ("hat", "0e1f1ea45b12640b1c4c57fc7b32a21119ccf9d1566c9fbce6acae6012fe9843"),
+           ("tilde_kernel", "33d9d4ad086f8113b537cf035cb1fc7f8ad0cc4982523412d781a1d6431741e7"),
+           ("q", "4902ab4ef9d1fb0ef1fafb5aa9a572dc1b335f2001c6dd2b86a5de38fc6336fc"),
+           ("u", "0ab32dd43cc5cfc41363cd356f82a1e7aa3340ab2f70db01b7a7ed64b277bdc4"))},
+    "moments": (("moments", "--family", "e_family", "--alpha", "1/2", "--k", "30"),
+                "6231b8275e680c700d60f81007c62d5310e619ba129f1d80e527751ad34ab0b1"),
+    "lu": (("lu", "--family", "laguerre", "--alpha", "7/3", "--n", "8"),
+           "a891c4223b4c9a98f46a6efc0b943a36bca0a98a81140584475b807bccc928c8"),
+    "convergent": (("convergent", "--family", "laguerre", "--alpha", "7/3", "--n", "8"),
+                   "b345662f4b4a37eb811b4170c8a5da2c2862e5ef34483b4fa6287fd477bd35d8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_GOLDEN))
+def test_block_reader_stdout_golden(capsys, case):
+    argv, want_sha = _BLOCK_GOLDEN[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
 def test_verify_records_samples_for_replay(capsys):
     doc = run_json(capsys, "verify", "--suite", "theorem33", "--n", "4",
                    "--samples", "2", "--seed", "3")
@@ -363,6 +397,16 @@ def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
     assert got == code and out == ""
     assert err.startswith(f"error: {name}: ")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_zeros_near_float_max_exit_3(capsys, tmp_path, sign):
+    path = tmp_path / "sys.json"
+    big = sign + "1" + "0" * 308
+    path.write_text(json.dumps({"b": [big, big], "a2": ["1" + "0" * 300]}))
+    code, out, err = run(capsys, "zeros", "--input", str(path), "--n", "2", "--tol", "1e-10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: FloatOverflow: ")
 
 
 # -- argv fuzz ----------------------------------------------------------------------

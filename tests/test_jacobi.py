@@ -21,7 +21,7 @@ from opchain import (
     zeros_with_brackets,
 )
 from opchain import jacobi, perturb
-from opchain.errors import LengthMismatch, NonPositiveA2, PivotBreakdown
+from opchain.errors import FloatOverflow, LengthMismatch, NonPositiveA2, PivotBreakdown
 from opchain.jacobi import darboux_pivot_check
 from opchain.verify import random_gamma
 
@@ -168,6 +168,15 @@ def test_zeros_reject_nonpositive_subdiagonal():
     sys = ThreeTermSystem.from_values([1, 2], [-1], validate_a2=False)
     with pytest.raises(NonPositiveA2):
         zeros(sys, 2, 1e-10)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_zeros_near_float_max_raise_overflow(sign):
+    # the zeros are +-(1e308 -+ 1e150): the data fit in float64, but a
+    # bisection midpoint 0.5 * (a + b) overflows to an infinite end
+    sys = ThreeTermSystem.from_values([sign * 10**308] * 2, [10**300])
+    with pytest.raises(FloatOverflow, match="bisection midpoint"):
+        zeros_with_brackets(sys, 2, 1e-10)
 
 
 # Reference: the indexed pivot loop and tuple-membership bisection that
