@@ -51,7 +51,6 @@ from .perturb import (
     hat_system,
     kernel_invariance_condition,
     q_system,
-    quasi_orthogonality_check,
     swap_split_check,
     swapped_nu,
     tilde_kernel_system,
@@ -67,14 +66,11 @@ from .systems import (
     LaurentSeries,
     SymmetricSystem,
     ThreeTermSystem,
-    associated_eval,
     associated_sequence,
     convergent,
     laurent_expand,
     moments,
-    monic_eval,
     monic_sequence,
-    symmetric_eval,
     symmetric_sequence,
     systems_agree,
 )

@@ -39,7 +39,7 @@ from .errors import (
 from .poly import Polynomial
 from .scalars import ONE, ZERO, Rat, format_scalar
 from .streams import CoeffStream
-from .systems import ThreeTermSystem, monic_sequence
+from .systems import ThreeTermSystem, _order, monic_sequence
 
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
@@ -202,13 +202,12 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     return GammaSeq.from_values(g)
 
 
-def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple, b1: int | None = None,
-                  **kw) -> ThreeTermSystem:
+def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
+                  b1: int | None = None) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
     for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
 
-    Both streams read ``gamma.at`` lazily, left operand first; ``kw`` goes
-    to ``ThreeTermSystem``.
+    Both streams read ``gamma.at`` lazily, left operand first.
     """
     (i, j), (k, l) = b, a2
 
@@ -220,7 +219,6 @@ def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple, b1: int | None = None,
     return ThreeTermSystem(
         CoeffStream.from_fn(diag),
         CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)),
-        **kw,
     )
 
 
@@ -309,8 +307,8 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
 
 
 def chain_at(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
-    """omega_n(t) = a_n^2 / ((t - b_n)(t - b_{n+1})) for n = 1..N."""
-    b, a2 = sys.block(N + 1)
+    """omega_n(t) = a_n^2 / ((t - b_n)(t - b_{n+1})) for n = 1..N; N >= 0."""
+    b, a2 = sys.block(_order(N) + 1)
     for n, bn in enumerate(b, 1):
         if t == bn:
             raise PoleAtB(n, f"t = {format_scalar(t)} equals b_{n}")
@@ -325,7 +323,7 @@ def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
     recurrence itself, so it reads b_n and b_{n+1} on its own instead of
     sharing ``chain_at``'s block.
     """
-    if N == 0:
+    if _order(N) == 0:
         return ChainSequence.from_values([])
     P = monic_sequence(sys, N + 1)
     pvals = [p(t) for p in P]

@@ -7,14 +7,14 @@ convergents).  Everything is exact; only ``zeros`` works in float64, and
 (sorted keys) or CSV so identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation (each
-error class carries its code), 3 numerical breakdown.
+error class carries its code), 3 numerical breakdown, which includes an
+exact value beyond the float64 range under ``zeros`` or ``--float``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import families, perturb, verify
@@ -25,7 +25,7 @@ from .chains import (
     gamma_from_system,
     minimal_parameters,
 )
-from .errors import OpchainError
+from .errors import FloatOverflow, OpchainError
 from .jacobi import lu_factor, truncate, zeros_with_brackets
 from .scalars import Rat, format_scalar, parse_rational
 from .serialize import gamma_from_json, system_from_json, values_to_json
@@ -42,7 +42,10 @@ def _emit(doc, out=None):
 
 def _fmt(values, as_float: bool):
     if as_float:
-        return [repr(float(v)) for v in values]
+        try:
+            return [repr(float(v)) for v in values]
+        except OverflowError as exc:
+            raise FloatOverflow(f"--float: a value exceeds the float64 range: {exc}") from None
     return values_to_json(values)
 
 
@@ -162,10 +165,7 @@ def cmd_verify(args) -> int:
 
 def cmd_zeros(args) -> int:
     sys_ = _resolve_system(args)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("OPCHAIN_PRECISION", "1e-12"))
-    rows = zeros_with_brackets(sys_, args.n, tol)
+    rows = zeros_with_brackets(sys_, args.n, args.tol)
     if args.output == "json":
         _emit({"zeros": [{"index": i + 1, "value": v, "bracket_width": w}
                          for i, (v, w) in enumerate(rows)]})
@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="zeros of P_n by Sturm bisection (CSV)")
     _add_system_source(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help="bisection tolerance (default: $OPCHAIN_PRECISION or 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_zeros)
 

@@ -166,11 +166,6 @@ def rr_system(params: RRParams) -> ThreeTermSystem:
     return ThreeTermSystem.from_values(params.b, params.a2)
 
 
-def rr_raw_coefficients(params: RRParams, n: int):
-    """Expose (A_n, B_n, C_n) for cross-checks against the monic route."""
-    return _rr_raw(params.p, n)
-
-
 #: Closed-form families by name: (parameter, constructor, default gamma_1).
 FAMILIES = {
     "laguerre": ("alpha", laguerre_system, 0),

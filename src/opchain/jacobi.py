@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .chains import gamma_from_system
 from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
-from .scalars import ONE, ZERO, format_scalar
+from .scalars import ZERO, format_scalar
 from .systems import ThreeTermSystem
 
 
@@ -55,24 +55,6 @@ class TridiagonalMatrix:
 
     def trace(self):
         return sum(self.diag)
-
-    def entry(self, i: int, j: int):
-        """1-based entry access."""
-        if i == j:
-            return self.diag[i - 1]
-        if j == i + 1:
-            return ONE
-        if j == i - 1:
-            return self.sub[j - 1]
-        return ZERO
-
-    def to_dense(self) -> list:
-        return [[self.entry(i, j) for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)]
-
-    def to_json(self) -> dict:
-        return {"diag": [format_scalar(v) for v in self.diag],
-                "sub": [format_scalar(v) for v in self.sub]}
 
 
 def truncate(sys: ThreeTermSystem, n: int) -> TridiagonalMatrix:
@@ -355,12 +337,14 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if n < 1:
-        return []
     try:
         diag, sub2 = ([float(v) for v in w] for w in sys.block(n))
     except OverflowError as exc:
         raise FloatOverflow(f"recurrence data exceeds the float64 range: {exc}") from None
+    if n == 0:
+        return []
+    # block has validated a2 > 0 exactly; a positive a2 below the float64
+    # range still converts to 0.0
     for k, v in enumerate(sub2, 1):
         if not v > 0:
             raise NonPositiveA2(k, f"a2[{k}] = {v} must be positive for spectra")

@@ -12,8 +12,8 @@ Each of these systems is one row of gamma offsets built by
 differ only in b_1.
 
 Every identity in this module is checked exactly; reports carry the first
-violated index or the nonzero difference polynomial instead of a boolean
-lost to tolerance.
+violated index, and ``quasi_sides`` both sides of its identity, instead of
+a boolean lost to tolerance.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .scalars import Rat, format_scalar
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
+    _order,
     _recurrence,
     associated_sequence,
     monic_sequence,
@@ -66,19 +67,16 @@ def tilde_system(gamma: GammaSeq) -> ThreeTermSystem:
     return _gamma_system(gamma, (-1, 0), (-1, 2), b1=1)
 
 
-def hat_system(gamma: GammaSeq, allow_degenerate: bool = False) -> ThreeTermSystem:
+def hat_system(gamma: GammaSeq) -> ThreeTermSystem:
     """Same recurrence as tilde but started one step earlier, so
     b_m = gamma_{2m-1} + gamma_{2m} for all m >= 1.
 
-    With gamma_1 = 0 the first subdiagonal entry a_1^2 = gamma_1 gamma_4
-    vanishes; that is DegenerateFavard unless the caller opts in, in which
-    case the system is emitted flagged for inspection (the recurrence itself
-    never multiplies anything nonzero by the degenerate entry).
+    gamma_1 = 0 is DegenerateFavard: the first subdiagonal entry
+    a_1^2 = gamma_1 gamma_4 would vanish.
     """
-    degenerate = gamma.at(1) == 0
-    if degenerate and not allow_degenerate:
+    if gamma.at(1) == 0:
         raise DegenerateFavard("hat system has a_1^2 = gamma_1*gamma_4 = 0")
-    return _gamma_system(gamma, (-1, 0), (-1, 2), validate_a2=not degenerate)
+    return _gamma_system(gamma, (-1, 0), (-1, 2))
 
 
 def tilde_kernel_system(gamma: GammaSeq) -> ThreeTermSystem:
@@ -160,7 +158,7 @@ def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
 
 def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
     """T_0..T_n of T_m = (x - xi_m) T_{m-1} - eta_m T_{m-2}, T_{-1} = 0, T_0 = 1."""
-    if n >= len(xi) or (n >= 2 and n >= len(eta)):
+    if _order(n) >= len(xi) or (n >= 2 and n >= len(eta)):
         raise ValueError(f"n = {n} exceeds xi, eta of lengths {len(xi)}, {len(eta)}")
     return [Polynomial.one()] + _recurrence([xi[m] for m in range(1, n + 1)],
                                             [eta[m] for m in range(2, n + 1)])
@@ -195,18 +193,6 @@ def swap_split_check(gamma: GammaSeq, N: int, swap: bool = True) -> IdentityRepo
     return IdentityReport(tuple(items), notes="swap" if swap else "no swap")
 
 
-@dataclass(frozen=True)
-class QuasiOrthReport:
-    """Exact verdict for the order-2 quasi-orthogonality combination."""
-
-    n: int
-    ok: bool
-    difference: Polynomial
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "ok": self.ok, "difference": self.difference.to_json()}
-
-
 def _quasi_sequences(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
     """Q_0..Q_n and K1_0..K1_{n+1} of ``gamma_lhs`` and P_0..P_{n+2} of
     ``gamma_rhs``: every polynomial ``_quasi_pair`` reads for m <= n."""
@@ -229,13 +215,7 @@ def _quasi_pair(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, seqs, m: int):
 
 
 def quasi_sides(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
-    """Both sides of the order-2 quasi-orthogonality identity, separately
-    parameterised so negative controls can corrupt one side only."""
-    return _quasi_pair(gamma_lhs, gamma_rhs, _quasi_sequences(gamma_lhs, gamma_rhs, n), n)
-
-
-def quasi_orthogonality_check(gamma: GammaSeq, n: int) -> QuasiOrthReport:
-    """Check, exactly, that
+    """Both sides (lhs, rhs) of the order-2 quasi-orthogonality identity
 
         x^2 Q_n - gamma_2 * x * (K1_{n+1} + gamma_{2n+3} K1_n)
           = P_{n+2} + (gamma_{2n+3} + gamma_{2n+4}) P_{n+1}
@@ -243,12 +223,12 @@ def quasi_orthogonality_check(gamma: GammaSeq, n: int) -> QuasiOrthReport:
 
     where K1 is the associated sequence of the kernel system and P the
     minimal-branch base family.  The left side is the combination that is
-    quasi-orthogonal of order 2; on failure the difference polynomial is
-    returned for diagnosis.
+    quasi-orthogonal of order 2.  With ``gamma_lhs`` and ``gamma_rhs`` the
+    same sequence the identity holds exactly: lhs == rhs.  The sides are
+    separately parameterised so negative controls can corrupt one side
+    only; ``lhs - rhs`` is then the difference polynomial.
     """
-    lhs, rhs = quasi_sides(gamma, gamma, n)
-    diff = lhs - rhs
-    return QuasiOrthReport(n, diff.is_zero(), diff)
+    return _quasi_pair(gamma_lhs, gamma_rhs, _quasi_sequences(gamma_lhs, gamma_rhs, n), n)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ InvalidRationalLiteral.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidRationalLiteral, NonEvenPolynomial, NonOddPolynomial
-from .scalars import ZERO, Rat, coerce_exact, format_scalar, parse_rational
+from .scalars import ZERO, Rat, coerce_exact, format_scalar
 
 
 class Polynomial:
@@ -72,10 +72,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
-
-    @classmethod
-    def from_strings(cls, coeffs: Iterable[str]) -> "Polynomial":
-        return cls([parse_rational(c) for c in coeffs])
 
     # -- basic structure ----------------------------------------------
 
@@ -161,10 +157,6 @@ class Polynomial:
 
     def to_json(self) -> dict:
         return {"coeffs": [format_scalar(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Polynomial":
-        return cls.from_strings(doc["coeffs"])
 
     def __repr__(self):
         return f"Polynomial([{', '.join(format_scalar(c) for c in self.coeffs)}])"

@@ -30,8 +30,8 @@ def values_from_json(items) -> list:
 
 
 def system_to_json(sys: ThreeTermSystem, depth: int, closed_form: dict | None = None) -> dict:
-    """The raw b and a2 windows, not ``sys.block``: a degenerate system's
-    a2 is written as it is, unvalidated."""
+    """The raw b and a2 windows, not ``sys.block``: a2 is written as it
+    is, unvalidated, so an entry <= 0 that ``block`` rejects still travels."""
     doc = {
         "b": values_to_json(sys.b.window(1, depth)),
         "a2": values_to_json(sys.a2.window(1, max(depth - 1, 0))),

@@ -35,39 +35,45 @@ from .scalars import ZERO, Rat
 from .streams import CoeffStream
 
 
+def _order(n: int) -> int:
+    """``n`` if it is a valid order (n >= 0); a negative order is a ValueError."""
+    if n < 0:
+        raise ValueError(f"order n = {n} must be >= 0")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class ThreeTermSystem:
     """Streams b[n] (n>=1) and a2[n] (n>=1) of a monic three-term recurrence.
 
-    ``validate_a2`` guards the positive-definite case: accesses to a2 raise
-    NonPositiveA2 on entries <= 0.  Constructors of deliberately degenerate
-    systems switch it off, which is what ``degenerate`` reports.
+    Reads of a2 through ``a2_at``, and so every ``block``, raise
+    NonPositiveA2 on an entry <= 0: such a recurrence defines no
+    positive-definite orthogonal family.
     """
 
     b: CoeffStream
     a2: CoeffStream
-    validate_a2: bool = True
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.validate_a2
 
     def b_at(self, n: int):
         return self.b[n]
 
     def a2_at(self, n: int):
         v = self.a2[n]
-        if self.validate_a2 and v.numerator <= 0:  # denominators are positive
+        if v.numerator <= 0:  # denominators are positive
             raise NonPositiveA2(n, f"a2[{n}] = {v} is not positive")
         return v
 
     def block(self, n: int) -> tuple[list, list]:
-        """Order-n monic Jacobi block: (b_1..b_n, then validated a_1^2..a_{n-1}^2)."""
+        """Order-n monic Jacobi block: (b_1..b_n, then validated a_1^2..a_{n-1}^2).
+
+        n = 0 is the empty block; a negative n raises ValueError.
+        """
+        _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
     @classmethod
-    def from_values(cls, b, a2, **kw) -> "ThreeTermSystem":
-        return cls(CoeffStream.from_values(b), CoeffStream.from_values(a2), **kw)
+    def from_values(cls, b, a2) -> "ThreeTermSystem":
+        return cls(CoeffStream.from_values(b), CoeffStream.from_values(a2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,18 +143,13 @@ def monic_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     return [Polynomial.one()] + _recurrence(*sys.block(n))
 
 
-def monic_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
-    """The monic degree-n polynomial P_n."""
-    return monic_sequence(sys, n)[n]
-
-
 def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """z_0 .. z_n with z_0 = 0, z_1 = 1 under the same recurrence.
 
     z_n is monic of degree n-1 for n >= 1; these are the continued-fraction
     numerators belonging to the denominators P_n.
     """
-    if n == 0:
+    if _order(n) == 0:
         return [Polynomial.zero()]
     # b_2..b_n and a_2^2..a_{n-1}^2.  a_1^2 only meets z_0 = 0 but is validated
     # right after b_2: gamma-derived, it reads a gamma b_2..b_n never read.
@@ -159,17 +160,9 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     return [Polynomial.zero(), Polynomial.one()] + _recurrence(diag, sub[1:])
 
 
-def associated_eval(sys: ThreeTermSystem, n: int) -> Polynomial:
-    return associated_sequence(sys, n)[n]
-
-
 def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    return [Polynomial.one()] + _recurrence([0] * n, sym.nu.window(1, n)[1:])
-
-
-def symmetric_eval(sym: SymmetricSystem, n: int) -> Polynomial:
-    return symmetric_sequence(sym, n)[n]
+    return [Polynomial.one()] + _recurrence([0] * _order(n), sym.nu.window(1, n)[1:])
 
 
 # -- moments ------------------------------------------------------------------
@@ -204,8 +197,8 @@ def moments(sys: ThreeTermSystem, k: int):
 
 def convergent(sys: ThreeTermSystem, n: int) -> tuple[Polynomial, Polynomial]:
     """The n-th convergent (numerator, denominator) = (z_n, P_n)."""
-    num = associated_eval(sys, n)
-    den = monic_eval(sys, n)
+    num = associated_sequence(sys, n)[n]
+    den = monic_sequence(sys, n)[n]
     return num, den
 
 

@@ -71,15 +71,13 @@ class SuiteReport:
         }
 
 
-def random_gamma(rng: random.Random, length: int, gamma1_positive: bool = True) -> GammaSeq:
+def random_gamma(rng: random.Random, length: int) -> GammaSeq:
     """Uniform rationals with denominators <= 64, values in (0, 4]."""
     vals = []
     for k in range(1, length + 1):
         q = rng.randint(1, 64)
         p = rng.randint(1, 4 * q)
         vals.append(Rat(p, q))
-    if not gamma1_positive:
-        vals[0] = Rat(0)
     return GammaSeq.from_values(vals)
 
 

@@ -9,13 +9,17 @@ import pytest
 
 from opchain import (
     GammaSeq,
+    Polynomial,
     Rat,
+    SymmetricSystem,
     ThreeTermSystem,
     associated_sequence,
     chain_at,
+    chain_at_via_polynomials,
     laguerre_system,
     moments,
     monic_sequence,
+    symmetric_sequence,
     systems_agree,
     truncate,
     unified_coefficients,
@@ -117,3 +121,33 @@ def test_unified_sequence_rejects_n_past_the_coefficients(variant):
     assert len(unified_sequence(xi, eta, 3)) == 4
     with pytest.raises(ValueError, match="n = 4 exceeds xi, eta of lengths 4, 4"):
         unified_sequence(xi, eta, 4)
+
+
+_XI_ETA = unified_coefficients(GammaSeq.from_values([Rat(k) for k in range(1, 13)]),
+                               "TildeK", 3)
+# reader of order n, and its result at n = 0
+_ORDER_READERS = {
+    "block": (lambda n: LAG73.block(n), ([], [])),
+    "monic_sequence": (lambda n: monic_sequence(LAG73, n), [Polynomial.one()]),
+    "associated_sequence": (lambda n: associated_sequence(LAG73, n), [Polynomial.zero()]),
+    "symmetric_sequence": (lambda n: symmetric_sequence(SymmetricSystem.from_values([1, 2]), n),
+                           [Polynomial.one()]),
+    "unified_sequence": (lambda n: unified_sequence(*_XI_ETA, n), [Polynomial.one()]),
+    "truncate": (lambda n: truncate(LAG73, n).diag, ()),
+    "zeros_with_brackets": (lambda n: zeros_with_brackets(LAG73, n, 1e-10), []),
+    "chain_at": (lambda n: chain_at(LAG73, Rat(-1, 2), n).window(1, n), []),
+    "chain_at_via_polynomials": (
+        lambda n: chain_at_via_polynomials(LAG73, Rat(-1, 2), n).window(1, n), []),
+    "systems_agree": (lambda n: systems_agree(LAG73, LAG73, n), True),
+    "moments": (lambda n: moments(LAG73, n), 1),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_ORDER_READERS))
+def test_one_order_rule(reader):
+    read, empty = _ORDER_READERS[reader]
+    assert read(0) == empty
+    # moments keeps its own message for the moment order k
+    message = "moment order must be >= 0" if reader == "moments" else "order n = -1 must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        read(-1)

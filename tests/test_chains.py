@@ -65,7 +65,7 @@ def test_minimal_rejects_non_chain():
 def test_minimal_reconstructs_chain():
     rng = random.Random(1)
     for _ in range(5):
-        gamma = random_gamma(rng, 22, gamma1_positive=False)
+        gamma = GammaSeq.from_values([0] + random_gamma(rng, 22).window(2, 22))
         d = chain_at(system_from_gamma(gamma), Rat(0), 10)
         m = minimal_parameters(d, 10)
         for n in range(1, 11):

@@ -1,12 +1,16 @@
+import ast
 import contextlib
 import hashlib
 import inspect
 import io
 import json
+import pathlib
+import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import opchain
 from opchain import cli, errors, verify
 
 
@@ -78,6 +82,19 @@ def test_family_float_mode(capsys):
     assert doc["minimal_m"] == ["0.0", "0.3333333333333333"]
 
 
+_BEYOND_FLOAT64 = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "laguerre", "--alpha", _BEYOND_FLOAT64, "--n", "2", "--float"),
+    ("perturb", "--variant", "q", "--gamma", f"1,2,1{'0' * 400},4,5,6", "--n", "1", "--float"),
+], ids=["family", "perturb"])
+def test_float_mode_beyond_float64_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: FloatOverflow: ")
+
+
 # -- perturb ------------------------------------------------------------------
 
 def test_perturb_tilde_document(capsys):
@@ -125,6 +142,16 @@ _LAGUERRE_7_3_ZEROS = [  # (value, bracket_width) printed at n=8, tol=1e-12
 ]
 
 
+def _laguerre_7_3_zeros_stdout(output) -> str:
+    rows = list(enumerate(_LAGUERRE_7_3_ZEROS, 1))
+    if not output:
+        return "index,value,bracket_width\n" + "".join(
+            f"{i},{v},{w}\n" for i, (v, w) in rows)
+    return '{\n  "zeros": [\n' + ",\n".join(
+        f'    {{\n      "bracket_width": {w},\n      "index": {i},\n'
+        f'      "value": {v}\n    }}' for i, (v, w) in rows) + "\n  ]\n}\n"
+
+
 @pytest.mark.parametrize("output", [(), ("--output", "json")], ids=["csv", "json"])
 def test_zeros_stdout_golden(capsys, output):
     # zeros output is a deterministic function of the float64 data and tol,
@@ -132,15 +159,27 @@ def test_zeros_stdout_golden(capsys, output):
     code, out, err = run(capsys, "zeros", "--family", "laguerre", "--alpha", "7/3",
                          "--n", "8", "--tol", "1e-12", *output)
     assert code == 0 and err == ""
-    rows = list(enumerate(_LAGUERRE_7_3_ZEROS, 1))
-    if not output:
-        expected = "index,value,bracket_width\n" + "".join(
-            f"{i},{v},{w}\n" for i, (v, w) in rows)
-    else:
-        expected = '{\n  "zeros": [\n' + ",\n".join(
-            f'    {{\n      "bracket_width": {w},\n      "index": {i},\n'
-            f'      "value": {v}\n    }}' for i, (v, w) in rows) + "\n  ]\n}\n"
-    assert out == expected
+    assert out == _laguerre_7_3_zeros_stdout(output)
+
+
+def test_zeros_default_tol_is_a_constant(capsys, monkeypatch):
+    # the default tol is 1e-12 whatever the environment holds
+    monkeypatch.setenv("OPCHAIN_PRECISION", "abc")
+    code, out, err = run(capsys, "zeros", "--family", "laguerre", "--alpha", "7/3",
+                         "--n", "8")
+    assert code == 0 and err == ""
+    assert out == _laguerre_7_3_zeros_stdout(())
+
+
+def test_library_reads_no_environment():
+    # every setting is a command-line flag or a function argument
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(pathlib.Path(opchain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {a.name for a in node.names} & env_reads, path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "os" and node.attr in env_reads), path.name
 
 
 def test_lu_document(capsys):
@@ -217,27 +256,6 @@ def test_deeply_nested_input_document_rejected(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: OpchainError: ")
-
-
-def test_precision_env_sets_default_tol(capsys, monkeypatch):
-    monkeypatch.setenv("OPCHAIN_PRECISION", "1e-3")
-    code, out, _ = run(capsys, "zeros", "--family", "laguerre", "--alpha", "0",
-                       "--n", "2")
-    assert code == 0
-    widths = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
-    assert all(w <= 1e-3 for w in widths)
-    assert any(w > 1e-6 for w in widths)  # coarse tolerance actually applied
-
-
-def test_bad_precision_env_fails_zeros_only(capsys, monkeypatch):
-    monkeypatch.setenv("OPCHAIN_PRECISION", "abc")
-    code, out, err = run(capsys, "zeros", "--family", "laguerre", "--alpha", "0",
-                         "--n", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ValueError: ")
-    code, out, _ = run(capsys, "moments", "--family", "laguerre", "--alpha", "0",
-                       "--k", "2")
-    assert code == 0 and out == "2\n"
 
 
 # -- verify -----------------------------------------------------------------------
@@ -476,3 +494,69 @@ def test_argv_fuzz_exits_with_a_documented_code(argv):
             return
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+# -- value fuzz ----------------------------------------------------------------------
+
+# entries that are zero, negative, beyond float64 or below its smallest value,
+# mixed with ordinary positive ones
+_EDGE_VALUES = st.sampled_from(["0", "-1", "-5/2", _BEYOND_FLOAT64, "-" + _BEYOND_FLOAT64,
+                                "1/" + _BEYOND_FLOAT64, "-1/" + _BEYOND_FLOAT64])
+_VALUES = st.one_of(_EDGE_VALUES, _SMALL_RATIONALS.filter(lambda v: v != "0"))
+_VALUE_LISTS = st.lists(_VALUES, min_size=1, max_size=12)
+_N = st.integers(-1, 4).map(lambda n: f"--n={n}")
+_FLOAT = st.sampled_from([[], ["--float"]])
+_OUTPUT = st.sampled_from([[], ["--output", "json"]])
+
+
+@st.composite
+def _value_case(draw):
+    """(argv, --input document or None) for one command on fuzzed values."""
+    cmd = draw(st.sampled_from(["family", "perturb", "verify", "zeros", "lu",
+                                "moments", "convergent"]))
+    system = draw(st.fixed_dictionaries({"b": _VALUE_LISTS, "a2": _VALUE_LISTS}))
+    if cmd == "family":
+        name = draw(st.sampled_from(["laguerre", "e_family", "laguerre_assoc1"]))
+        return (["family", name, f"--alpha={draw(_VALUES)}", draw(_N)]
+                + draw(_opt("--gamma1", _VALUES)) + draw(_FLOAT)), None
+    if cmd == "perturb":
+        head = ["perturb", "--variant", draw(st.sampled_from(sorted(cli._PERTURB_VARIANTS))),
+                draw(_N)] + draw(_FLOAT)
+        source = draw(st.sampled_from(["--gamma", "gamma doc", "system doc"]))
+        if source == "--gamma":
+            return head + ["--gamma=" + ",".join(draw(_VALUE_LISTS))], None
+        if source == "gamma doc":
+            return head, {"gamma": draw(_VALUE_LISTS)}
+        return head + draw(_opt("--gamma1", _VALUES)), system
+    if cmd == "verify":
+        return (["verify", "--suite", draw(st.sampled_from(["lu", "laguerre", "moments"])),
+                 draw(_N), "--samples=1"] + draw(st.sampled_from([[], ["--inject-corruption"]])),
+                None)
+    if cmd == "zeros":
+        return ["zeros", draw(_N)] + draw(_OUTPUT), system
+    if cmd == "lu":
+        return ["lu", draw(_N)] + draw(_opt("--gamma1", _VALUES)), system
+    if cmd == "moments":
+        return ["moments", f"--k={draw(st.integers(-1, 6))}"] + draw(_OUTPUT), system
+    return ["convergent", draw(_N)] + draw(_opt("--order", _INTS)), system
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_value_case())
+@example((["family", "laguerre", "--alpha", _BEYOND_FLOAT64, "--n", "2", "--float"], None))
+@example((["perturb", "--variant", "q", "--n", "1", "--float"],
+          {"gamma": ["1", "2", _BEYOND_FLOAT64, "4", "5", "6"]}))
+def test_value_fuzz_exits_with_a_documented_code(case):
+    argv, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            path = pathlib.Path(tmp, "input.json")
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--input", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), argv
+    assert "Traceback" not in err.getvalue(), argv
+    # only an identity verdict (verify's exit 1) comes with a report
+    assert code in (0, 1) or out.getvalue() == "", argv

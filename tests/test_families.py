@@ -27,7 +27,7 @@ from opchain.errors import (
     StreamExhausted,
     ZeroDenominator,
 )
-from opchain.families import _rr_raw, rr_raw_coefficients
+from opchain.families import _rr_raw
 
 
 def P(*coeffs):
@@ -128,7 +128,7 @@ def test_rr_monic_polynomials_match_raw_recurrence():
     lead = Rat(1)
     monic = monic_sequence(rr_system(params), 4)
     for m in range(4):
-        A, B, C = rr_raw_coefficients(params, m)
+        A, B, C = _rr_raw(params.p, m)
         nxt = (x.scale(A) + Polynomial.constant(B)) * cur - prev.scale(C)
         prev, cur = cur, nxt
         lead = lead * A

@@ -45,8 +45,9 @@ def test_trace_is_diagonal_sum():
 
 
 def test_dense_form():
+    # [[1, 1, 0], [1, 3, 1], [0, 4, 5]]: the unit superdiagonal is implied
     J = truncate(LAG0, 3)
-    assert J.to_dense() == [[1, 1, 0], [1, 3, 1], [0, 4, 5]]
+    assert (J.n, J.diag, J.sub) == (3, (1, 3, 5), (1, 4))
 
 
 def test_shape_mismatch_rejected():
@@ -165,8 +166,9 @@ def test_zero_brackets_reported():
 
 
 def test_zeros_reject_nonpositive_subdiagonal():
-    sys = ThreeTermSystem.from_values([1, 2], [-1], validate_a2=False)
-    with pytest.raises(NonPositiveA2):
+    # a2 = 10^-400 is positive, so the block accepts it, but it is 0.0 in float64
+    sys = ThreeTermSystem.from_values([1, 2], [Rat(1, 10**400)])
+    with pytest.raises(NonPositiveA2, match="must be positive for spectra"):
         zeros(sys, 2, 1e-10)
 
 

@@ -13,10 +13,8 @@ from opchain import (
     kernel_system,
     laguerre_gamma,
     laguerre_system,
-    monic_eval,
     monic_sequence,
     q_system,
-    quasi_orthogonality_check,
     swap_split_check,
     swapped_nu,
     system_from_gamma,
@@ -28,8 +26,10 @@ from opchain import (
     unified_sequence,
     zero_sum_interlacing_report,
 )
-from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveGamma
+from opchain.chains import _gamma_system
+from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveA2, NonPositiveGamma
 from opchain.perturb import _quasi_pair, _quasi_sequences, quasi_sides
+from opchain.systems import _recurrence
 from opchain.verify import random_gamma
 
 
@@ -84,15 +84,15 @@ def test_swapped_nu_rationals():
 
 def test_tilde_worked_case():
     t = tilde_system(G1234)
-    assert monic_eval(t, 1) == P(-1, 1)
-    assert monic_eval(t, 2) == P(3, -8, 1)
+    assert monic_sequence(t, 1)[1] == P(-1, 1)
+    assert monic_sequence(t, 2)[2] == P(3, -8, 1)
 
 
 def test_tilde_closed_form_on_shifted_tail():
     # gamma_1 = 1 tail: coefficients 2n + alpha + 2 and n(n + alpha + 1)
     for alpha in (Rat(0), Rat(1, 2)):
         t = tilde_system(laguerre_gamma(alpha, 1))
-        assert monic_eval(t, 1) == P(-1, 1)
+        assert monic_sequence(t, 1)[1] == P(-1, 1)
         for n in range(1, 10):
             assert t.b_at(n + 1) == 2 * n + alpha + 2
             assert t.a2_at(n) == n * (n + alpha + 1)
@@ -107,8 +107,8 @@ def test_tilde_requires_positive_leading_gamma():
 
 def test_hat_worked_case():
     h = hat_system(G1234)
-    assert monic_eval(h, 1) == P(-3, 1)
-    assert monic_eval(h, 2) == P(17, -10, 1)
+    assert monic_sequence(h, 1)[1] == P(-3, 1)
+    assert monic_sequence(h, 2)[2] == P(17, -10, 1)
 
 
 def test_hat_of_shifted_tail_is_next_laguerre():
@@ -118,13 +118,15 @@ def test_hat_of_shifted_tail_is_next_laguerre():
 
 
 def test_hat_degenerate_leading_entry():
-    with pytest.raises(DegenerateFavard):
+    with pytest.raises(DegenerateFavard, match=r"a_1\^2 = gamma_1\*gamma_4 = 0"):
         hat_system(laguerre_gamma(0, 0))
-    h = hat_system(laguerre_gamma(0, 0), allow_degenerate=True)
-    assert h.degenerate
-    # polynomials still emitted; a_1^2 = 0 never multiplies anything nonzero,
-    # so P_2 = (x - 3)(x - 1) with no correction term
-    assert monic_eval(h, 2) == P(3, -4, 1)
+    # the hat row itself still reads b = 1, 3 and a_1^2 = 0; a_1^2 never
+    # multiplies anything nonzero, so P_2 = (x - 3)(x - 1) with no correction
+    # term, but every reader of the block rejects the zero
+    row = _gamma_system(laguerre_gamma(0, 0), (-1, 0), (-1, 2))
+    assert _recurrence(row.b.window(1, 2), row.a2.window(1, 1))[1] == P(3, -4, 1)
+    with pytest.raises(NonPositiveA2, match=r"a2\[1\] = 0 is not positive"):
+        monic_sequence(row, 2)
 
 
 @pytest.mark.parametrize("index", [3, 4])
@@ -136,8 +138,8 @@ def test_u_system_rejects_zero_gamma_at_construction(index):
 
 
 def test_co_recursive_shift():
-    assert monic_eval(tilde_system(G1234), 1) == monic_eval(hat_system(G1234), 1) \
-        + Polynomial.constant(G1234.at(2))
+    assert monic_sequence(tilde_system(G1234), 1)[1] \
+        == monic_sequence(hat_system(G1234), 1)[1] + Polynomial.constant(G1234.at(2))
 
 
 def test_tilde_and_hat_share_the_recurrence_tail():
@@ -153,8 +155,8 @@ def test_tilde_and_hat_share_the_recurrence_tail():
 # -- tilde kernel ------------------------------------------------------------------------
 
 def test_tilde_kernel_first_step():
-    assert monic_eval(tilde_kernel_system(G16), 1) == P(-5, 1)
-    assert monic_eval(tilde_kernel_system(G16), 0) == P(1)
+    assert monic_sequence(tilde_kernel_system(G16), 1)[1] == P(-5, 1)
+    assert monic_sequence(tilde_kernel_system(G16), 0)[0] == P(1)
 
 
 def test_kernel_invariance_condition_cases():
@@ -200,7 +202,7 @@ def test_unified_reproduces_tilde():
     T = unified_sequence(xi, eta, 15)
     ref = monic_sequence(tilde_system(gamma), 15)
     assert all(T[m] == ref[m] for m in range(16))
-    assert T[2] == monic_eval(tilde_system(gamma), 2)
+    assert T[2] == monic_sequence(tilde_system(gamma), 2)[2]
 
 
 def test_unified_reproduces_tilde_kernel():
@@ -225,18 +227,18 @@ def test_unified_requires_positive_gamma1_for_tilde_p():
 # -- q and u families ------------------------------------------------------------------------
 
 def test_q_first_steps():
-    assert monic_eval(q_system(G16), 1) == P(-7, 1)
-    assert monic_eval(q_system(G16), 0) == P(1)
+    assert monic_sequence(q_system(G16), 1)[1] == P(-7, 1)
+    assert monic_sequence(q_system(G16), 0)[0] == P(1)
 
 
 def test_q_on_laguerre_tail():
     q = q_system(laguerre_gamma(0, 0))  # gamma_3 = 1, gamma_4 = 2
-    assert monic_eval(q, 1) == P(-3, 1)
+    assert monic_sequence(q, 1)[1] == P(-3, 1)
 
 
 def test_u_first_data():
     u = u_system(G16)
-    assert monic_eval(u, 1) == P(-3, 1)
+    assert monic_sequence(u, 1)[1] == P(-3, 1)
     assert u.b_at(2) == 9      # gamma_4 + gamma_5
     assert u.a2_at(1) == 12    # gamma_3 * gamma_4
 
@@ -273,8 +275,9 @@ def test_u_is_co_recursive_with_kernel():
 # -- quasi-orthogonality ------------------------------------------------------------------------
 
 def test_quasi_orthogonality_laguerre():
-    r = quasi_orthogonality_check(laguerre_gamma(0, 0), 1)
-    assert r.ok and r.difference.is_zero()
+    g = laguerre_gamma(0, 0)
+    lhs, rhs = quasi_sides(g, g, 1)
+    assert lhs == rhs and (lhs - rhs).is_zero()
 
 
 def test_quasi_orthogonality_random():
@@ -282,7 +285,8 @@ def test_quasi_orthogonality_random():
     for _ in range(4):
         gamma = random_gamma(rng, 30)
         for n in range(1, 9):
-            assert quasi_orthogonality_check(gamma, n).ok
+            lhs, rhs = quasi_sides(gamma, gamma, n)
+            assert lhs == rhs
 
 
 def test_quasi_orthogonality_detects_one_sided_corruption():
@@ -340,7 +344,7 @@ def test_swap_split_random_depth():
 
 def test_swap_split_disabled_lands_on_unperturbed():
     rng = random.Random(29)
-    gamma = random_gamma(rng, 34, gamma1_positive=False)
+    gamma = GammaSeq.from_values([0] + random_gamma(rng, 34).window(2, 34))
     rep = swap_split_check(gamma, 10, swap=False)
     assert rep.ok and rep.notes == "no swap"
 

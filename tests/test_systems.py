@@ -11,7 +11,6 @@ from opchain import (
     SymmetricSystem,
     associated_sequence,
     ThreeTermSystem,
-    associated_eval,
     convergent,
     even_part,
     kernel_identity_check,
@@ -19,10 +18,8 @@ from opchain import (
     laguerre_system,
     laurent_expand,
     moments,
-    monic_eval,
     monic_sequence,
     odd_part,
-    symmetric_eval,
     symmetric_sequence,
     system_from_gamma,
     systems_agree,
@@ -41,16 +38,16 @@ LAG0 = laguerre_system(0)
 # -- monic recurrence -------------------------------------------------------
 
 def test_monic_initial_condition():
-    assert monic_eval(LAG0, 0) == P(1)
+    assert monic_sequence(LAG0, 0)[0] == P(1)
 
 
 def test_monic_degree_one():
-    assert monic_eval(LAG0, 1) == P(-1, 1)
+    assert monic_sequence(LAG0, 1)[1] == P(-1, 1)
 
 
 def test_monic_degree_two():
     # (x-3)(x-1) - 1*1
-    assert monic_eval(LAG0, 2) == P(2, -4, 1)
+    assert monic_sequence(LAG0, 2)[2] == P(2, -4, 1)
 
 
 def test_monic_sequence_is_monic_of_full_degree():
@@ -64,16 +61,16 @@ def test_monic_sequence_is_monic_of_full_degree():
 # -- second solution -------------------------------------------------------------
 
 def test_associated_initial():
-    assert associated_eval(LAG0, 1) == P(1)
+    assert associated_sequence(LAG0, 1)[1] == P(1)
 
 
 def test_associated_degree_two():
-    assert associated_eval(LAG0, 2) == P(-3, 1)
+    assert associated_sequence(LAG0, 2)[2] == P(-3, 1)
 
 
 def test_associated_degree_three():
     # (x-5)(x-3) - 4
-    assert associated_eval(LAG0, 3) == P(11, -8, 1)
+    assert associated_sequence(LAG0, 3)[3] == P(11, -8, 1)
 
 
 def test_associated_monic_one_degree_down():
@@ -91,22 +88,22 @@ def test_associated_monic_one_degree_down():
 
 def test_symmetric_swapped_worked_case():
     sym = SymmetricSystem.from_values([2, 1, 4, 3])
-    assert symmetric_eval(sym, 2) == P(-1, 0, 1)
-    assert symmetric_eval(sym, 3) == P(0, -5, 0, 1)
-    assert symmetric_eval(sym, 4) == P(3, 0, -8, 0, 1)
+    assert symmetric_sequence(sym, 2)[2] == P(-1, 0, 1)
+    assert symmetric_sequence(sym, 3)[3] == P(0, -5, 0, 1)
+    assert symmetric_sequence(sym, 4)[4] == P(3, 0, -8, 0, 1)
 
 
 def test_symmetric_first_coefficient_inert():
     # nu_1 multiplies S_{-1} = 0
-    assert symmetric_eval(SymmetricSystem.from_values([99]), 1) == P(0, 1)
-    assert symmetric_eval(SymmetricSystem.from_values([99]), 0) == P(1)
+    assert symmetric_sequence(SymmetricSystem.from_values([99]), 1)[1] == P(0, 1)
+    assert symmetric_sequence(SymmetricSystem.from_values([99]), 0)[0] == P(1)
 
 
 def test_symmetric_split_with_zero_leading_gamma():
     # S built from nu = gamma splits into the base and kernel families
     rng = random.Random(11)
     for _ in range(5):
-        gamma = random_gamma(rng, 26, gamma1_positive=False)
+        gamma = GammaSeq.from_values([0] + random_gamma(rng, 26).window(2, 26))
         S = symmetric_sequence(SymmetricSystem(gamma.gamma), 11)
         Pseq = monic_sequence(system_from_gamma(gamma), 5)
         K = monic_sequence(kernel_system(gamma), 5)
@@ -235,9 +232,9 @@ def test_moment_matching_through_order_2n():
 
 def test_finite_stream_never_extends_silently():
     sys = ThreeTermSystem.from_values([1, 3], [1])
-    assert monic_eval(sys, 2) == P(2, -4, 1)
+    assert monic_sequence(sys, 2)[2] == P(2, -4, 1)
     with pytest.raises(StreamExhausted):
-        monic_eval(sys, 3)
+        monic_sequence(sys, 3)
 
 
 # -- deep sizes against a plain Fraction reference ---------------------------------------------
