@@ -24,10 +24,12 @@ all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     InvalidGamma1,
     LengthMismatch,
+    NonPositiveA2,
     NonPositiveGamma,
     NotAChainSequence,
     NotMinimal,
@@ -139,7 +141,7 @@ def minimal_parameters(d: ChainSequence, N: int) -> ParameterSeq:
     fails to be a chain sequence by index n.
     """
     m = [ZERO]
-    for n in range(1, N + 1):
+    for n in range(1, _order(N) + 1):
         mn = d.at(n) / (1 - m[n - 1])
         if not (0 < mn < 1):
             raise NotAChainSequence(n, f"m_{n} = {mn} outside (0, 1)")
@@ -160,7 +162,7 @@ def maximal_parameters(d: ChainSequence, N: int, horizon: int) -> ParameterSeq:
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    T = N + horizon
+    T = _order(N) + horizon
     if d.d.stop is not None:
         if N > d.d.stop:
             raise LengthMismatch(f"window N = {N} needs d_1..d_{N}, got {d.d.stop} terms")
@@ -185,8 +187,9 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     and gamma_{2n+2} = b_{n+1} - gamma_{2n+1}.  PositivityBreak(k) signals
     that the zero-argument ratios are not a chain sequence for this choice
     of leading parameter.  The data are read lazily, one step at a time,
-    so the error names the first failing index.
+    so the error names the first failing index.  A negative N is a ValueError.
     """
+    _order(N)
     b1 = sys.b_at(1)
     if not (0 <= gamma1 < b1):
         raise InvalidGamma1(f"gamma_1 = {format_scalar(gamma1)} outside [0, {format_scalar(b1)})")
@@ -202,12 +205,60 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     return GammaSeq.from_values(g)
 
 
+@dataclass(frozen=True, eq=False)
+class _GammaRow(ThreeTermSystem):
+    """A ``_gamma_system`` row: its streams, plus the gamma and offsets
+    they are read from, for the integer-pair block reader."""
+
+    gamma: GammaSeq
+    offsets: tuple  # (i, j, k, l, b1)
+
+    def _block_pairs(self, n: int) -> tuple[list, list]:
+        """``block(n)`` as (numerator, denominator) pairs of Python ints.
+
+        Each gamma is read and validated once, the first time the b-first
+        read of ``block`` would meet it, so a fault names the same index
+        with the same error; a_n^2 <= 0 is NonPositiveA2 at the same point.
+        """
+        _order(n)
+        i, j, k, l, b1 = self.offsets
+        at, seen = self.gamma.at, {}
+
+        def g(idx: int):
+            pair = seen.get(idx)
+            if pair is None:
+                v = at(idx)
+                pair = seen[idx] = (int(v.numerator), int(v.denominator))
+            return pair
+
+        diag = []
+        for m in range(1, n + 1):
+            if m == 1 and b1 is not None:
+                diag.append(g(b1))
+                continue
+            (p, q), (r, s) = g(2 * m + i), g(2 * m + j)
+            num, den = p * s + r * q, q * s
+            c = gcd(num, den)
+            diag.append((num // c, den // c))
+        sub = []
+        for m in range(1, n):
+            (p, q), (r, s) = g(2 * m + k), g(2 * m + l)
+            num, den = p * r, q * s
+            if num <= 0:
+                raise NonPositiveA2(m, f"a2[{m}] = {Rat(num, den)} is not positive")
+            c = gcd(num, den)
+            sub.append((num // c, den // c))
+        return diag, sub
+
+
 def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
                   b1: int | None = None) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
     for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
 
-    Both streams read ``gamma.at`` lazily, left operand first.
+    Both streams read ``gamma.at`` lazily, left operand first; the kernel,
+    the moment walk and the zeros take the block from one pass over the
+    gammas instead (``_GammaRow._block_pairs``).
     """
     (i, j), (k, l) = b, a2
 
@@ -216,9 +267,10 @@ def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
             return gamma.at(b1)
         return gamma.at(2 * m + i) + gamma.at(2 * m + j)
 
-    return ThreeTermSystem(
+    return _GammaRow(
         CoeffStream.from_fn(diag),
         CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)),
+        gamma, (i, j, k, l, b1),
     )
 
 
@@ -235,7 +287,7 @@ def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTer
 def parameters_from_gamma(gamma: GammaSeq, N: int) -> ParameterSeq:
     """g_n = gamma_{2n+1} / (gamma_{2n+1} + gamma_{2n+2}) for n = 0..N."""
     g = []
-    for n in range(N + 1):
+    for n in range(_order(N) + 1):
         odd, even = gamma.at(2 * n + 1), gamma.at(2 * n + 2)
         g.append(odd / (odd + even))
     return ParameterSeq(tuple(g))

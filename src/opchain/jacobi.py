@@ -338,7 +338,8 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     try:
-        diag, sub2 = ([float(v) for v in w] for w in sys.block(n))
+        # p / q on Python ints is float() of the rational p/q, bit for bit
+        diag, sub2 = ([p / q for p, q in w] for w in sys._block_pairs(n))
     except OverflowError as exc:
         raise FloatOverflow(f"recurrence data exceeds the float64 range: {exc}") from None
     if n == 0:

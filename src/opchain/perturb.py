@@ -29,6 +29,7 @@ from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
     _order,
+    _pairs,
     _recurrence,
     associated_sequence,
     monic_sequence,
@@ -94,7 +95,7 @@ def kernel_invariance_condition(gamma: GammaSeq, N: int) -> bool:
     """
     return all(
         gamma.at(2 * n + 1) - gamma.at(2 * n - 1) == gamma.at(2 * n + 2) - gamma.at(2 * n)
-        for n in range(1, N + 1)
+        for n in range(1, _order(N) + 1)
     )
 
 
@@ -160,8 +161,7 @@ def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
     """T_0..T_n of T_m = (x - xi_m) T_{m-1} - eta_m T_{m-2}, T_{-1} = 0, T_0 = 1."""
     if _order(n) >= len(xi) or (n >= 2 and n >= len(eta)):
         raise ValueError(f"n = {n} exceeds xi, eta of lengths {len(xi)}, {len(eta)}")
-    return [Polynomial.one()] + _recurrence([xi[m] for m in range(1, n + 1)],
-                                            [eta[m] for m in range(2, n + 1)])
+    return [Polynomial.one()] + _recurrence(_pairs(xi[1:n + 1]), _pairs(eta[2:n + 1]))
 
 
 # -- identity checks -------------------------------------------------------------

@@ -19,9 +19,15 @@ here is exact and needs no measure.
 
 The recurrence kernel, the moment walk and the Laurent division run on
 integers over a common denominator, as ``Polynomial`` stores its
-coefficients; they read rationals only through ``numerator`` and
-``denominator``, so either rational backend takes the same path, and build
-one rational or one canonical polynomial per result.
+coefficients, and build one rational or one canonical polynomial per
+result.  The kernel and the moment walk read the block as (numerator,
+denominator) pairs of Python ints from ``_block_pairs``, so either rational
+backend takes the same path; a system built from a gamma sequence
+(``chains._gamma_system``) reads each gamma it needs once and forms the
+pairs with one gcd per entry, and any other system converts its ``block``.
+The Laurent division keeps its past terms over one running denominator,
+which grows only by the factor each new term's reduced denominator needs,
+so the integers stay at the height of the answer.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ class ThreeTermSystem:
         _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
+    def _block_pairs(self, n: int) -> tuple[list, list]:
+        """``block(n)`` as (numerator, denominator) pairs of Python ints."""
+        return tuple(_pairs(w) for w in self.block(n))
+
     @classmethod
     def from_values(cls, b, a2) -> "ThreeTermSystem":
         return cls(CoeffStream.from_values(b), CoeffStream.from_values(a2))
@@ -110,9 +120,19 @@ def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
 # -- polynomial evaluation ---------------------------------------------------
 
 
+def _pairs(values) -> list:
+    """(numerator, denominator) of each rational, as Python ints.
+
+    ``int`` keeps a gmpy2 backend's mpz out of the pairs, so ``p / q`` is
+    the correctly rounded division that ``float`` of a rational performs.
+    """
+    return [(int(v.numerator), int(v.denominator)) for v in values]
+
+
 def _recurrence(diag, sub) -> list[Polynomial]:
     """P_1..P_m of P_k = (x - d_k) P_{k-1} - s_{k-1} P_{k-2} over the block
-    ``diag`` = d_1..d_m, ``sub`` = s_1..s_{m-1}.
+    ``diag`` = d_1..d_m, ``sub`` = s_1..s_{m-1}, given as (numerator,
+    denominator) pairs.
 
     Before P_1 come 0 and 1, and s_0 = 0 multiplies the 0.  Each step runs
     on integer vectors over the lcm of the denominators of its three terms,
@@ -120,13 +140,13 @@ def _recurrence(diag, sub) -> list[Polynomial]:
     """
     prev, pden, cur, cden = (), 1, (1,), 1
     out = []
-    for d, s in zip(diag, (0, *sub)):
+    for (dn, dd), (sn, sd) in zip(diag, ((0, 1), *sub)):
         # P_k = (mx x P_{k-1} - md P_{k-1} - ms P_{k-2}) / den on numerators
-        sd = pden * s.denominator
-        den = lcm(cden * d.denominator, sd)
-        ms = s.numerator * (den // sd)
+        sd *= pden
+        den = lcm(cden * dd, sd)
+        ms = sn * (den // sd)
         mx = den // cden
-        md = d.numerator * (mx // d.denominator)
+        md = dn * (mx // dd)
         low = prev + (0,) * (len(cur) + 1 - len(prev))
         nxt = [mx * u - md * v - ms * w for u, v, w in zip((0, *cur), (*cur, 0), low)]
         g = gcd(den, *nxt)
@@ -140,7 +160,7 @@ def _recurrence(diag, sub) -> list[Polynomial]:
 
 def monic_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """P_0 .. P_n of the monic recurrence."""
-    return [Polynomial.one()] + _recurrence(*sys.block(n))
+    return [Polynomial.one()] + _recurrence(*sys._block_pairs(n))
 
 
 def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
@@ -157,12 +177,12 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     sub = [sys.a2_at(k) for k in range(1, min(n, 2))]
     diag += sys.b.window(3, n)
     sub += [sys.a2_at(k) for k in range(2, n)]
-    return [Polynomial.zero(), Polynomial.one()] + _recurrence(diag, sub[1:])
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(_pairs(diag), _pairs(sub[1:]))
 
 
 def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    return [Polynomial.one()] + _recurrence([0] * _order(n), sym.nu.window(1, n)[1:])
+    return [Polynomial.one()] + _recurrence([(0, 1)] * _order(n), _pairs(sym.nu.window(1, n)[1:]))
 
 
 # -- moments ------------------------------------------------------------------
@@ -181,10 +201,10 @@ def moments(sys: ThreeTermSystem, k: int):
     if k < 0:
         raise ValueError("moment order must be >= 0")
     size = (k + 1) // 2 + 1
-    diag, sub = sys.block(size)
-    L = lcm(*[v.denominator for v in diag + sub])
-    diag = [v.numerator * (L // v.denominator) for v in diag]
-    sub = [v.numerator * (L // v.denominator) for v in sub] + [0]
+    diag, sub = sys._block_pairs(size)
+    L = lcm(*[q for _, q in diag + sub])
+    diag = [p * (L // q) for p, q in diag]
+    sub = [p * (L // q) for p, q in sub] + [0]
     row = [1] + [0] * (size - 1)
     for _ in range(k):
         r = [0, *row, 0]
@@ -206,7 +226,8 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     """First ``order`` coefficients of num/den expanded at infinity.
 
     Requires deg num < deg den and den monic, so the expansion starts at
-    x^-1.  Long division is done in the variable u = 1/x, on integers.
+    x^-1.  Long division is done in the variable u = 1/x, on integers over
+    a running common denominator.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -215,21 +236,32 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     if not num.is_zero() and num.degree >= den.degree:
         raise DegreeViolation("numerator degree must be below denominator degree")
     gap = den.degree - (num.degree if not num.is_zero() else den.degree)
-    # Power-series division in u of the reversed vectors, fraction-free:
-    # with num = N/N_den, den = D/D_den and D_rev[0] = D_den (den is monic),
-    # t_j = series_j * N_den * D_den^j is the integer
-    # t_j = N_rev[j] D_den^j - sum_{i>=1} D_rev[i] D_den^(i-1) t_{j-i}.
-    n_rev, d_rev, dd = num.nums[::-1], den.nums[::-1], den.den
-    c = [0] + [v * dd ** (i - 1) for i, v in enumerate(d_rev) if i]
-    # num/den = sum_j series_j x^-(j + gap), and only j + gap <= order is kept
+    # Power-series division in u of the reversed vectors.  With num = N/N_den
+    # and den = D/D_den, D_rev[0] = D_den (den is monic), the series term j
+    # (of x^-(j + gap)) is s_j = N_rev[j]/N_den - sum_{i>=1} D_rev[i]/D_den s_{j-i}.
+    # The last deg(den) terms are kept as integers e over one running
+    # denominator M, starting at N_den, so s_j = acc / (M D_den) with
+    # acc = N_rev[j] (M/N_den) D_den - sum_{i>=1} D_rev[i] e_{j-i}.  Only the
+    # part f of D_den that acc does not cancel joins M.
+    n_rev, d_low, dd = num.nums[::-1], den.nums[-2::-1], den.den
+    M, scale = num.den, dd  # scale = (M / N_den) D_den
+    kept = []  # e_{j-1}, e_{j-2}, ..., newest first
+    # num/den = sum_j s_j x^-(j + gap), and only j + gap <= order is kept
     out = [ZERO] * order
-    t, ddj = [], 1
     for j in range(min(order, order - gap + 1)):
-        acc = n_rev[j] * ddj if j < len(n_rev) else 0
-        for i in range(1, min(j, len(c) - 1) + 1):
-            acc -= c[i] * t[j - i]
-        t.append(acc)
+        acc = n_rev[j] * scale if j < len(n_rev) else 0
+        for c, e in zip(d_low, kept):
+            acc -= c * e
+        g = gcd(acc, dd)
+        if g != dd:
+            f = dd // g
+            M *= f
+            scale *= f
+            kept = [e * f for e in kept]
+        e = acc // g
         if j + gap >= 1:
-            out[j + gap - 1] = Rat(acc, num.den * ddj)
-        ddj *= dd
+            out[j + gap - 1] = Rat(e, M)
+        kept.insert(0, e)
+        if len(kept) > len(d_low):
+            kept.pop()
     return LaurentSeries(tuple(out))

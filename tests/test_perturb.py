@@ -29,7 +29,7 @@ from opchain import (
 from opchain.chains import _gamma_system
 from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveA2, NonPositiveGamma
 from opchain.perturb import _quasi_pair, _quasi_sequences, quasi_sides
-from opchain.systems import _recurrence
+from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
 
 
@@ -124,7 +124,7 @@ def test_hat_degenerate_leading_entry():
     # multiplies anything nonzero, so P_2 = (x - 3)(x - 1) with no correction
     # term, but every reader of the block rejects the zero
     row = _gamma_system(laguerre_gamma(0, 0), (-1, 0), (-1, 2))
-    assert _recurrence(row.b.window(1, 2), row.a2.window(1, 1))[1] == P(3, -4, 1)
+    assert _recurrence(_pairs(row.b.window(1, 2)), _pairs(row.a2.window(1, 1)))[1] == P(3, -4, 1)
     with pytest.raises(NonPositiveA2, match=r"a2\[1\] = 0 is not positive"):
         monic_sequence(row, 2)
 

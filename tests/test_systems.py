@@ -327,6 +327,38 @@ def test_deep_sequences_match_a_fraction_reference(seed):
     _compare_deep_with_reference(seed)
 
 
+def _random_rational(rng):
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+
+
+def _laurent_cases():
+    """(name, num, den, order) with den monic and deg num < deg den; the
+    numerators and denominators are not convergents of any system."""
+    rng = random.Random(31)
+    den = [_random_rational(rng) for _ in range(6)] + [Fraction(1)]
+    cases = [("zero numerator", [], den, 9), ("order 0", den[:3], den, 0),
+             ("order < gap", [Fraction(3, 7)], den, 4),
+             ("order > 2 deg", den[:5], den, 2 * 6 + 5)]
+    for gap in range(1, 7):  # deg num = 6 - gap
+        num = [_random_rational(rng) for _ in range(6 - gap)] + [Fraction(rng.choice((-5, 2)), 3)]
+        cases.append((f"gap {gap}", num, den, 14))
+    for k in range(6):  # mixed signs and degrees
+        deg = rng.randint(1, 9)
+        d = [_random_rational(rng) for _ in range(deg)] + [Fraction(1)]
+        num = [_random_rational(rng) for _ in range(rng.randint(1, deg))]
+        cases.append((f"mixed {k}", num, d, 2 * deg + 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", _laurent_cases(), ids=lambda c: c[0])
+def test_laurent_matches_long_division(case):
+    _, num, den, order = case
+    series = laurent_expand(Polynomial(num), Polynomial(den), order)
+    assert [_frac(c) for c in series.coeffs] == _ref_laurent(num, den, order)
+    assert series.order == order
+    assert all(type(c) is Rat for c in series.coeffs)
+
+
 def test_deep_sequences_match_a_fraction_reference_on_gmpy2():
     pytest.importorskip("gmpy2")
     from opchain.scalars import RAT_BACKEND
