@@ -66,6 +66,26 @@ class GammaSeq:
             raise NonPositiveGamma(k, f"gamma_{k} = {v} is not positive")
         return v
 
+    def _pair(self, k: int) -> tuple[int, int]:
+        """``at(k)`` as (numerator, denominator) Python ints, with the same errors."""
+        p, q = self.gamma._pair(k)
+        if k == 1:
+            if p < 0:
+                raise NonPositiveGamma(1, f"gamma_1 = {Rat(p, q)} is negative")
+        elif p <= 0:
+            raise NonPositiveGamma(k, f"gamma_{k} = {Rat(p, q)} is not positive")
+        return p, q
+
+    def _stored_pairs(self, hi: int):
+        """[None, pair of gamma_1, ..., pair of gamma_hi] when the gamma is a
+        value vector on which ``at(1..hi)`` cannot fail, else None."""
+        nums = self.gamma.nums
+        if nums is None or not 0 < hi <= len(nums):
+            return None
+        if nums[0] < 0 or min(nums[1:hi], default=1) <= 0:  # the rule of ``at``
+            return None
+        return [None, *zip(nums[:hi], self.gamma.dens[:hi])]
+
     def window(self, lo: int, hi: int) -> list:
         return [self.at(k) for k in range(lo, hi + 1)]
 
@@ -208,47 +228,54 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
 @dataclass(frozen=True, eq=False)
 class _GammaRow(ThreeTermSystem):
     """A ``_gamma_system`` row: its streams, plus the gamma and offsets
-    they are read from, for the integer-pair block reader."""
+    they are read from, for the integer-pair readers."""
 
     gamma: GammaSeq
     offsets: tuple  # (i, j, k, l, b1)
 
-    def _block_pairs(self, n: int) -> tuple[list, list]:
-        """``block(n)`` as (numerator, denominator) pairs of Python ints.
+    def _pair_readers(self, n: int):
+        """Pair readers (b, a2) as ``ThreeTermSystem._pair_readers``, over one
+        read of the gamma, with one gcd per entry.
 
-        Each gamma is read and validated once, the first time the b-first
-        read of ``block`` would meet it, so a fault names the same index
-        with the same error; a_n^2 <= 0 is NonPositiveA2 at the same point.
+        When every gamma the order-n block can meet is a stored value that
+        passes validation, the readers index the stored integers: nothing
+        can fail but a_m^2 <= 0 from gamma_1 = 0, which they check in the
+        same place.  Otherwise each gamma is read and validated once, the
+        first time a reader meets it, so a fault names the same index with
+        the same error as the rational read.
         """
-        _order(n)
         i, j, k, l, b1 = self.offsets
-        at, seen = self.gamma.at, {}
+        # no entry of the order-n block reads past gamma_hi
+        hi = max(2 * n + max(i, j), 2 * n - 2 + max(k, l), b1 or 0)
+        stored = self.gamma._stored_pairs(hi)
+        if stored is not None:
+            g = stored.__getitem__
+        else:
+            read, seen = self.gamma._pair, {}
 
-        def g(idx: int):
-            pair = seen.get(idx)
-            if pair is None:
-                v = at(idx)
-                pair = seen[idx] = (int(v.numerator), int(v.denominator))
-            return pair
+            def g(idx: int):
+                pair = seen.get(idx)
+                if pair is None:
+                    pair = seen[idx] = read(idx)
+                return pair
 
-        diag = []
-        for m in range(1, n + 1):
+        def b(m: int):
             if m == 1 and b1 is not None:
-                diag.append(g(b1))
-                continue
+                return g(b1)
             (p, q), (r, s) = g(2 * m + i), g(2 * m + j)
             num, den = p * s + r * q, q * s
             c = gcd(num, den)
-            diag.append((num // c, den // c))
-        sub = []
-        for m in range(1, n):
+            return num // c, den // c
+
+        def a2(m: int):
             (p, q), (r, s) = g(2 * m + k), g(2 * m + l)
             num, den = p * r, q * s
             if num <= 0:
                 raise NonPositiveA2(m, f"a2[{m}] = {Rat(num, den)} is not positive")
             c = gcd(num, den)
-            sub.append((num // c, den // c))
-        return diag, sub
+            return num // c, den // c
+
+        return b, a2
 
 
 def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
@@ -257,8 +284,8 @@ def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
     for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
 
     Both streams read ``gamma.at`` lazily, left operand first; the kernel,
-    the moment walk and the zeros take the block from one pass over the
-    gammas instead (``_GammaRow._block_pairs``).
+    the moment walk, the zeros and the associated sequence take their
+    entries from one pass over the gammas instead (``_GammaRow._pair_readers``).
     """
     (i, j), (k, l) = b, a2
 

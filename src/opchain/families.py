@@ -22,20 +22,25 @@ from .streams import CoeffStream
 from .systems import ThreeTermSystem
 
 
-def _check_alpha(alpha):
+def _alpha_pair(alpha):
+    """Numerator and denominator of an exact alpha > -1.
+
+    The closed forms build each entry as one rational from these integers,
+    e.g. b_n = 2n + alpha - 1 = ((2n - 1) q + p) / q for alpha = p/q.
+    """
     alpha = coerce_exact(alpha)
     if not alpha > -1:
         raise AlphaOutOfRange(f"alpha = {alpha} must exceed -1")
-    return alpha
+    return alpha.numerator, alpha.denominator
 
 
 def laguerre_system(alpha) -> ThreeTermSystem:
     """Monic generalized Laguerre recurrence: b_n = 2n + alpha - 1,
     a_n^2 = n(n + alpha), valid for alpha > -1."""
-    alpha = _check_alpha(alpha)
+    p, q = _alpha_pair(alpha)
     return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: 2 * n + alpha - 1),
-        CoeffStream.from_fn(lambda n: n * (n + alpha)),
+        CoeffStream.from_fn(lambda n: Rat((2 * n - 1) * q + p, q)),
+        CoeffStream.from_fn(lambda n: Rat(n * (n * q + p), q)),
     )
 
 
@@ -46,10 +51,10 @@ def e_family_system(alpha) -> ThreeTermSystem:
     polynomials are the order-1 associated Laguerre family with alpha
     shifted down by one.
     """
-    alpha = _check_alpha(alpha)
+    p, q = _alpha_pair(alpha)
     return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: 2 * n + alpha),
-        CoeffStream.from_fn(lambda n: (n + 1) * (n + alpha)),
+        CoeffStream.from_fn(lambda n: Rat(2 * n * q + p, q)),
+        CoeffStream.from_fn(lambda n: Rat((n + 1) * (n * q + p), q)),
     )
 
 
@@ -64,7 +69,7 @@ def laguerre_gamma(alpha, gamma1: int) -> GammaSeq:
     Both must agree exactly with the generic recovery from the respective
     system, which the test-suite asserts.
     """
-    alpha = _check_alpha(alpha)
+    p, q = _alpha_pair(alpha)
     if gamma1 not in (0, 1):
         raise ValueError("gamma1 must be 0 or 1")
     shift = gamma1  # odd entries: n (+1 on the shifted branch)
@@ -73,7 +78,7 @@ def laguerre_gamma(alpha, gamma1: int) -> GammaSeq:
         if k == 1:
             return Rat(gamma1)
         if k % 2 == 0:
-            return Rat(k, 2) + alpha
+            return Rat(k // 2 * q + p, q)
         return Rat((k - 1) // 2 + shift)
 
     return GammaSeq.from_fn(fn)

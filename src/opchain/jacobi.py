@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .chains import gamma_from_system
 from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
-from .scalars import ZERO, format_scalar
+from .scalars import ZERO, coerce_exact, format_scalar
 from .systems import ThreeTermSystem
 
 
@@ -105,7 +105,9 @@ def lu_factor(J: TridiagonalMatrix, gamma1=ZERO) -> BidiagonalFactors:
     and multipliers l_i = gamma_{2i+1} for the split b_1 = gamma_1 + gamma_2.
     PivotBreakdown(i) signals a nonpositive pivot, i.e. the zero-argument
     ratio sequence is not a chain sequence for this leading parameter.
+    A float gamma_1 raises InvalidRationalLiteral.
     """
+    gamma1 = coerce_exact(gamma1)
     if gamma1 < 0:
         raise InvalidGamma1(f"gamma_1 = {format_scalar(gamma1)} must be >= 0")
     if J.n == 0:

@@ -2,9 +2,15 @@
 
 Recurrence data arrives either as a finite vector, whose length is the
 stream's ``stop``, or as a closed-form rule with ``stop = None``.  Reading
-past a finite vector raises StreamExhausted, never silently extends.  A
-value vector is normalised onto the exact type when the stream is built,
-and a float in it raises InvalidRationalLiteral.
+past a finite vector raises StreamExhausted, never silently extends.  Every
+value read is on the exact type: a value vector is normalised when the
+stream is built, a rule's value when it is read, and a float in either
+raises InvalidRationalLiteral.
+
+A value vector is held once more as two tuples of Python ints, ``nums``
+and ``dens``, so the integer readers of the recurrence (``_pair``) take
+an entry without touching the rational; a rule's value is split when it
+is read.
 """
 
 from __future__ import annotations
@@ -18,14 +24,19 @@ from .scalars import Rat, coerce_exact
 class CoeffStream:
     """A sequence c[1], c[2], ... backed by values or a rule."""
 
-    __slots__ = ("_values", "_fn", "stop")
+    __slots__ = ("_values", "nums", "dens", "_fn", "stop")
 
     def __init__(self, *, values=None, fn=None):
         if (values is None) == (fn is None):
             raise ValueError("exactly one of values/fn required")
+        nums = dens = None
         if values is not None:
             values = tuple(v if type(v) is Rat else coerce_exact(v) for v in values)
+            nums = tuple(int(v.numerator) for v in values)
+            dens = tuple(int(v.denominator) for v in values)
         self._values = values
+        self.nums = nums
+        self.dens = dens
         self._fn = fn
         self.stop = len(values) if values is not None else None
 
@@ -43,7 +54,15 @@ class CoeffStream:
             raise StreamExhausted(n, f"index {n} outside [1, {self.stop}]")
         if self._values is not None:
             return self._values[n - 1]
-        return self._fn(n)
+        v = self._fn(n)
+        return v if type(v) is Rat else coerce_exact(v)
+
+    def _pair(self, n: int) -> tuple[int, int]:
+        """c[n] as (numerator, denominator) Python ints; raises as ``self[n]``."""
+        if self.nums is not None and 0 < n <= self.stop:
+            return self.nums[n - 1], self.dens[n - 1]
+        v = self[n]  # a rule's value, or StreamExhausted
+        return int(v.numerator), int(v.denominator)
 
     def window(self, lo: int, hi: int) -> list:
         """Values for indices lo..hi inclusive."""

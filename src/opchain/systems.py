@@ -20,11 +20,16 @@ here is exact and needs no measure.
 The recurrence kernel, the moment walk and the Laurent division run on
 integers over a common denominator, as ``Polynomial`` stores its
 coefficients, and build one rational or one canonical polynomial per
-result.  The kernel and the moment walk read the block as (numerator,
-denominator) pairs of Python ints from ``_block_pairs``, so either rational
-backend takes the same path; a system built from a gamma sequence
-(``chains._gamma_system``) reads each gamma it needs once and forms the
-pairs with one gcd per entry, and any other system converts its ``block``.
+result.  The kernel and the moment walk take their entries as (numerator,
+denominator) pairs of Python ints, so either rational backend takes the
+same path and no reader builds a rational per entry: ``_pair_readers``
+gives b(m) and the validated a2(m) in that form, ``_block_pairs`` and the
+associated sequence read through them in the order of the rational reads,
+with the same errors, and the symmetric sequence reads its nu as pairs.  A
+value stream hands out the integers it stores and a closed-form rule's
+value is split on read; a system built from a gamma sequence
+(``chains._gamma_system``) forms each entry with one gcd from gammas read
+at most once, indexing a stored gamma directly where no read can fail.
 The Laurent division keeps its past terms over one running denominator,
 which grows only by the factor each new term's reduced denominator needs,
 so the integers stay at the height of the answer.
@@ -77,9 +82,26 @@ class ThreeTermSystem:
         _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
+    def _pair_readers(self, n: int):
+        """Readers (b, a2) of the entries of the order-n block, b(1..n) and
+        a2(1..n-1), each as a (numerator, denominator) pair of Python ints:
+        b(m) as ``b_at(m)`` and a2(m) as ``a2_at(m)``, with the same errors."""
+        read = self.a2._pair
+
+        def a2(m: int):
+            p, q = read(m)
+            if p <= 0:  # denominators are positive
+                raise NonPositiveA2(m, f"a2[{m}] = {Rat(p, q)} is not positive")
+            return p, q
+
+        return self.b._pair, a2
+
     def _block_pairs(self, n: int) -> tuple[list, list]:
-        """``block(n)`` as (numerator, denominator) pairs of Python ints."""
-        return tuple(_pairs(w) for w in self.block(n))
+        """``block(n)`` as (numerator, denominator) pairs, read in its order."""
+        _order(n)
+        b, a2 = self._pair_readers(n)
+        diag = [b(m) for m in range(1, n + 1)]
+        return diag, [a2(m) for m in range(1, n)]
 
     @classmethod
     def from_values(cls, b, a2) -> "ThreeTermSystem":
@@ -173,16 +195,20 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
         return [Polynomial.zero()]
     # b_2..b_n and a_2^2..a_{n-1}^2.  a_1^2 only meets z_0 = 0 but is validated
     # right after b_2: gamma-derived, it reads a gamma b_2..b_n never read.
-    diag = sys.b.window(2, min(n, 2))
-    sub = [sys.a2_at(k) for k in range(1, min(n, 2))]
-    diag += sys.b.window(3, n)
-    sub += [sys.a2_at(k) for k in range(2, n)]
-    return [Polynomial.zero(), Polynomial.one()] + _recurrence(_pairs(diag), _pairs(sub[1:]))
+    b, a2 = sys._pair_readers(n)
+    diag = []
+    if n >= 2:
+        diag.append(b(2))
+        a2(1)
+    diag += [b(m) for m in range(3, n + 1)]
+    sub = [a2(m) for m in range(2, n)]
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(diag, sub)
 
 
 def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    return [Polynomial.one()] + _recurrence([(0, 1)] * _order(n), _pairs(sym.nu.window(1, n)[1:]))
+    nu = [sym.nu._pair(k) for k in range(1, _order(n) + 1)]
+    return [Polynomial.one()] + _recurrence([(0, 1)] * n, nu[1:])
 
 
 # -- moments ------------------------------------------------------------------

@@ -43,6 +43,7 @@ from opchain import (
     cli,
 )
 from opchain.chains import _gamma_system
+from opchain.errors import StreamExhausted
 from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
@@ -196,6 +197,8 @@ _GAMMA_ROWS = {
     # tilde and hat without their gamma_1 > 0 guard: a_1^2 = gamma_1 gamma_4
     "tilde_row": lambda g: _gamma_system(g, (-1, 0), (-1, 2), b1=1),
     "hat_row": lambda g: _gamma_system(g, (-1, 0), (-1, 2)),
+    # a row whose a2 reaches further into the gamma than its b
+    "wide_a2_row": lambda g: _gamma_system(g, (-1, 0), (1, 4)),
 }
 
 
@@ -211,7 +214,7 @@ def _parity_gammas():
     out = {f"random{s}": list(random_gamma(rng, 24).gamma.window(1, 24)) for s in range(3)}
     base = out["random0"]
     out["gamma1=0"] = [Rat(0)] + base[1:]
-    for length in range(1, 9):
+    for length in range(9):
         out[f"short{length}"] = base[:length]
     for k in range(1, 17):
         bad = list(base)
@@ -258,3 +261,139 @@ def test_q_system_reads_each_gamma_once():
     monic_sequence(q_system(gamma), 50)
     assert sorted(reads) == list(range(3, 103))  # b_m = gamma_{2m+1} + gamma_{2m+2}
     assert max(reads.values()) == 1
+
+
+# -- every integer-pair reader, on value-backed and rule-backed streams ------------
+#
+# A value stream hands out its stored integers and a rule's value is split on
+# read; either way a reader's pairs must be ``_pairs`` of the rationals the
+# streams give, and a fault must be the one the rational read meets first.
+
+
+def _rule_copy(stream: CoeffStream) -> CoeffStream:
+    """The entries of a value stream as a rule, which ends where it ends."""
+    vals, stop = stream.window(1, stream.stop), stream.stop
+
+    def fn(k):
+        if k > stop:
+            raise StreamExhausted(k, f"index {k} outside [1, {stop}]")
+        return vals[k - 1]
+
+    return CoeffStream.from_fn(fn)
+
+
+_COPIES = {"values": lambda s: s, "rule": _rule_copy}
+
+
+def _rational_associated(sys_, n):
+    """``associated_sequence`` over the rationals, in its read order."""
+    if n == 0:
+        return [Polynomial.zero()]
+    diag = sys_.b.window(2, min(n, 2))
+    sub = [sys_.a2_at(k) for k in range(1, min(n, 2))]
+    diag += sys_.b.window(3, n)
+    sub += [sys_.a2_at(k) for k in range(2, n)]
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(_pairs(diag), _pairs(sub[1:]))
+
+
+def _rational_symmetric(sym, n):
+    return [Polynomial.one()] + _recurrence([(0, 1)] * n, _pairs(sym.nu.window(1, n)[1:]))
+
+
+def _assert_pair_readers(sys_, label):
+    for n in range(9):
+        want = _outcome(lambda: tuple(_pairs(w) for w in sys_.block(n)))
+        assert _outcome(lambda: sys_._block_pairs(n)) == want, (label, n)
+        want = _outcome(lambda: _rational_associated(sys_, n))
+        assert _outcome(lambda: associated_sequence(sys_, n)) == want, (label, n)
+
+
+@pytest.mark.parametrize("copy", sorted(_COPIES))
+@pytest.mark.parametrize("gamma", sorted(_PARITY_GAMMAS))
+def test_pair_readers_of_every_gamma_row(gamma, copy):
+    g = GammaSeq(_COPIES[copy](CoeffStream.from_values(_PARITY_GAMMAS[gamma])))
+    for row, make in sorted(_GAMMA_ROWS.items()):
+        sys_ = _outcome(lambda: make(g))
+        if not isinstance(sys_, tuple):  # the constructor itself rejected the gamma
+            _assert_pair_readers(sys_, row)
+    sym = SymmetricSystem(g.gamma)
+    for n in range(17):
+        want = _outcome(lambda: _rational_symmetric(sym, n))
+        assert _outcome(lambda: symmetric_sequence(sym, n)) == want, n
+
+
+def _value_systems():
+    b = [Rat(k, 3) - 2 for k in range(1, 9)]  # negative, zero and positive b
+    a2 = [Rat(k * k, 5) for k in range(1, 8)]
+    out = {"full": (b, a2)}
+    for k in range(1, 8):
+        bad = list(a2)
+        bad[k - 1] = Rat(-k, 7) if k % 2 else Rat(0)
+        out[f"a2_{k}<=0"] = (b, bad)
+    for m in range(8):
+        out[f"short_b{m}"] = (b[:m], a2)
+        out[f"short_a2{m}"] = (b, a2[:m])
+    return out
+
+
+_VALUE_SYSTEMS = _value_systems()
+
+
+@pytest.mark.parametrize("copy", sorted(_COPIES))
+@pytest.mark.parametrize("system", sorted(_VALUE_SYSTEMS))
+def test_pair_readers_of_value_systems(system, copy):
+    b, a2 = (CoeffStream.from_values(w) for w in _VALUE_SYSTEMS[system])
+    _assert_pair_readers(ThreeTermSystem(_COPIES[copy](b), _COPIES[copy](a2)), system)
+
+
+def test_pair_readers_reach_every_fault_kind():
+    kinds = set()
+    for b, a2 in _VALUE_SYSTEMS.values():
+        first = _outcome(lambda: associated_sequence(ThreeTermSystem.from_values(b, a2), 8))[0]
+        if isinstance(first, str):
+            kinds.add(first)
+    assert kinds == {"NonPositiveA2", "StreamExhausted"}
+
+
+def test_associated_sequence_reads_each_gamma_once():
+    vals = list(random_gamma(random.Random(6), 90).gamma.window(1, 90))
+    reads = Counter()
+    gamma = GammaSeq(CoeffStream.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    associated_sequence(system_from_gamma(gamma), 40)
+    # b_2..b_40 = gamma_3 + gamma_4 .. gamma_79 + gamma_80, and a_1^2 = gamma_2 gamma_3:
+    # b_1 = gamma_1 + gamma_2 is never read
+    assert sorted(reads) == list(range(2, 81))
+    assert max(reads.values()) == 1
+
+
+def test_stored_pairs_only_where_no_read_can_fail():
+    g = GammaSeq.from_values([0, Rat(1, 2), 3, 4])
+    assert g._stored_pairs(4) == [None, (0, 1), (1, 2), (3, 1), (4, 1)]
+    assert g._stored_pairs(1) == [None, (0, 1)]
+    assert g._stored_pairs(5) is None and g._stored_pairs(0) is None
+    assert GammaSeq.from_values([Rat(-1, 2), 2])._stored_pairs(2) is None
+    assert GammaSeq.from_values([1, 0, 3])._stored_pairs(3) is None
+    assert GammaSeq.from_values([1, 0, 3])._stored_pairs(1) == [None, (1, 1)]
+    assert GammaSeq.from_fn(lambda k: Rat(k))._stored_pairs(3) is None
+
+
+class _CountingValues(CoeffStream):
+    __slots__ = ("reads",)
+
+    def _pair(self, n):
+        self.reads += 1
+        return super()._pair(n)
+
+
+@pytest.mark.parametrize("row", sorted(_GAMMA_ROWS))
+def test_rows_index_an_admissible_stored_gamma(row):
+    # a value gamma with no fault is read from its integer tuples, not entry by entry
+    # (bad16 has gamma_16 = 0, inside the window every row's order-8 block spans)
+    for gamma, direct in (("random0", True), ("bad16", False)):
+        stream = _CountingValues(values=_PARITY_GAMMAS[gamma])
+        stream.reads = 0
+        sys_ = _GAMMA_ROWS[row](GammaSeq(stream))
+        stream.reads = 0
+        want = _outcome(lambda: tuple(_pairs(w) for w in sys_.block(8)))
+        assert _outcome(lambda: sys_._block_pairs(8)) == want
+        assert (stream.reads == 0) == direct, gamma

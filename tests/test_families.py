@@ -28,6 +28,7 @@ from opchain.errors import (
     ZeroDenominator,
 )
 from opchain.families import _rr_raw
+from opchain.systems import _pairs
 
 
 def P(*coeffs):
@@ -71,6 +72,33 @@ def test_laguerre_gamma_matches_recovery():
     closed1 = laguerre_gamma(0, 1)
     recovered1 = gamma_from_system(e_family_system(0), Rat(1), 50)
     assert closed1.window(1, 102) == recovered1.window(1, 102)
+
+
+# alpha > -1 of each sign, an integer, a fraction, and one of 400 digits
+_ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3), Rat(int("7" * 400), 3**41))
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS, ids=["-1/2", "0", "1", "7/3", "400 digits"])
+def test_closed_forms_equal_the_rational_formulas(alpha):
+    # each entry is one rational built from alpha's integers; it must be the
+    # value, and the type, of the rational formula it stands for
+    rules = (
+        (laguerre_system, lambda n: 2 * n + alpha - 1, lambda n: n * (n + alpha)),
+        (e_family_system, lambda n: 2 * n + alpha, lambda n: (n + 1) * (n + alpha)),
+    )
+    for make, b, a2 in rules:
+        sys_ = make(alpha)
+        got = [(sys_.b_at(n), sys_.a2_at(n)) for n in range(1, 61)]
+        assert got == [(b(n), a2(n)) for n in range(1, 61)]
+        assert all(type(v) is Rat for pair in got for v in pair)
+        assert sys_._block_pairs(60) == (_pairs(map(b, range(1, 61))),
+                                         _pairs(map(a2, range(1, 60))))
+    for gamma1 in (0, 1):
+        got = laguerre_gamma(alpha, gamma1).window(1, 120)
+        want = [Rat(gamma1)] + [Rat(k, 2) + alpha if k % 2 == 0 else Rat((k - 1) // 2 + gamma1)
+                                for k in range(2, 121)]
+        assert got == want
+        assert all(type(v) is Rat for v in got)
 
 
 def test_kernel_shift_identity():

@@ -21,7 +21,13 @@ from opchain import (
     zeros_with_brackets,
 )
 from opchain import jacobi, perturb
-from opchain.errors import FloatOverflow, LengthMismatch, NonPositiveA2, PivotBreakdown
+from opchain.errors import (
+    FloatOverflow,
+    InvalidRationalLiteral,
+    LengthMismatch,
+    NonPositiveA2,
+    PivotBreakdown,
+)
 from opchain.jacobi import darboux_pivot_check
 from opchain.verify import random_gamma
 
@@ -63,6 +69,12 @@ def test_lu_laguerre_multiply_back():
     assert f.u_diag == (1, 2, 3) and f.l_sub == (1, 2)
     assert f.product() == J
     assert f.reconstruct() == J
+
+
+def test_lu_rejects_a_float_gamma1():
+    with pytest.raises(InvalidRationalLiteral, match="float 0.5 is not exact"):
+        lu_factor(truncate(LAG0, 3), 0.5)
+    assert lu_factor(truncate(LAG0, 3), "0").u_diag == (1, 2, 3)
 
 
 def test_lu_rejects_empty_matrix():

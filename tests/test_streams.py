@@ -1,7 +1,14 @@
 import pytest
 
-from opchain import Rat
-from opchain.errors import StreamExhausted
+from opchain import (
+    GammaSeq,
+    Rat,
+    ThreeTermSystem,
+    laguerre_system,
+    monic_sequence,
+    system_from_gamma,
+)
+from opchain.errors import InvalidRationalLiteral, StreamExhausted
 from opchain.streams import CoeffStream
 
 
@@ -32,3 +39,42 @@ def test_empty_value_stream():
     s = CoeffStream.from_values([])
     assert s.stop == 0
     assert _exhausted(s, 1) == "index 1 outside [1, 0]"
+
+
+def test_value_stream_holds_its_integers():
+    s = CoeffStream.from_values([Rat(6, 4), -2, "3/9"])
+    assert (s.nums, s.dens) == ((3, -2, 1), (2, 1, 3))
+    assert [s._pair(k) for k in (1, 2, 3)] == [(3, 2), (-2, 1), (1, 3)]
+    assert all(type(v) is int for v in s.nums + s.dens)
+    assert _exhausted(s, 4) == "index 4 outside [1, 3]"
+    with pytest.raises(StreamExhausted, match=r"index 0 outside \[1, 3\]"):
+        s._pair(0)
+
+
+def test_rule_values_are_normalised_on_read():
+    s = CoeffStream.from_fn(lambda n: n if n % 2 else f"{n}/4")
+    assert s.nums is None
+    assert s[3] == 3 and type(s[3]) is Rat
+    assert s[2] == Rat(1, 2) and s._pair(2) == (1, 2)
+    with pytest.raises(StreamExhausted, match=r"index 0 outside \[1, None\]"):
+        s._pair(0)
+
+
+def _float_rule(k):
+    return 0.5
+
+
+@pytest.mark.parametrize("read", [
+    lambda: CoeffStream.from_fn(_float_rule)[1],
+    lambda: CoeffStream.from_fn(_float_rule)._pair(1),
+    # a gamma rule, read by the integer-pair block and by the streams
+    lambda: monic_sequence(system_from_gamma(GammaSeq.from_fn(_float_rule)), 2),
+    lambda: system_from_gamma(GammaSeq.from_fn(_float_rule)).block(2),
+    # a rule of a system
+    lambda: monic_sequence(ThreeTermSystem(CoeffStream.from_fn(_float_rule),
+                                           laguerre_system(0).a2), 2),
+    lambda: ThreeTermSystem(laguerre_system(0).b, CoeffStream.from_fn(_float_rule)).block(2),
+])
+def test_a_float_from_a_rule_is_rejected(read):
+    with pytest.raises(InvalidRationalLiteral, match="float 0.5 is not exact"):
+        read()
