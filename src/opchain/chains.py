@@ -334,7 +334,6 @@ class IdentityReport:
     """Outcome of a family of exact identities, one item per (name, index)."""
 
     items: tuple  # of (name, index, ok)
-    notes: str = ""
 
     @property
     def ok(self) -> bool:
@@ -347,23 +346,16 @@ class IdentityReport:
                 return (name, idx)
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "items": [{"name": n, "index": i, "ok": ok} for n, i, ok in self.items],
-            "notes": self.notes,
-        }
-
 
 def kernel_identity_check(gamma: GammaSeq, n: int,
                           kernel_gamma: GammaSeq | None = None) -> IdentityReport:
     """Verify x K_m = P_{m+1} + gamma_{2m+2} P_m and K_m = P_m - gamma_{2m+1} K_{m-1}.
 
     P is taken on the minimal branch (b_1 = gamma_2): that is the only
-    convention under which the m = 0 case x = P_1 + gamma_2 closes, and the
-    report records it.  Both identities hold for every admissible gamma, so
-    a negative control must desynchronise one ingredient: ``kernel_gamma``
-    feeds the kernel side from a different sequence.
+    convention under which the m = 0 case x = P_1 + gamma_2 closes.  Both
+    identities hold for every admissible gamma, so a negative control must
+    desynchronise one ingredient: ``kernel_gamma`` feeds the kernel side
+    from a different sequence.
     """
     base = system_from_gamma(gamma, minimal_branch=True)
     ker = kernel_system(kernel_gamma if kernel_gamma is not None else gamma)
@@ -379,7 +371,7 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
         lhs = K[m]
         rhs = P[m] - K[m - 1].scale(gamma.at(2 * m + 1))
         items.append(("K = P - gamma_odd*K(-1)", m, lhs == rhs))
-    return IdentityReport(tuple(items), notes="minimal branch: leading parameter folded to zero")
+    return IdentityReport(tuple(items))
 
 
 # -- chain sequences from a system ------------------------------------------------
@@ -453,13 +445,6 @@ class WallVerdict:
     up_to: int
     witness: int | None = None
 
-    def tag(self) -> str:
-        w = f"(witness={self.witness})" if self.witness is not None else ""
-        return f"{self.kind}{w} up to N={self.up_to}"
-
-    def to_json(self) -> dict:
-        return {"verdict": self.kind, "up_to": self.up_to, "witness": self.witness}
-
 
 def wall_sppcs_test(m: ParameterSeq, N: int) -> WallVerdict:
     """Classify a chain sequence from its minimal parameters over a window.
@@ -470,9 +455,10 @@ def wall_sppcs_test(m: ParameterSeq, N: int) -> WallVerdict:
     for the parameters being unique.  ComplementIsSPPCS: 0 < m_n < 1/2 for
     all n <= N, under which the complementary chain sequence has a unique
     parameter sequence.  Anything else is Inconclusive with the first
-    witness index.  All three are statements about the window only.
+    witness index.  All three are statements about the window only.  A
+    negative N is a ValueError.
     """
-    if N < 1:
+    if _order(N) < 1:
         return WallVerdict("Inconclusive", N)
     if N >= len(m):
         raise LengthMismatch(f"window N = {N} needs m_0..m_{N}, got {len(m)} parameters")
@@ -492,13 +478,6 @@ class TrueIntervalVerdict:
     passed: bool
     up_to: int
     witness: str | None = None
-
-    def tag(self) -> str:
-        return f"PassUpTo({self.up_to})" if self.passed else f"Fail({self.witness})"
-
-    def to_json(self) -> dict:
-        return {"verdict": "PassUpTo" if self.passed else "Fail",
-                "up_to": self.up_to, "witness": self.witness}
 
 
 def true_interval_predicate(sys: ThreeTermSystem, a, b, N: int) -> TrueIntervalVerdict:

@@ -382,13 +382,6 @@ class InterlaceVerdict:
     interlaced: bool
     witness: int | None = None
 
-    def tag(self) -> str:
-        return "Interlaced" if self.interlaced else f"NotInterlaced({self.witness})"
-
-    def to_json(self) -> dict:
-        return {"verdict": "Interlaced" if self.interlaced else "NotInterlaced",
-                "witness": self.witness}
-
 
 def interlace_check(xs, ys, tol: float) -> InterlaceVerdict:
     """Mutual separation of two ascending zero sets of equal length.

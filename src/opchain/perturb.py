@@ -24,7 +24,7 @@ from .chains import GammaSeq, IdentityReport, _gamma_system, kernel_system, syst
 from .errors import DegenerateFavard, Gamma1Zero
 from .jacobi import interlace_check, truncate, zeros
 from .poly import Polynomial, even_part, odd_part
-from .scalars import Rat, format_scalar
+from .scalars import Rat
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
@@ -45,10 +45,10 @@ def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
 
     nu_{2j} = gamma_{2j-1} and nu_{2j+1} = gamma_{2j+2}, so the stream
     (gamma_1, gamma_2, gamma_3, gamma_4, ...) is consumed as
-    (gamma_2, gamma_1, gamma_4, gamma_3, ...).
+    (gamma_2, gamma_1, gamma_4, gamma_3, ...).  A negative N is a ValueError.
     """
     vals = []
-    for n in range(1, 2 * N + 1):
+    for n in range(1, 2 * _order(N) + 1):
         if n % 2 == 0:
             vals.append(gamma.at(n - 1))
         else:
@@ -167,22 +167,15 @@ def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
 # -- identity checks -------------------------------------------------------------
 
 
-def swap_split_check(gamma: GammaSeq, N: int, swap: bool = True) -> IdentityReport:
-    """Even/odd split of the (optionally swapped) symmetric family.
+def swap_split_check(gamma: GammaSeq, N: int) -> IdentityReport:
+    """Even/odd split of the swapped symmetric family.
 
-    With the swap: even_part(S_{2n}) must equal the tilde polynomial and
-    odd_part(S_{2n+1}) the tilde-kernel polynomial, exactly, for n <= N.
-    Without it the split lands on the unperturbed base (minimal branch) and
-    kernel families instead.
+    even_part(S_{2n}) must equal the tilde polynomial and odd_part(S_{2n+1})
+    the tilde-kernel polynomial, exactly, for n <= N.
     """
-    if swap:
-        sym = swapped_nu(gamma, N + 1)
-        even_sys = tilde_system(gamma)    # raises Gamma1Zero when gamma_1 = 0
-        odd_sys = tilde_kernel_system(gamma)
-    else:
-        sym = SymmetricSystem.from_values(gamma.window(1, 2 * N + 2))
-        even_sys = system_from_gamma(gamma, minimal_branch=True)
-        odd_sys = kernel_system(gamma)
+    sym = swapped_nu(gamma, N + 1)
+    even_sys = tilde_system(gamma)    # raises Gamma1Zero when gamma_1 = 0
+    odd_sys = tilde_kernel_system(gamma)
     S = symmetric_sequence(sym, 2 * N + 1)
     P = monic_sequence(even_sys, N)
     K = monic_sequence(odd_sys, N)
@@ -190,7 +183,7 @@ def swap_split_check(gamma: GammaSeq, N: int, swap: bool = True) -> IdentityRepo
     for n in range(0, N + 1):
         items.append(("even_part(S_2n) == P_n", n, even_part(S[2 * n]) == P[n]))
         items.append(("odd_part(S_2n+1) == K_n", n, odd_part(S[2 * n + 1]) == K[n]))
-    return IdentityReport(tuple(items), notes="swap" if swap else "no swap")
+    return IdentityReport(tuple(items))
 
 
 def _quasi_sequences(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
@@ -244,19 +237,6 @@ class InterlacingReport:
     verdict: str              # excluded | observed | undetermined
     reason: str
     witnesses: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sum_base": format_scalar(self.sum_base),
-            "sum_tilde": format_scalar(self.sum_tilde),
-            "zero_sum_base": self.zero_sum_base,
-            "zero_sum_tilde": self.zero_sum_tilde,
-            "trace_consistent": self.trace_consistent,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def zero_sum_interlacing_report(gamma: GammaSeq, n: int, tol: float) -> InterlacingReport:

@@ -119,7 +119,8 @@ class Polynomial:
         return Polynomial._reduced(out, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
-        c = coerce_exact(c)
+        if type(c) is not Rat:
+            c = coerce_exact(c)
         p, q = c.numerator, c.denominator
         if not p or not self.nums:
             return Polynomial.zero()

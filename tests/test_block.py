@@ -34,14 +34,17 @@ from opchain import (
     system_from_gamma,
     systems_agree,
     tilde_kernel_system,
+    swapped_nu,
     tilde_system,
     truncate,
     u_system,
     unified_coefficients,
     unified_sequence,
+    wall_sppcs_test,
     zeros_with_brackets,
     cli,
 )
+from opchain.chains import WallVerdict
 from opchain.chains import _gamma_system
 from opchain.errors import StreamExhausted
 from opchain.streams import CoeffStream
@@ -167,6 +170,9 @@ _ORDER_READERS = {
                            (1 - _D.at(1) / (1 - _D.at(2)),)),
     "parameters_from_gamma": (lambda n: parameters_from_gamma(G12, n).g, (Rat(1, 3),)),
     "kernel_invariance_condition": (lambda n: kernel_invariance_condition(G12, n), True),
+    "swapped_nu": (lambda n: swapped_nu(G12, n).nu.window(1, 2 * n), []),
+    "wall_sppcs_test": (lambda n: wall_sppcs_test(minimal_parameters(_D, 3), n),
+                        WallVerdict("Inconclusive", 0)),
 }
 
 

@@ -165,6 +165,14 @@ def test_chain_at_origin_laguerre():
     assert d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
 
 
+def test_chain_and_parameter_values():
+    d = chain_at(LAG0, Rat(0), 3)
+    m = minimal_parameters(d, 3)
+    assert d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
+    assert m.g == (0, Rat(1, 3), Rat(2, 5), Rat(3, 7))
+    assert m.minimal and m.horizon is None
+
+
 def test_chain_at_pole():
     with pytest.raises(PoleAtB) as exc:
         chain_at(LAG0, Rat(1), 2)
@@ -281,7 +289,7 @@ def test_wall_complement_for_alpha_zero():
     m = minimal_parameters(chain_at(LAG0, Rat(0), 50), 50)
     v = wall_sppcs_test(m, 50)
     assert v.kind == "ComplementIsSPPCS"
-    assert "up to N=50" in v.tag()
+    assert v.up_to == 50 and v.witness is None
 
 
 def test_wall_window_longer_than_parameters():
@@ -300,13 +308,21 @@ def test_wall_inconclusive():
 
 def test_true_interval_laguerre_half_line():
     v = true_interval_predicate(LAG0, Rat(0), INFINITY, 20)
-    assert v.passed and v.tag() == "PassUpTo(20)"
+    assert v.passed and v.up_to == 20 and v.witness is None
 
 
 def test_true_interval_fails_on_wrong_window():
     v = true_interval_predicate(LAG0, Rat(2), Rat(3), 5)
     assert not v.passed
     assert "b_1" in v.witness  # b_1 = 1 is already outside (2, 3)
+
+
+def test_verdicts_carry_witnesses():
+    v = true_interval_predicate(LAG0, Rat(2), Rat(3), 4)
+    assert not v.passed and v.up_to == 4 and "b_1" in v.witness
+    m = minimal_parameters(chain_at(LAG0, Rat(0), 10), 10)
+    w = wall_sppcs_test(m, 10)
+    assert (w.kind, w.up_to, w.witness) == ("ComplementIsSPPCS", 10, None)
 
 
 def test_true_interval_vacuous_window():

@@ -338,7 +338,6 @@ def test_interlace_simple():
 def test_interlace_disjoint_blocks():
     v = interlace_check([1.0, 2.0], [5.0, 6.0], 1e-12)
     assert not v.interlaced and v.witness == 1
-    assert v.tag() == "NotInterlaced(1)"
 
 
 def test_interlace_kernel_zeros():

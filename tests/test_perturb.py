@@ -7,16 +7,20 @@ from opchain import (
     GammaSeq,
     Polynomial,
     Rat,
+    SymmetricSystem,
     associated_sequence,
+    even_part,
     hat_system,
     kernel_invariance_condition,
     kernel_system,
     laguerre_gamma,
     laguerre_system,
     monic_sequence,
+    odd_part,
     q_system,
     swap_split_check,
     swapped_nu,
+    symmetric_sequence,
     system_from_gamma,
     systems_agree,
     tilde_kernel_system,
@@ -343,10 +347,17 @@ def test_swap_split_random_depth():
 
 
 def test_swap_split_disabled_lands_on_unperturbed():
+    # the unswapped nu = gamma split classically: even parts give the
+    # minimal-branch base family, odd parts the kernel family
     rng = random.Random(29)
     gamma = GammaSeq.from_values([0] + random_gamma(rng, 34).window(2, 34))
-    rep = swap_split_check(gamma, 10, swap=False)
-    assert rep.ok and rep.notes == "no swap"
+    N = 10
+    S = symmetric_sequence(SymmetricSystem.from_values(gamma.window(1, 2 * N + 2)), 2 * N + 1)
+    P = monic_sequence(system_from_gamma(gamma, minimal_branch=True), N)
+    K = monic_sequence(kernel_system(gamma), N)
+    for n in range(N + 1):
+        assert even_part(S[2 * n]) == P[n]
+        assert odd_part(S[2 * n + 1]) == K[n]
 
 
 def test_swap_split_rejects_zero_gamma1():
@@ -382,7 +393,10 @@ def test_interlacing_excluded_by_sign_obstruction():
         assert rep.witnesses
 
 
-def test_interlacing_report_json_shape():
-    rep = zero_sum_interlacing_report(laguerre_gamma(0, 1), 2, 1e-12)
-    doc = rep.to_json()
-    assert set(doc) >= {"n", "sum_base", "sum_tilde", "verdict", "witnesses"}
+def test_interlacing_report_fields():
+    gamma = laguerre_gamma(0, 1)
+    rep = zero_sum_interlacing_report(gamma, 2, 1e-12)
+    assert rep.n == 2
+    assert rep.sum_base == rep.sum_tilde == sum(gamma.window(2, 4), Rat(0))
+    assert (rep.verdict, rep.witnesses) == ("excluded", ())
+    assert rep.reason == "equal zero sums (gamma_1 = gamma_2)"

@@ -136,6 +136,20 @@ def test_float_evaluation_point_rejected():
         P(1, 1)(0.5)
 
 
+def test_float_scale_factor_rejected():
+    with pytest.raises(InvalidRationalLiteral):
+        P(1, 1).scale(0.5)
+
+
+def test_exact_scale_factor_is_not_coerced(monkeypatch):
+    import opchain.poly
+    p, half, triple = P(2, 4), P(1, 2), P(6, 12)
+    calls = []
+    monkeypatch.setattr(opchain.poly, "coerce_exact", lambda c: calls.append(c) or Rat(c))
+    assert p.scale(Rat(1, 2)) == half and calls == []
+    assert p.scale(3) == triple and calls == [3]  # an int is still coerced
+
+
 def test_float_in_coeff_stream_rejected():
     with pytest.raises(InvalidRationalLiteral):
         CoeffStream.from_values([Rat(1), 2, 0.5])

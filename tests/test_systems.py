@@ -140,7 +140,6 @@ def test_kernel_identities_laguerre():
     from opchain import laguerre_gamma
     rep = kernel_identity_check(laguerre_gamma(0, 0), 6)
     assert rep.ok
-    assert "minimal branch" in rep.notes
 
 
 def test_kernel_identity_smallest_case():
