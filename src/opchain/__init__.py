@@ -34,7 +34,6 @@ from .families import (
     laguerre_gamma,
     laguerre_system,
     monicize_step,
-    rr_monicize,
     rr_system,
 )
 from .jacobi import (

@@ -18,18 +18,18 @@ row of offsets (i, j, k, l) in
     b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
 
 with b_1 optionally replaced by a single gamma_r; ``_gamma_system`` builds
-all of them.
+all of them from one pair of integer-pair formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import (
     InvalidGamma1,
     LengthMismatch,
-    NonPositiveA2,
     NonPositiveGamma,
     NotAChainSequence,
     NotMinimal,
@@ -67,14 +67,9 @@ class GammaSeq:
         return v
 
     def _pair(self, k: int) -> tuple[int, int]:
-        """``at(k)`` as (numerator, denominator) Python ints, with the same errors."""
-        p, q = self.gamma._pair(k)
-        if k == 1:
-            if p < 0:
-                raise NonPositiveGamma(1, f"gamma_1 = {Rat(p, q)} is negative")
-        elif p <= 0:
-            raise NonPositiveGamma(k, f"gamma_{k} = {Rat(p, q)} is not positive")
-        return p, q
+        """``at(k)`` as (numerator, denominator) Python ints."""
+        v = self.at(k)
+        return int(v.numerator), int(v.denominator)
 
     def _stored_pairs(self, hi: int):
         """[None, pair of gamma_1, ..., pair of gamma_hi] when the gamma is a
@@ -225,80 +220,58 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     return GammaSeq.from_values(g)
 
 
+def _row_pairs(g, i: int, j: int, k: int, l: int, b1: int | None):
+    """The entries of one row as unchecked readers over ``g``, a reader of
+    gamma (numerator, denominator) pairs: b(m) = g(2m+i) + g(2m+j), or g(b1)
+    at m = 1 when ``b1`` is set, and a2(m) = g(2m+k) g(2m+l), each read left
+    operand first and reduced with one gcd."""
+
+    def b(m: int):
+        if m == 1 and b1 is not None:
+            return g(b1)
+        (p, q), (r, s) = g(2 * m + i), g(2 * m + j)
+        num, den = p * s + r * q, q * s
+        c = gcd(num, den)
+        return num // c, den // c
+
+    def a2(m: int):
+        (p, q), (r, s) = g(2 * m + k), g(2 * m + l)
+        num, den = p * r, q * s
+        c = gcd(num, den)
+        return num // c, den // c
+
+    return b, a2
+
+
 @dataclass(frozen=True, eq=False)
 class _GammaRow(ThreeTermSystem):
     """A ``_gamma_system`` row: its streams, plus the gamma and offsets
-    they are read from, for the integer-pair readers."""
+    (i, j, k, l, b1) that its pair readers read."""
 
     gamma: GammaSeq
-    offsets: tuple  # (i, j, k, l, b1)
+    offsets: tuple
 
-    def _pair_readers(self, n: int):
-        """Pair readers (b, a2) as ``ThreeTermSystem._pair_readers``, over one
-        read of the gamma, with one gcd per entry.
-
-        When every gamma the order-n block can meet is a stored value that
-        passes validation, the readers index the stored integers: nothing
-        can fail but a_m^2 <= 0 from gamma_1 = 0, which they check in the
-        same place.  Otherwise each gamma is read and validated once, the
-        first time a reader meets it, so a fault names the same index with
-        the same error as the rational read.
-        """
+    def _raw_pair_readers(self, n: int):
+        """``_row_pairs`` over one read of the gamma: the stored integers
+        when ``at`` accepts every gamma the order-n block can meet, else
+        ``GammaSeq._pair`` once per gamma, so a fault names the index and
+        error of the rational read."""
         i, j, k, l, b1 = self.offsets
         # no entry of the order-n block reads past gamma_hi
-        hi = max(2 * n + max(i, j), 2 * n - 2 + max(k, l), b1 or 0)
-        stored = self.gamma._stored_pairs(hi)
-        if stored is not None:
-            g = stored.__getitem__
-        else:
-            read, seen = self.gamma._pair, {}
-
-            def g(idx: int):
-                pair = seen.get(idx)
-                if pair is None:
-                    pair = seen[idx] = read(idx)
-                return pair
-
-        def b(m: int):
-            if m == 1 and b1 is not None:
-                return g(b1)
-            (p, q), (r, s) = g(2 * m + i), g(2 * m + j)
-            num, den = p * s + r * q, q * s
-            c = gcd(num, den)
-            return num // c, den // c
-
-        def a2(m: int):
-            (p, q), (r, s) = g(2 * m + k), g(2 * m + l)
-            num, den = p * r, q * s
-            if num <= 0:
-                raise NonPositiveA2(m, f"a2[{m}] = {Rat(num, den)} is not positive")
-            c = gcd(num, den)
-            return num // c, den // c
-
-        return b, a2
+        stored = self.gamma._stored_pairs(max(2 * n + max(i, j), 2 * n - 2 + max(k, l), b1 or 0))
+        return _row_pairs(cache(self.gamma._pair) if stored is None else stored.__getitem__,
+                          *self.offsets)
 
 
 def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
                   b1: int | None = None) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
     for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
-
-    Both streams read ``gamma.at`` lazily, left operand first; the kernel,
-    the moment walk, the zeros and the associated sequence take their
-    entries from one pass over the gammas instead (``_GammaRow._pair_readers``).
-    """
-    (i, j), (k, l) = b, a2
-
-    def diag(m: int):
-        if m == 1 and b1 is not None:
-            return gamma.at(b1)
-        return gamma.at(2 * m + i) + gamma.at(2 * m + j)
-
-    return _GammaRow(
-        CoeffStream.from_fn(diag),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)),
-        gamma, (i, j, k, l, b1),
-    )
+    Its streams are rational views of ``_row_pairs`` over ``GammaSeq._pair``."""
+    offsets = (*b, *a2, b1)
+    diag, sub = _row_pairs(gamma._pair, *offsets)
+    return _GammaRow(CoeffStream.from_fn(lambda m: Rat(*diag(m))),
+                     CoeffStream.from_fn(lambda n: Rat(*sub(n))), gamma, offsets)
 
 
 def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTermSystem:

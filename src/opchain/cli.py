@@ -32,6 +32,7 @@ from .serialize import gamma_from_json, system_from_json, values_to_json
 from .systems import convergent, laurent_expand, moments, monic_sequence
 
 FAMILY_NAMES = tuple(families.FAMILIES)
+FAMILY_PARAMS = tuple(dict.fromkeys(row[0] for row in families.FAMILIES.values()))
 
 
 def _emit(doc, out=None):
@@ -51,11 +52,11 @@ def _fmt(values, as_float: bool):
 
 def _family_system(args):
     name = args.family
-    param, build, _ = families.FAMILIES[name]
+    param = families.FAMILIES[name][0]
     value = getattr(args, param)
     if value is None:
         raise ValueError(f"{name} requires --{param}")
-    return build(parse_rational(value)), {"name": name, "params": {param: value}}
+    return families.closed_form(name, value), {"name": name, "params": {param: value}}
 
 
 def _read_input(path):
@@ -212,10 +213,14 @@ def cmd_convergent(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _add_family_params(p):
+    for param in FAMILY_PARAMS:  # --alpha, --p
+        p.add_argument(f"--{param}", help="family parameter as a rational string")
+
+
 def _add_system_source(p, with_gamma1=False):
     p.add_argument("--family", choices=FAMILY_NAMES)
-    p.add_argument("--alpha", help="family parameter as a rational string")
-    p.add_argument("--p", help="finite-family parameter as a rational string")
+    _add_family_params(p)
     p.add_argument("--input", help="path to a system/gamma JSON document")
     if with_gamma1:
         p.add_argument("--gamma1", help="leading gamma entry (rational string)")
@@ -227,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="emit a closed-form family with its chain data")
     p.add_argument("family", choices=FAMILY_NAMES)
-    p.add_argument("--alpha")
-    p.add_argument("--p")
+    _add_family_params(p)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--gamma1")
     p.add_argument("--float", action="store_true")

@@ -13,11 +13,10 @@ from .chains import GammaSeq
 from .errors import (
     AlphaOutOfRange,
     DegreeBeyondFamily,
-    IndexedError,
     NonPositiveInput,
     ZeroDenominator,
 )
-from .scalars import Rat, coerce_exact
+from .scalars import Rat, coerce_exact, parse_rational
 from .streams import CoeffStream
 from .systems import ThreeTermSystem
 
@@ -150,22 +149,6 @@ def monicize_step(A_n, B_n, C_n, A_prev):
     return -B_n / A_n, C_n / (A_n * A_prev)
 
 
-def rr_monicize(params: RRParams, n: int):
-    """Monic coefficients (b_{n+1}, a_n^2) of the finite family at step n,
-    read from the scan; a_0^2 multiplies P_{-1} and is 0.
-
-    Step n_max raises a fresh copy of the scan's ``stop_error``; other steps
-    outside the window, and step n_max at the cap, raise DegreeBeyondFamily.
-    """
-    if 0 <= n < params.n_max:
-        return params.b[n], params.a2[n - 1] if n else Rat(0)
-    err = params.stop_error
-    if n == params.n_max and err is not None:
-        raise type(err)(*(err.index, str(err)) if isinstance(err, IndexedError) else err.args)
-    raise DegreeBeyondFamily("n must be >= 0" if n < 0 else
-                             f"step n = {n} beyond validity window (n_max = {params.n_max})")
-
-
 def rr_system(params: RRParams) -> ThreeTermSystem:
     """Finite-stream system serving degrees up to n_max."""
     return ThreeTermSystem.from_values(params.b, params.a2)
@@ -178,6 +161,12 @@ FAMILIES = {
     "laguerre_assoc1": ("alpha", e_family_system, 1),
     "routh_romanovski": ("p", lambda p: rr_system(RRParams(p)), 0),
 }
+
+
+def closed_form(name: str, value) -> ThreeTermSystem:
+    """The ``FAMILIES`` entry ``name`` at its parameter literal ``value``,
+    e.g. ``closed_form("laguerre", "7/3")``."""
+    return FAMILIES[name][1](parse_rational(value))
 
 
 # -- Christoffel-pair coefficient relations ------------------------------------------

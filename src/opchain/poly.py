@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import InvalidRationalLiteral, NonEvenPolynomial, NonOddPolynomial
+from .errors import NonEvenPolynomial, NonOddPolynomial
 from .scalars import ZERO, Rat, coerce_exact, format_scalar
 
 
@@ -132,8 +132,8 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation at an exact point, on numerators."""
-        if isinstance(x, float):
-            raise InvalidRationalLiteral(f"float {x!r} is not exact")
+        if type(x) is not Rat:
+            x = coerce_exact(x)
         nums = self.nums
         if not nums:
             return ZERO

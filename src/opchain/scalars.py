@@ -13,6 +13,7 @@ normalised rationals with identical semantics.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 
 from .errors import InvalidRationalLiteral
 
@@ -49,11 +50,19 @@ def parse_rational(text: str):
         return Rat(token)
     except ZeroDivisionError:
         raise InvalidRationalLiteral(f"zero denominator: {text!r}") from None
+    except ValueError as exc:  # CPython's digit limit, its guard against quadratic parsing
+        raise InvalidRationalLiteral(str(exc).partition(";")[0]) from None
 
 
 def format_scalar(x) -> str:
-    """Canonical string form: 'p/q', or 'p' for integers."""
-    return str(x)
+    """Canonical string form: 'p/q', or 'p' for integers, at any length: past
+    CPython's int-to-str digit limit through ``Decimal``, which has none
+    (raising the limit would raise it for the whole process)."""
+    try:
+        return str(x)
+    except ValueError:
+        p, q = (str(Decimal(int(v))) for v in (x.numerator, x.denominator))
+        return p if q == "1" else f"{p}/{q}"
 
 
 def coerce_exact(x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .chains import GammaSeq
 from .errors import OpchainError
-from .families import FAMILIES
+from .families import FAMILIES, closed_form
 from .scalars import format_scalar, parse_rational
 from .systems import ThreeTermSystem
 
@@ -36,8 +36,7 @@ def system_from_json(doc: dict) -> ThreeTermSystem:
         name = _expect(cf, dict, "closed_form").get("name")
         if not isinstance(name, str) or name not in FAMILIES:
             raise OpchainError(f"unknown closed form {name!r}")
-        param, build, _ = FAMILIES[name]
-        return build(parse_rational(_expect(cf.get("params", {}), dict, "params")[param]))
+        return closed_form(name, _expect(cf.get("params", {}), dict, "params")[FAMILIES[name][0]])
     b = values_from_json(_expect(doc["b"], list, "b"))
     a2 = values_from_json(_expect(doc.get("a2", []), list, "a2"))
     return ThreeTermSystem.from_values(b, a2)

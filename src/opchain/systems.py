@@ -17,22 +17,15 @@ all read off it.  Moments come from a walk over that block and the
 continued-fraction convergents are expanded at infinity, so every quantity
 here is exact and needs no measure.
 
-The recurrence kernel, the moment walk and the Laurent division run on
-integers over a common denominator, as ``Polynomial`` stores its
-coefficients, and build one rational or one canonical polynomial per
-result.  The kernel and the moment walk take their entries as (numerator,
-denominator) pairs of Python ints, so either rational backend takes the
-same path and no reader builds a rational per entry: ``_pair_readers``
-gives b(m) and the validated a2(m) in that form, ``_block_pairs`` and the
-associated sequence read through them in the order of the rational reads,
-with the same errors, and the symmetric sequence reads its nu as pairs.  A
-value stream hands out the integers it stores and a closed-form rule's
-value is split on read; a system built from a gamma sequence
-(``chains._gamma_system``) forms each entry with one gcd from gammas read
-at most once, indexing a stored gamma directly where no read can fail.
-The Laurent division keeps its past terms over one running denominator,
-which grows only by the factor each new term's reduced denominator needs,
-so the integers stay at the height of the answer.
+The kernel, the moment walk and the Laurent division run on integers over
+a common denominator, as ``Polynomial`` stores its coefficients.  The
+kernel and the walk take their entries as (numerator, denominator) pairs
+of Python ints from ``_pair_readers``, which validates a2 over the
+unchecked readers a system supplies (``_raw_pair_readers``): a value stream
+hands out its stored integers, a rule's value is split on read, and a
+gamma row evaluates its pair formulas (``chains._gamma_system``).  The
+Laurent division keeps its past terms over one running denominator, so
+the integers stay at the height of the answer.
 """
 
 from __future__ import annotations
@@ -82,11 +75,15 @@ class ThreeTermSystem:
         _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
+    def _raw_pair_readers(self, n: int):
+        """Readers (b, a2) of the entries of the order-n block as
+        (numerator, denominator) pairs of Python ints, a2 unchecked."""
+        return self.b._pair, self.a2._pair
+
     def _pair_readers(self, n: int):
-        """Readers (b, a2) of the entries of the order-n block, b(1..n) and
-        a2(1..n-1), each as a (numerator, denominator) pair of Python ints:
-        b(m) as ``b_at(m)`` and a2(m) as ``a2_at(m)``, with the same errors."""
-        read = self.a2._pair
+        """``_raw_pair_readers`` with a2 validated: b(m) as ``b_at(m)`` and
+        a2(m) as ``a2_at(m)``, for m in the order-n block, with the same errors."""
+        b, read = self._raw_pair_readers(n)
 
         def a2(m: int):
             p, q = read(m)
@@ -94,7 +91,7 @@ class ThreeTermSystem:
                 raise NonPositiveA2(m, f"a2[{m}] = {Rat(p, q)} is not positive")
             return p, q
 
-        return self.b._pair, a2
+        return b, a2
 
     def _block_pairs(self, n: int) -> tuple[list, list]:
         """``block(n)`` as (numerator, denominator) pairs, read in its order."""

@@ -28,10 +28,10 @@ from .chains import (
     parameters_from_gamma,
     system_from_gamma,
 )
-from .families import FAMILIES, laguerre_gamma, laguerre_system
+from .families import FAMILIES, closed_form, laguerre_gamma, laguerre_system
 from .jacobi import darboux_pivot_check, lu_factor, truncate, ul_product
 from .poly import even_part
-from .scalars import Rat, format_scalar, parse_rational
+from .scalars import Rat, format_scalar
 from .systems import (
     associated_sequence,
     laurent_expand,
@@ -104,8 +104,7 @@ def _samples(rep: SuiteReport, need: int, draw=None):
 def _family(name: str, value: str):
     """Label and system of the closed-form family ``name`` at the parameter
     literal ``value``, e.g. ``("laguerre alpha=7/3", laguerre_system(7/3))``."""
-    param, build, _ = FAMILIES[name]
-    return f"{name} {param}={value}", build(parse_rational(value))
+    return f"{name} {FAMILIES[name][0]}={value}", closed_form(name, value)
 
 
 def _bumped(gamma: GammaSeq, index: int, upto: int) -> GammaSeq:

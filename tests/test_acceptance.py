@@ -32,7 +32,6 @@ from opchain import (
     monic_sequence,
     odd_part,
     parameters_from_gamma,
-    rr_monicize,
     swapped_nu,
     symmetric_sequence,
     system_from_gamma,
@@ -230,8 +229,8 @@ def test_criterion_10_negative_controls():
             from opchain import ChainSequence
             minimal_parameters(ChainSequence.from_values([Rat(2)]), 1)
         assert exc.value.index == 1
-        with pytest.raises(ZeroDenominator):
-            rr_monicize(RRParams(10), 4)
+        err = RRParams(10).stop_error
+        assert isinstance(err, ZeroDenominator) and err.index == 4
         for suite in ("theorem33", "gccs", "kernel_invariance", "quasi_orth",
                       "lu", "laguerre", "moments"):
             reports = run_suite(suite, seed=1, samples=3, corrupt=True)

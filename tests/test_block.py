@@ -188,23 +188,42 @@ def test_one_order_rule(reader):
 
 # -- the integer-pair block of gamma-derived systems -------------------------------
 #
-# ``_block_pairs(n)`` of a gamma row reads each gamma once, as integer pairs;
-# it must give the pairs of ``block(n)`` and, on bad data, the same first fault.
+# A gamma row's entries are integer-pair formulas; its streams are rational
+# views of them, and ``_block_pairs(n)`` reads each gamma once, as integer
+# pairs.  Both must give what the row's closed form gives when it is read
+# through ``gamma.at`` as rationals, and, on bad data, the same first fault.
 
+
+def _reference_row(gamma: GammaSeq, offsets) -> ThreeTermSystem:
+    """b_m = gamma_{2m+i} + gamma_{2m+j} (gamma_r for b_1 when r is set) and
+    a_n^2 = gamma_{2n+k} gamma_{2n+l} over ``gamma.at``, left operand first."""
+    i, j, k, l, b1 = offsets
+
+    def diag(m):
+        if m == 1 and b1 is not None:
+            return gamma.at(b1)
+        return gamma.at(2 * m + i) + gamma.at(2 * m + j)
+
+    return ThreeTermSystem(
+        CoeffStream.from_fn(diag),
+        CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)))
+
+
+# row: (constructor, offsets (i, j, k, l, b1) of the closed form in its docstring)
 _GAMMA_ROWS = {
-    "system": system_from_gamma,
-    "system_minimal": lambda g: system_from_gamma(g, minimal_branch=True),
-    "kernel": kernel_system,
-    "tilde": tilde_system,
-    "hat": hat_system,
-    "tilde_kernel": tilde_kernel_system,
-    "q": q_system,
-    "u": u_system,
+    "system": (system_from_gamma, (-1, 0, 0, 1, None)),
+    "system_minimal": (lambda g: system_from_gamma(g, minimal_branch=True), (-1, 0, 0, 1, 2)),
+    "kernel": (kernel_system, (0, 1, 1, 2, None)),
+    "tilde": (tilde_system, (-1, 0, -1, 2, 1)),
+    "hat": (hat_system, (-1, 0, -1, 2, None)),
+    "tilde_kernel": (tilde_kernel_system, (-1, 2, 1, 2, None)),
+    "q": (q_system, (1, 2, 2, 3, None)),
+    "u": (u_system, (0, 1, 1, 2, 3)),
     # tilde and hat without their gamma_1 > 0 guard: a_1^2 = gamma_1 gamma_4
-    "tilde_row": lambda g: _gamma_system(g, (-1, 0), (-1, 2), b1=1),
-    "hat_row": lambda g: _gamma_system(g, (-1, 0), (-1, 2)),
+    "tilde_row": (lambda g: _gamma_system(g, (-1, 0), (-1, 2), b1=1), (-1, 0, -1, 2, 1)),
+    "hat_row": (lambda g: _gamma_system(g, (-1, 0), (-1, 2)), (-1, 0, -1, 2, None)),
     # a row whose a2 reaches further into the gamma than its b
-    "wide_a2_row": lambda g: _gamma_system(g, (-1, 0), (1, 4)),
+    "wide_a2_row": (lambda g: _gamma_system(g, (-1, 0), (1, 4)), (-1, 0, 1, 4, None)),
 }
 
 
@@ -232,25 +251,41 @@ def _parity_gammas():
 _PARITY_GAMMAS = _parity_gammas()
 
 
+def _assert_row_matches_reference(sys_, ref, label):
+    """Every reader of the row gives the reference's values or its first fault."""
+    for m in range(10):
+        for read in ("b_at", "a2_at"):
+            want = _outcome(lambda: getattr(ref, read)(m))
+            assert _outcome(lambda: getattr(sys_, read)(m)) == want, (label, read, m)
+        assert _outcome(lambda: sys_.a2[m]) == _outcome(lambda: ref.a2[m]), (label, m)
+    for n in range(9):
+        want = _outcome(lambda: ref.block(n))
+        assert _outcome(lambda: sys_.block(n)) == want, (label, n)
+        want = _outcome(lambda: tuple(_pairs(w) for w in ref.block(n)))
+        got = _outcome(lambda: sys_._block_pairs(n))
+        assert got == want, (label, n)
+        if isinstance(got[0], list):
+            assert all(type(v) is int for w in got for pair in w for v in pair)
+        want = _outcome(lambda: _rational_associated(ref, n))
+        assert _outcome(lambda: associated_sequence(sys_, n)) == want, (label, n)
+
+
 @pytest.mark.parametrize("row", sorted(_GAMMA_ROWS))
 @pytest.mark.parametrize("gamma", sorted(_PARITY_GAMMAS))
 def test_gamma_pairs_match_the_block(row, gamma):
     g = GammaSeq.from_values(_PARITY_GAMMAS[gamma])
-    sys_ = _outcome(lambda: _GAMMA_ROWS[row](g))
+    make, offsets = _GAMMA_ROWS[row]
+    sys_ = _outcome(lambda: make(g))
     if isinstance(sys_, tuple):  # the constructor itself rejected the gamma
         return
-    for n in range(9):
-        want = _outcome(lambda: tuple(_pairs(w) for w in sys_.block(n)))
-        got = _outcome(lambda: sys_._block_pairs(n))
-        assert got == want, (row, gamma, n)
-        if isinstance(got[0], list):
-            assert all(type(v) is int for w in got for pair in w for v in pair)
+    assert sys_.offsets == offsets
+    _assert_row_matches_reference(sys_, _reference_row(g, offsets), (row, gamma))
 
 
 def test_gamma_pairs_reach_every_fault_kind():
     # the parity gammas above make each row fail in each of these ways
     kinds = set()
-    for row in _GAMMA_ROWS.values():
+    for row, _ in _GAMMA_ROWS.values():
         for vals in _PARITY_GAMMAS.values():
             sys_ = _outcome(lambda: row(GammaSeq.from_values(vals)))
             if not isinstance(sys_, tuple):
@@ -318,10 +353,10 @@ def _assert_pair_readers(sys_, label):
 @pytest.mark.parametrize("gamma", sorted(_PARITY_GAMMAS))
 def test_pair_readers_of_every_gamma_row(gamma, copy):
     g = GammaSeq(_COPIES[copy](CoeffStream.from_values(_PARITY_GAMMAS[gamma])))
-    for row, make in sorted(_GAMMA_ROWS.items()):
+    for row, (make, offsets) in sorted(_GAMMA_ROWS.items()):
         sys_ = _outcome(lambda: make(g))
         if not isinstance(sys_, tuple):  # the constructor itself rejected the gamma
-            _assert_pair_readers(sys_, row)
+            _assert_row_matches_reference(sys_, _reference_row(g, offsets), row)
     sym = SymmetricSystem(g.gamma)
     for n in range(17):
         want = _outcome(lambda: _rational_symmetric(sym, n))
@@ -384,7 +419,13 @@ def test_stored_pairs_only_where_no_read_can_fail():
 
 
 class _CountingValues(CoeffStream):
+    """A value stream that counts its entry reads, as rationals or as pairs."""
+
     __slots__ = ("reads",)
+
+    def __getitem__(self, n):
+        self.reads += 1
+        return super().__getitem__(n)
 
     def _pair(self, n):
         self.reads += 1
@@ -395,11 +436,13 @@ class _CountingValues(CoeffStream):
 def test_rows_index_an_admissible_stored_gamma(row):
     # a value gamma with no fault is read from its integer tuples, not entry by entry
     # (bad16 has gamma_16 = 0, inside the window every row's order-8 block spans)
+    make, offsets = _GAMMA_ROWS[row]
     for gamma, direct in (("random0", True), ("bad16", False)):
         stream = _CountingValues(values=_PARITY_GAMMAS[gamma])
         stream.reads = 0
-        sys_ = _GAMMA_ROWS[row](GammaSeq(stream))
+        g = GammaSeq(stream)
+        sys_ = make(g)
+        want = _outcome(lambda: tuple(_pairs(w) for w in _reference_row(g, offsets).block(8)))
         stream.reads = 0
-        want = _outcome(lambda: tuple(_pairs(w) for w in sys_.block(8)))
         assert _outcome(lambda: sys_._block_pairs(8)) == want
         assert (stream.reads == 0) == direct, gamma

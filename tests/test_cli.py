@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import opchain
-from opchain import cli, errors, verify
+from opchain import cli, errors, families, verify
 
 
 def run(capsys, *argv):
@@ -201,6 +201,14 @@ def test_moments_plain(capsys):
     assert code == 0 and out == "6\n"
 
 
+def test_moments_beyond_the_int_str_limit(capsys):
+    # (alpha + 1)(alpha + 2) at alpha = 10^4000 - 1 has 8001 digits
+    code, out, err = run(capsys, "moments", "--family", "laguerre", "--alpha", "9" * 4000,
+                         "--k", "2")
+    assert (code, err) == (0, "")
+    assert out == "1" + "0" * 3999 + "1" + "0" * 4000 + "\n"
+
+
 def test_moments_json(capsys):
     doc = run_json(capsys, "moments", "--family", "laguerre", "--alpha", "0",
                    "--k", "4", "--output", "json")
@@ -213,6 +221,23 @@ def test_convergent_document(capsys):
     assert doc["numerator"]["coeffs"] == ["-3", "1"]
     assert doc["denominator"]["coeffs"] == ["2", "-4", "1"]
     assert doc["laurent"] == ["1", "1", "2", "6"]
+
+
+def test_closed_forms_and_their_flags_come_from_the_registry(capsys, tmp_path, monkeypatch):
+    # a family added to FAMILIES is served by every route, under its own flag
+    monkeypatch.setitem(families.FAMILIES, "lag_beta", ("beta", families.laguerre_system, 0))
+    monkeypatch.setattr(cli, "FAMILY_NAMES", tuple(families.FAMILIES))
+    monkeypatch.setattr(cli, "FAMILY_PARAMS", ("alpha", "p", "beta"))
+    assert run(capsys, "moments", "--family", "lag_beta", "--beta", "1", "--k", "2") == (
+        0, "6\n", "")
+    assert run(capsys, "family", "lag_beta", "--n", "2") == (
+        2, "", "error: ValueError: lag_beta requires --beta\n")
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"closed_form": {"name": "lag_beta", "params": {"beta": "1"}}}))
+    assert run(capsys, "moments", "--input", str(path), "--k", "2") == (0, "6\n", "")
+    label, sys_ = verify._family("lag_beta", "1")
+    assert label == "lag_beta beta=1"
+    assert sys_.block(4) == families.closed_form("laguerre", "1").block(4)
 
 
 def test_system_input_file(capsys, tmp_path):
@@ -410,6 +435,8 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
      2, "ValueError"),
     (("lu", "--family", "laguerre", "--alpha", "0", "--n", "3", "--gamma1", "-1"),
      2, "InvalidGamma1"),
+    (("moments", "--family", "laguerre", "--alpha", "1/" + "7" * 4400, "--k", "2"),
+     2, "InvalidRationalLiteral"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)

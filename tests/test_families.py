@@ -16,7 +16,6 @@ from opchain import (
     minimal_parameters,
     monic_sequence,
     monicize_step,
-    rr_monicize,
     rr_system,
     systems_agree,
 )
@@ -126,19 +125,24 @@ def test_rr_window_p10():
 
 
 def test_rr_first_monic_coefficient():
-    b1, a0 = rr_monicize(RRParams(10), 0)
-    assert b1 == Rat(1, 8)  # p/((p-0)(p-2)) = 10/80
-    assert a0 == 0
+    params = RRParams(10)
+    assert params.b[0] == Rat(1, 8)  # p/((p-0)(p-2)) = 10/80
+    assert _direct_monicize(params, 0) == (params.b[0], 0)  # a_0^2 multiplies P_{-1}
 
 
 def test_rr_zero_denominator_at_boundary():
-    with pytest.raises(ZeroDenominator):
-        rr_monicize(RRParams(10), 4)  # p - (2n+2) = 0
+    err = RRParams(10).stop_error  # p - (2n+2) = 0 at step 4
+    assert (type(err), str(err), err.index) == (
+        ZeroDenominator, "vanishing factor at step n = 4", 4)
 
 
 def test_rr_beyond_window():
-    with pytest.raises(DegreeBeyondFamily):
-        rr_monicize(RRParams(10), 7)
+    sys = rr_system(RRParams(10))
+    assert sys.block(4) == (list(RRParams(10).b), list(RRParams(10).a2))
+    with pytest.raises(StreamExhausted, match=r"index 5 outside \[1, 4\]"):
+        sys.b_at(5)
+    with pytest.raises(StreamExhausted, match=r"index 4 outside \[1, 3\]"):
+        sys.a2_at(4)
 
 
 def test_monicize_step_already_monic_family():
@@ -164,12 +168,8 @@ def test_rr_monic_polynomials_match_raw_recurrence():
 
 
 def _direct_monicize(params, n):
-    """Step n recomputed from the raw pieces at n and n-1, without the scan."""
-    if n < 0:
-        raise DegreeBeyondFamily("n must be >= 0")
-    if n > params.n_max:
-        raise DegreeBeyondFamily(
-            f"step n = {n} beyond validity window (n_max = {params.n_max})")
+    """Step n >= 0 recomputed from the raw pieces at n and n-1, without the scan:
+    (b_{n+1}, a_n^2), or the error that ends the family at step n."""
     A, B, C = _rr_raw(params.p, n)
     if n == 0:
         return -B / A, Rat(0)
@@ -186,26 +186,23 @@ def _outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "index", None)
 
 
-def test_rr_monicize_matches_direct_route():
+def test_rr_scan_matches_direct_route():
+    # the scan keeps b_1..b_{n_max}, a_1^2..a_{n_max-1}^2 and the error of step
+    # n_max; each equals what step n gives when recomputed on its own
     ps = sorted({Rat(num, den) for den in (1, 2, 3, 4, 5, 7) for num in range(-30, 61)})
     assert len(ps) == 391
     stops = set()
     for p in ps:
         params = RRParams(p)
-        stops.add(type(params.stop_error))
-        for n in range(-1, params.n_max + 3):
-            assert _outcome(rr_monicize, params, n) == _outcome(_direct_monicize, params, n), (p, n)
+        assert (len(params.b), len(params.a2)) == (params.n_max, max(params.n_max - 1, 0))
+        for n in range(params.n_max):
+            want = (params.b[n], params.a2[n - 1] if n else 0)
+            assert _outcome(_direct_monicize, params, n) == want, (p, n)
+        err = params.stop_error
+        stops.add(type(err))
+        assert _outcome(_direct_monicize, params, params.n_max) == (
+            type(err), str(err), getattr(err, "index", None)), p
     assert stops == {ZeroDenominator, DegreeBeyondFamily}
-
-
-def test_rr_monicize_raises_fresh_errors():
-    params = RRParams(10)
-    seen = []
-    for _ in range(2):
-        with pytest.raises(ZeroDenominator) as info:
-            rr_monicize(params, 4)
-        seen.append(info.value)
-    assert seen[0] is not seen[1] and params.stop_error not in seen
 
 
 def test_rr_stop_reason_is_not_compared():
@@ -217,18 +214,16 @@ def test_rr_scan_cap_agrees_with_system():
     params = RRParams(10**5)
     assert params.n_max == 4096 and params.stop_error is None
     sys = rr_system(params)
-    assert rr_monicize(params, 4095) == (sys.b_at(4096), sys.a2_at(4095))
-    with pytest.raises(DegreeBeyondFamily, match=r"step n = 4096 beyond .*n_max = 4096"):
-        rr_monicize(params, 4096)
+    assert (params.b[4095], params.a2[4094]) == (sys.b_at(4096), sys.a2_at(4095))
+    assert _direct_monicize(params, 4095) == (sys.b_at(4096), sys.a2_at(4095))
     with pytest.raises(StreamExhausted):
         sys.b_at(4097)
 
 
 def test_rr_subdiagonal_positive_inside_window():
     params = RRParams(10)
-    for n in range(1, 4):
-        _, a2 = rr_monicize(params, n)
-        assert a2 > 0
+    assert len(params.a2) == 3
+    assert all(a2 > 0 for a2 in params.a2)
 
 
 # -- Christoffel-pair relations -------------------------------------------------------

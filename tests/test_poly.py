@@ -70,6 +70,15 @@ def test_eval_zero_polynomial():
     assert Polynomial.zero()(Rat(5)) == 0
 
 
+def test_eval_point_is_coerced_like_a_scale_factor():
+    assert P(2, -4, 1)("1/2") == P(2, -4, 1)(Rat(1, 2)) == Rat(1, 4)
+    assert P(2, -4, 1)(3) == P(2, -4, 1)(Rat(3)) == -1
+    with pytest.raises(InvalidRationalLiteral):
+        Polynomial.zero()("abc")
+    with pytest.raises(InvalidRationalLiteral):
+        Polynomial.zero()(0.5)
+
+
 # -- even/odd extraction ------------------------------------------------------
 
 def test_even_part_quartic():
@@ -167,6 +176,12 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidRationalLiteral):
         parse_rational(bad)
+
+
+def test_parse_rational_beyond_the_digit_limit():
+    # CPython's limit on parsing long integers stays; past it the literal is rejected
+    with pytest.raises(InvalidRationalLiteral, match=r"limit \(\d+ digits\)"):
+        parse_rational("1/" + "7" * 4400)
 
 
 def test_json_round_trip():
