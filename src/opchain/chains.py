@@ -39,7 +39,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .poly import Polynomial
-from .scalars import ONE, ZERO, Rat, format_scalar
+from .scalars import ONE, ZERO, Rat, coerce_exact, format_scalar
 from .streams import CoeffStream
 from .systems import ThreeTermSystem, _order, monic_sequence
 
@@ -351,7 +351,12 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
 
 
 def chain_at(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
-    """omega_n(t) = a_n^2 / ((t - b_n)(t - b_{n+1})) for n = 1..N; N >= 0."""
+    """omega_n(t) = a_n^2 / ((t - b_n)(t - b_{n+1})) for n = 1..N; N >= 0.
+
+    t is an int, a rational or a 'p/q' string; a float raises
+    InvalidRationalLiteral.
+    """
+    t = coerce_exact(t)
     b, a2 = sys.block(_order(N) + 1)
     for n, bn in enumerate(b, 1):
         if t == bn:

@@ -19,17 +19,19 @@ float64 count is monotone in x (Kahan 1966; Demmel, Dhillon and Ren 1995,
 the basis of LAPACK dstebz), so a count already taken at x <= mid with
 count <= j, or at x >= mid with count > j, decides the midpoint of zero j
 exactly as a count there would.  Every count of a call is kept as such a
-certificate, and once zero j is isolated, safeguarded Newton iterates,
-each carrying its own count, narrow its certificates to far below tol.
-The bisection path, and so every output bit, is the plain loop's.  A
-count that breaks the order of the certificates would void that argument:
-the call then starts over with a count at every midpoint.
+certificate; only the least and the greatest x seen with each count value
+can decide a midpoint, so the certificates are kept per count value.  Once
+zero j is isolated, safeguarded Newton iterates, each carrying its own
+count, narrow its certificates to far below tol; the probes that close the
+last gap take only the count, without the slope.  The bisection path, and
+so every output bit, is the plain loop's.  A count that breaks the order of
+the certificates would void that argument: the call then starts over with
+a count at every midpoint.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .chains import gamma_from_system
@@ -204,34 +206,56 @@ def _count_and_slope(pairs, x: float) -> tuple[int, float]:
 
 
 class _Certificates:
-    """Every (x, count below x) taken during one zeros call, ascending in x.
+    """Every count taken during one zeros call, indexed by its value.
 
+    ``lo[c]`` and ``hi[c]`` are the least and the greatest x recorded with
+    count c (None if none), for c = 0..n.  The counts are monotone in x, so
+    the records of the nearest counts above and below c bound every other.
     ``add`` refuses a count that breaks the order, which would be a
     violation of the count's monotonicity in x.
     """
 
-    __slots__ = ("xs", "counts")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self):
-        self.xs = []
-        self.counts = []
+    def __init__(self, n: int):
+        self.lo = [None] * (n + 1)
+        self.hi = [None] * (n + 1)
 
     def add(self, x: float, count: int) -> bool:
-        i = bisect_right(self.xs, x)
-        counts = self.counts
-        if (i and counts[i - 1] > count) or (i < len(counts) and counts[i] < count):
+        """Record count(x) unless a recorded x' <= x has a larger count or a
+        recorded x' > x a smaller one; False if it is refused."""
+        lo, hi, end = self.lo, self.hi, len(self.lo)
+        c = count - 1
+        while c >= 0 and hi[c] is None:
+            c -= 1
+        if c >= 0 and hi[c] > x:
             return False
-        self.xs.insert(i, x)
-        counts.insert(i, count)
+        c = count + 1
+        while c < end and lo[c] is None:
+            c += 1
+        if c < end and lo[c] <= x:
+            return False
+        if lo[count] is None:
+            lo[count] = hi[count] = x
+        elif x < lo[count]:
+            lo[count] = x
+        elif x > hi[count]:
+            hi[count] = x
         return True
 
     def bracket(self, j: int):
         """(L, count(L), U, count(U)) for the j-th zero: the largest recorded
         x with count <= j and the smallest with count > j (+-inf if none)."""
-        i = bisect_right(self.counts, j)
-        lo = (self.xs[i - 1], self.counts[i - 1]) if i else (-math.inf, None)
-        hi = (self.xs[i], self.counts[i]) if i < len(self.xs) else (math.inf, None)
-        return (*lo, *hi)
+        lo, hi, end = self.lo, self.hi, len(self.lo)
+        c = j
+        while c >= 0 and hi[c] is None:
+            c -= 1
+        low = (hi[c], c) if c >= 0 else (-math.inf, None)
+        c = j + 1
+        while c < end and lo[c] is None:
+            c += 1
+        high = (lo[c], c) if c < end else (math.inf, None)
+        return (*low, *high)
 
 
 # Bounds the Newton and probe passes for one zero; past it the replay
@@ -247,15 +271,20 @@ def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
     leaving the bracket, or a Newton step above half the previous one (slow,
     linear progress), is replaced by the bracket's midpoint.  Once a Newton
     step is below ``width``, probes cross the count's threshold from the
-    last evaluated iterate, 4x further each time one lands on the same side.
-    Stops when the bracket is at most ``width`` wide, or after
-    _NEWTON_PASSES passes; False if a count broke monotonicity.
+    last evaluated iterate, 4x further each time one lands on the same side;
+    a probe takes only the count, and one that crosses without closing the
+    bracket to ``width`` starts the probes again from itself.  Stops when
+    the bracket is at most ``width`` wide, or after _NEWTON_PASSES passes;
+    False if a count broke monotonicity.
     """
     x = 0.5 * (lo + hi)
     base = None  # evaluated point the probes start from
     last = math.inf  # size of the previous Newton step
     for _ in range(_NEWTON_PASSES):
-        count, slope = _count_and_slope(pairs, x)
+        if base is None:
+            count, slope = _count_and_slope(pairs, x)
+        else:
+            count = _count_below(pairs, x)
         if not certs.add(x, count):
             return False
         below = count <= j
@@ -265,8 +294,11 @@ def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
             hi = x
         if hi - lo <= width:
             return True
-        if base is not None and below == base_below:
-            dist *= 4.0
+        if base is not None:
+            if below == base_below:
+                dist *= 4.0
+            else:
+                base, base_below, dist = x, below, 0.5 * width
         else:
             step = 1.0 / slope if slope else math.inf
             if abs(step) < width or math.isnan(step):  # NaN: det(J - x) ~ 0
@@ -361,7 +393,7 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     if not math.isfinite(hi - lo):
         raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
     pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
-    out = _bisect_zeros(pairs, n, lo, hi, tol, _Certificates())
+    out = _bisect_zeros(pairs, n, lo, hi, tol, _Certificates(n))
     if out is None:  # a count broke monotonicity: count at every midpoint
         out = _bisect_zeros(pairs, n, lo, hi, tol, None)
     # a midpoint is infinite only when a + b overflows, and every later

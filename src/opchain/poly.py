@@ -116,7 +116,13 @@ class Polynomial:
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return Polynomial._reduced(out, self.den * other.den)
+        den = self.den * other.den
+        # Gauss's lemma: the content of a product is the product of the
+        # contents, so with one factor a primitive integer polynomial the
+        # product keeps the other's coprime content and denominator.
+        if (self.den == 1 and gcd(*a) == 1) or (other.den == 1 and gcd(*b) == 1):
+            return Polynomial._raw(tuple(out), den)
+        return Polynomial._reduced(out, den)
 
     def scale(self, c) -> "Polynomial":
         if type(c) is not Rat:

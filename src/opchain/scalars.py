@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from numbers import Rational
 
 from .errors import InvalidRationalLiteral
 
@@ -66,9 +67,18 @@ def format_scalar(x) -> str:
 
 
 def coerce_exact(x):
-    """Normalise ints, rationals and 'p/q' strings onto the exact type."""
+    """Normalise ints, rationals and 'p/q' strings onto the exact type.
+
+    A rational of any ``numbers.Rational`` type comes back over Python ints:
+    a fixed-width integer type (numpy's int64, say) would otherwise be kept
+    as the numerator and wrap in later arithmetic.
+    """
+    if type(x) is int:
+        return Rat(x)
     if isinstance(x, float):
         raise InvalidRationalLiteral(f"float {x!r} is not exact")
     if isinstance(x, str):
         return parse_rational(x)
+    if isinstance(x, Rational):
+        return Rat(int(x.numerator), int(x.denominator))
     return Rat(x)

@@ -142,8 +142,10 @@ def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
 def _pairs(values) -> list:
     """(numerator, denominator) of each rational, as Python ints.
 
-    ``int`` keeps a gmpy2 backend's mpz out of the pairs, so ``p / q`` is
-    the correctly rounded division that ``float`` of a rational performs.
+    ``int`` keeps any other integer type a rational may carry out of the
+    kernel, as the ``int`` of the stream readers (``CoeffStream._pair``,
+    ``chains.GammaSeq._pair``) does for every other caller: a fixed-width
+    type such as numpy's int64 would wrap in the products of the recurrence.
     """
     return [(int(v.numerator), int(v.denominator)) for v in values]
 
@@ -220,6 +222,11 @@ def moments(sys: ThreeTermSystem, k: int):
     vector e_1^T is walked k times over L*J, with b on the diagonal, 1 above
     it and a2 below it, where L is the lcm of the denominators of b and a2;
     the moment is the first entry over L^k.
+
+    Only the band of rows a closed walk can use is computed: after step t
+    (t = 0..k-1) the walk is at most t + 1 rows below row 1, and a row j
+    further than k - t - 1 below it cannot climb back in the steps left, so
+    step t computes rows 0..min(t + 1, k - t - 1, size - 1) of the vector.
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
@@ -228,10 +235,11 @@ def moments(sys: ThreeTermSystem, k: int):
     L = lcm(*[q for _, q in diag + sub])
     diag = [p * (L // q) for p, q in diag]
     sub = [p * (L // q) for p, q in sub] + [0]
-    row = [1] + [0] * (size - 1)
-    for _ in range(k):
-        r = [0, *row, 0]
-        row = [r[j] * L + r[j + 1] * diag[j] + r[j + 2] * sub[j] for j in range(size)]
+    row = [1]
+    for t in range(k):
+        r = [0, *row, 0, 0]
+        row = [r[j] * L + r[j + 1] * diag[j] + r[j + 2] * sub[j]
+               for j in range(min(t + 1, k - t - 1, size - 1) + 1)]
     return Rat(row[0], L ** k)
 
 

@@ -27,6 +27,7 @@ from opchain import (
 )
 from opchain.errors import (
     InvalidGamma1,
+    InvalidRationalLiteral,
     LengthMismatch,
     NotAChainSequence,
     NotMinimal,
@@ -177,6 +178,20 @@ def test_chain_at_pole():
     with pytest.raises(PoleAtB) as exc:
         chain_at(LAG0, Rat(1), 2)
     assert exc.value.index == 1
+
+
+def test_chain_at_coerces_t_once():
+    want = chain_at(LAG0, Rat(1, 2), 3).window(1, 3)
+    assert want == [Rat(4, 5), Rat(16, 45), Rat(4, 13)]
+    assert chain_at(LAG0, "1/2", 3).window(1, 3) == want
+    assert chain_at(LAG0, 0, 3).window(1, 3) == chain_at(LAG0, Rat(0), 3).window(1, 3)
+
+
+def test_chain_at_rejects_a_float_t_by_its_own_value():
+    with pytest.raises(InvalidRationalLiteral, match=r"^float 0\.5 is not exact$"):
+        chain_at(LAG0, 0.5, 3)
+    with pytest.raises(InvalidRationalLiteral):
+        chain_at(LAG0, "1/2x", 3)
 
 
 def test_chain_at_matches_raw_ratio():

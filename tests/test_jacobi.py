@@ -1,5 +1,7 @@
+import bisect
 import math
 import random
+import re
 
 import pytest
 
@@ -310,6 +312,85 @@ def test_zeros_pass_count(monkeypatch):
     for _, sys, n in list(_reference_cases())[:4]:
         zeros_found += len(zeros_with_brackets(sys, n, 1e-10))
     assert len(passes) <= 12 * zeros_found
+
+
+def test_newton_probes_take_only_the_count(monkeypatch):
+    # In each _newton_counts call the Newton iterates take a slope pass and,
+    # from the first probe on, every pass takes only the count.
+    kinds, runs = [], []
+    for name, kind in (("_count_below", "c"), ("_count_and_slope", "s")):
+        def spy(pairs, x, f=getattr(jacobi, name), kind=kind):
+            kinds.append(kind)
+            return f(pairs, x)
+        monkeypatch.setattr(jacobi, name, spy)
+
+    def newton(*args, f=jacobi._newton_counts):
+        kinds.clear()
+        ok = f(*args)
+        runs.append("".join(kinds))
+        return ok
+
+    monkeypatch.setattr(jacobi, "_newton_counts", newton)
+    for _, sys, n in list(_reference_cases())[:4]:
+        zeros_with_brackets(sys, n, 1e-10)
+    assert runs and all(re.fullmatch("s+c*", r) for r in runs), runs
+    assert sum(r.count("c") for r in runs) >= len(runs) / 2
+
+
+class _SortedCertificates:
+    """Reference store: every (x, count) of a call in one list ascending in
+    x, searched by bisection."""
+
+    def __init__(self):
+        self.xs = []
+        self.counts = []
+
+    def add(self, x, count):
+        i = bisect.bisect_right(self.xs, x)
+        counts = self.counts
+        if (i and counts[i - 1] > count) or (i < len(counts) and counts[i] < count):
+            return False
+        self.xs.insert(i, x)
+        counts.insert(i, count)
+        return True
+
+    def bracket(self, j):
+        i = bisect.bisect_right(self.counts, j)
+        lo = (self.xs[i - 1], self.counts[i - 1]) if i else (-math.inf, None)
+        hi = (self.xs[i], self.counts[i]) if i < len(self.xs) else (math.inf, None)
+        return (*lo, *hi)
+
+
+def _certificate_sequences():
+    """(n, [(x, count), ...]): counts of a random staircase at points on a
+    coarse grid (so x repeats, with equal and with different counts) and
+    off it, one in six of them moved by -1, +1 or +2 (order violations)."""
+    rng = random.Random(1606)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        steps = sorted(rng.uniform(-4, 4) for _ in range(n))
+        seq = []
+        for _ in range(rng.randint(1, 80)):
+            x = rng.randint(-10, 10) / 2 if rng.random() < 0.6 else rng.uniform(-5, 5)
+            count = bisect.bisect_left(steps, x)
+            if rng.random() < 1 / 6:
+                count = min(n, max(0, count + rng.choice((-1, 1, 2))))
+            seq.append((x, count))
+        yield n, seq
+
+
+def test_count_indexed_certificates_answer_as_the_sorted_store():
+    refused = accepted = 0
+    for n, seq in _certificate_sequences():
+        store, ref = jacobi._Certificates(n), _SortedCertificates()
+        for x, count in seq:
+            ok = ref.add(x, count)
+            assert store.add(x, count) == ok, (n, seq)
+            refused += not ok
+            accepted += ok
+            for j in range(n + 1):
+                assert store.bracket(j) == ref.bracket(j), (n, seq, j)
+    assert refused > 100 and accepted > 1000  # both branches are exercised
 
 
 def test_zeros_pivot_floor_branch():

@@ -1,4 +1,7 @@
 import math
+import numbers
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,10 @@ from opchain.errors import (
     NonEvenPolynomial,
     NonOddPolynomial,
 )
+from opchain.jacobi import lu_factor, truncate
+from opchain.scalars import coerce_exact
 from opchain.streams import CoeffStream
+from opchain.systems import ThreeTermSystem
 
 
 def P(*coeffs):
@@ -164,6 +170,79 @@ def test_float_in_coeff_stream_rejected():
         CoeffStream.from_values([Rat(1), 2, 0.5])
 
 
+# -- foreign integer types ------------------------------------------------------------
+
+class _Int64:
+    """A signed 64-bit integer registered as ``numbers.Integral`` whose
+    arithmetic wraps, as numpy's int64 does: a stand-in that needs no numpy."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = (int(v) + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+    def __index__(self):
+        return self.v
+
+    __int__ = __index__
+
+    def __repr__(self):
+        return repr(self.v)
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __neg__(self):
+        return _Int64(-self.v)
+
+    numerator = property(lambda self: self)
+    denominator = property(lambda self: 1)
+
+
+def _int64_ops():
+    def arith(op, reflected):
+        def f(a, b):
+            if not isinstance(b, (int, _Int64)):
+                return NotImplemented
+            return _Int64(op(int(b), a.v) if reflected else op(a.v, int(b)))
+        return f
+
+    def compare(op):
+        return lambda a, b: op(a.v, int(b)) if isinstance(b, (int, _Int64)) else NotImplemented
+
+    for name, op in (("add", operator.add), ("sub", operator.sub),
+                     ("mul", operator.mul), ("floordiv", operator.floordiv)):
+        setattr(_Int64, f"__{name}__", arith(op, False))
+        setattr(_Int64, f"__r{name}__", arith(op, True))
+    for name in ("eq", "ne", "lt", "le", "gt", "ge"):
+        setattr(_Int64, f"__{name}__", compare(getattr(operator, name)))
+
+
+_int64_ops()
+numbers.Integral.register(_Int64)
+
+
+def test_foreign_rationals_come_back_over_python_ints():
+    big = _Int64(2 ** 62)
+    assert big * 2 == -2 ** 63  # the stand-in wraps
+    for value, want in ((big, Rat(2 ** 62)), (Fraction(big, 3), Rat(2 ** 62, 3)),
+                        (Fraction(big), Rat(2 ** 62))):
+        x = coerce_exact(value)
+        assert type(x) is Rat and x == want
+        assert type(x.numerator) is int and type(x.denominator) is int
+        assert x * 2 == want * 2
+    assert Polynomial([big]).scale(2) == P(2 ** 63)
+
+
+def test_systems_over_foreign_integers_do_not_wrap():
+    b, a2 = [2 ** 62, 2 ** 61, 3 * 2 ** 60], [2 ** 62, 2 ** 60]
+    want = lu_factor(truncate(ThreeTermSystem.from_values(b, a2), 3))
+    sys = ThreeTermSystem.from_values([_Int64(v) for v in b], [_Int64(v) for v in a2])
+    got = lu_factor(truncate(sys, 3))
+    assert got == want
+    assert all(type(v.numerator) is int for v in got.u_diag + got.l_sub)
+
+
 # -- parsing and JSON -----------------------------------------------------------------
 
 def test_parse_rational_forms():
@@ -196,6 +275,28 @@ def test_degree_conventions():
     assert P(0, 0, Rat(1, 2)).degree == 2
     assert P(2, -4, 1).is_monic()
     assert not P(2, -4, 2).is_monic()
+
+
+# -- Gauss's lemma: products with a primitive integer factor ---------------------------
+
+def test_products_with_a_primitive_integer_factor_skip_the_reduction(monkeypatch):
+    rng = random.Random(16)
+    others = [P(Rat(1, 2)), P(2, 4), P(Rat(2, 3), 0, Rat(-4, 9)), P(0, Rat(6, 5))]
+    others += [P(*[Rat(rng.randint(-60, 60), rng.randint(1, 36)) for _ in range(rng.randint(1, 8))])
+               for _ in range(24)]
+    primitive = [P(0, 1), P(0, 0, 1), P(1), P(-1), P(5, -2, 3), P(0, -7, 0, 4), P(6, 10, 15)]
+    reduced = Polynomial._reduced
+    calls = []
+    monkeypatch.setattr(Polynomial, "_reduced",
+                        classmethod(lambda cls, nums, den: calls.append(den) or reduced(nums, den)))
+    for f in primitive + [P(2), P(-2), P(4, 6)]:
+        for p in others:
+            for u, v in ((f, p), (p, f)):
+                calls.clear()
+                got = u * v
+                want = reduced([int(c) for c in _ref_mul(u.nums, v.nums)], u.den * v.den)
+                assert (got.nums, got.den) == (want.nums, want.den), (u, v)
+                assert (calls == []) == (f in primitive), (u, v)
 
 
 # -- canonical integer-vector form ------------------------------------------------------

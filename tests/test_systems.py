@@ -275,6 +275,55 @@ def _ref_moments(b, a2, K):
     return out
 
 
+def _full_walk_moment(sys, k):
+    """mu_k / mu_0 walked on rationals over every row of the ceil(k/2)+1
+    block at every step, reading the same block as ``moments``."""
+    if k < 0:
+        raise ValueError("moment order must be >= 0")
+    size = (k + 1) // 2 + 1
+    b, a2 = sys.block(size)
+    a2 = a2 + [0]
+    row = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for _ in range(k):
+        r = [0, *row, 0]
+        row = [r[j] + r[j + 1] * b[j] + r[j + 2] * a2[j] for j in range(size)]
+    return row[0]
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "index", None))
+
+
+def _moment_systems():
+    rng = random.Random(77)
+    for i in range(3):
+        yield f"random gamma {i}", system_from_gamma(random_gamma(rng, 60))
+    yield "random kernel", kernel_system(random_gamma(rng, 60))
+    for alpha in (Rat(-1, 2), Rat(0), Rat(7, 3)):
+        yield f"laguerre {alpha}", laguerre_system(alpha)
+    b = [Rat(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(12)]
+    a2 = [Rat(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(11)]
+    # the block of k = 21, 22 is the whole vector; k = 23 reads past b
+    yield "values to the edge", ThreeTermSystem.from_values(b, a2)
+    yield "a2 one short", ThreeTermSystem.from_values(b, a2[:10])
+    yield "a2 not positive at 7", ThreeTermSystem.from_values(b, a2[:6] + [Rat(-1, 3)] + a2[7:])
+
+
+_MOMENT_SYSTEMS = list(_moment_systems())
+
+
+@pytest.mark.parametrize("label, sys", _MOMENT_SYSTEMS, ids=[label for label, _ in _MOMENT_SYSTEMS])
+def test_band_walk_matches_the_full_walk(label, sys):
+    for k in range(-1, 42):
+        want = _outcome(lambda: _full_walk_moment(sys, k))
+        got = _outcome(lambda: moments(sys, k))
+        assert got == want, (label, k)
+        assert type(got) is tuple or type(got) is Rat, (label, k)
+
+
 def _ref_laurent(num, den, order):
     """num/den at infinity by long division, x^-1 first (den monic, deg num <
     deg den): shift the remainder by x, take its x^deg(den) coefficient as the
