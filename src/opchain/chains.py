@@ -38,7 +38,7 @@ from .errors import (
     PositivityBreak,
     ZeroDenominator,
 )
-from .poly import Polynomial
+from .poly import _is_combination
 from .scalars import ONE, ZERO, Rat, coerce_exact, format_scalar
 from .streams import CoeffStream
 from .systems import ThreeTermSystem, _order, monic_sequence
@@ -334,16 +334,14 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
     ker = kernel_system(kernel_gamma if kernel_gamma is not None else gamma)
     P = monic_sequence(base, n + 1)
     K = monic_sequence(ker, n)
-    x = Polynomial.x()
     items = []
     for m in range(0, n + 1):
-        lhs = x * K[m]
-        rhs = P[m + 1] + P[m].scale(gamma.at(2 * m + 2))
-        items.append(("x*K = P(+1) + gamma_even*P", m, lhs == rhs))
+        # P_{m+1} = x K_m - gamma_{2m+2} P_m
+        ok = _is_combination(P[m + 1], ((1, 1, K[m]), (-gamma.at(2 * m + 2), 0, P[m])))
+        items.append(("x*K = P(+1) + gamma_even*P", m, ok))
     for m in range(1, n + 1):
-        lhs = K[m]
-        rhs = P[m] - K[m - 1].scale(gamma.at(2 * m + 1))
-        items.append(("K = P - gamma_odd*K(-1)", m, lhs == rhs))
+        ok = _is_combination(K[m], ((1, 0, P[m]), (-gamma.at(2 * m + 1), 0, K[m - 1])))
+        items.append(("K = P - gamma_odd*K(-1)", m, ok))
     return IdentityReport(tuple(items))
 
 

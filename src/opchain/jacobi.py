@@ -23,10 +23,11 @@ certificate; only the least and the greatest x seen with each count value
 can decide a midpoint, so the certificates are kept per count value.  Once
 zero j is isolated, safeguarded Newton iterates, each carrying its own
 count, narrow its certificates to far below tol; the probes that close the
-last gap take only the count, without the slope.  The bisection path, and
-so every output bit, is the plain loop's.  A count that breaks the order of
-the certificates would void that argument: the call then starts over with
-a count at every midpoint.
+last gap take only the count, without the slope, and so does an iterate
+that quadratic convergence already puts well within that gap.  The
+bisection path, and so every output bit, is the plain loop's.  A count
+that breaks the order of the certificates would void that argument: the
+call then starts over with a count at every midpoint.
 """
 
 from __future__ import annotations
@@ -273,15 +274,20 @@ def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
     step is below ``width``, probes cross the count's threshold from the
     last evaluated iterate, 4x further each time one lands on the same side;
     a probe takes only the count, and one that crosses without closing the
-    bracket to ``width`` starts the probes again from itself.  Stops when
-    the bracket is at most ``width`` wide, or after _NEWTON_PASSES passes;
-    False if a count broke monotonicity.
+    bracket to ``width`` starts the probes again from itself.  An accepted
+    step s after a Newton step of size ``last`` with |s|^3 < width last^2 / 4
+    lands, by quadratic convergence, within about width / 4 of the zero;
+    that iterate takes only the count, since the step its slope would give
+    is expected below ``width``, and the probes start from it.  Stops
+    when the bracket is at most ``width`` wide, or after _NEWTON_PASSES
+    passes; False if a count broke monotonicity.
     """
     x = 0.5 * (lo + hi)
+    newton = True  # this pass takes the slope for a Newton step
     base = None  # evaluated point the probes start from
     last = math.inf  # size of the previous Newton step
     for _ in range(_NEWTON_PASSES):
-        if base is None:
+        if newton:
             count, slope = _count_and_slope(pairs, x)
         else:
             count = _count_below(pairs, x)
@@ -294,19 +300,26 @@ def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
             hi = x
         if hi - lo <= width:
             return True
-        if base is not None:
-            if below == base_below:
+        if not newton:
+            if base is not None and below == base_below:
                 dist *= 4.0
             else:
                 base, base_below, dist = x, below, 0.5 * width
         else:
             step = 1.0 / slope if slope else math.inf
-            if abs(step) < width or math.isnan(step):  # NaN: det(J - x) ~ 0
+            size = abs(step)
+            if size < width or math.isnan(step):  # NaN: det(J - x) ~ 0
+                newton = False
                 base, base_below, dist = x, below, 0.5 * width
+            elif size > 0.5 * last:
+                x = 0.5 * (lo + hi)
+                last = size
             else:
-                base = None
-                x = 0.5 * (lo + hi) if abs(step) > 0.5 * last else x - step
-                last = abs(step)
+                x -= step
+                # the next error is about size**3 / last**2; a first step
+                # has no last.  Products overflow to inf where ** would raise.
+                newton = last == math.inf or size * size * size >= 0.25 * width * last * last
+                last = size
         if base is not None:
             x = base + dist if base_below else base - dist
         if not lo < x < hi:

@@ -8,6 +8,13 @@ is unique and equality is a tuple comparison.  ``coeffs`` gives the
 coefficients as exact rationals, built once on first use.  All values are
 immutable.  A float coefficient or evaluation point raises
 InvalidRationalLiteral.
+
+Results already in canonical form are wrapped as they are (``_raw``), with
+the slots written through their descriptors, which skips the generic
+attribute lookup of ``object.__setattr__``.  A linear relation
+p = sum c x^s q is decided on the integer vectors (``_is_combination``),
+without building and reducing the scaled, shifted and summed polynomials
+that only the comparison would read.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NonEvenPolynomial, NonOddPolynomial
-from .scalars import ZERO, Rat, coerce_exact, format_scalar
+from .scalars import ZERO, Rat, _is_exact, coerce_exact, format_scalar
 
 
 class Polynomial:
@@ -25,13 +32,15 @@ class Polynomial:
     __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Sequence = ()):
-        vals = [c if type(c) is Rat else coerce_exact(c) for c in coeffs]
+        vals = [c if _is_exact(c) else coerce_exact(c) for c in coeffs]
         while vals and not vals[-1]:
             vals.pop()
         # The lcm of reduced denominators is already coprime to the content.
         dens = [v.denominator for v in vals]
         den = lcm(*dens) if vals else 1
-        _set(self, tuple(v.numerator * (den // d) for v, d in zip(vals, dens)), den, tuple(vals))
+        _set_nums(self, tuple(v.numerator * (den // d) for v, d in zip(vals, dens)))
+        _set_den(self, den)
+        _set_coeffs(self, tuple(vals))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -40,7 +49,9 @@ class Polynomial:
     def _raw(cls, nums: tuple, den: int) -> "Polynomial":
         """Wrap a vector that is already in canonical form."""
         p = object.__new__(cls)
-        _set(p, nums, den)
+        _set_nums(p, nums)
+        _set_den(p, den)
+        _set_coeffs(p, None)
         return p
 
     @classmethod
@@ -82,7 +93,7 @@ class Polynomial:
         if c is None:
             d = self.den
             c = tuple(Rat(n, d) for n in self.nums) if d != 1 else tuple(map(Rat, self.nums))
-            object.__setattr__(self, "_coeffs", c)
+            _set_coeffs(self, c)
         return c
 
     @property
@@ -125,7 +136,7 @@ class Polynomial:
         return Polynomial._reduced(out, den)
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not Rat:
+        if not _is_exact(c):
             c = coerce_exact(c)
         p, q = c.numerator, c.denominator
         if not p or not self.nums:
@@ -138,7 +149,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation at an exact point, on numerators."""
-        if type(x) is not Rat:
+        if not _is_exact(x):
             x = coerce_exact(x)
         nums = self.nums
         if not nums:
@@ -169,10 +180,10 @@ class Polynomial:
         return f"Polynomial([{', '.join(format_scalar(c) for c in self.coeffs)}])"
 
 
-def _set(p: Polynomial, nums: tuple, den: int, coeffs: tuple | None = None) -> None:
-    object.__setattr__(p, "nums", nums)
-    object.__setattr__(p, "den", den)
-    object.__setattr__(p, "_coeffs", coeffs)
+# Writers of the slots, which bypass the raising __setattr__.
+_set_nums = Polynomial.nums.__set__
+_set_den = Polynomial.den.__set__
+_set_coeffs = Polynomial._coeffs.__set__
 
 
 def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
@@ -190,6 +201,27 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     for i, y in enumerate(b):
         out[i] += y * mb
     return Polynomial._reduced(out, den)
+
+
+def _is_combination(p: Polynomial, terms) -> bool:
+    """Whether p == sum of c * x**s * q over ``terms`` of (c, s, q), with c
+    exact and s >= 0.
+
+    Decided on integer vectors over one common denominator, so no scaled,
+    shifted or summed polynomial is formed or gcd-reduced on the way.
+    """
+    terms = [(c if _is_exact(c) else coerce_exact(c), s, q) for c, s, q in terms]
+    dens = [c.denominator * q.den for c, _, q in terms]
+    den = lcm(p.den, *dens)
+    m = den // p.den
+    out = [n * m for n in p.nums]
+    for (c, s, q), d in zip(terms, dens):
+        m = c.numerator * (den // d)
+        if m and q.nums:
+            out += [0] * (s + len(q.nums) - len(out))
+            for i, y in enumerate(q.nums, s):
+                out[i] -= m * y
+    return not any(out)
 
 
 def even_part(p: Polynomial) -> Polynomial:

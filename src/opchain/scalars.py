@@ -66,6 +66,17 @@ def format_scalar(x) -> str:
         return p if q == "1" else f"{p}/{q}"
 
 
+# The integer type of the active rational's parts: int for Fraction, mpz for
+# mpq.  A Fraction built from another integer type keeps it as its parts.
+_INT = type(ONE.numerator)
+
+
+def _is_exact(x) -> bool:
+    """Whether x is of the exact type over the backend's own integers, so
+    that a reader may take it without ``coerce_exact``."""
+    return type(x) is Rat and type(x.numerator) is _INT and type(x.denominator) is _INT
+
+
 def coerce_exact(x):
     """Normalise ints, rationals and 'p/q' strings onto the exact type.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import StreamExhausted
-from .scalars import Rat, coerce_exact
+from .scalars import _is_exact, coerce_exact
 
 
 class CoeffStream:
@@ -31,7 +31,7 @@ class CoeffStream:
             raise ValueError("exactly one of values/fn required")
         nums = dens = None
         if values is not None:
-            values = tuple(v if type(v) is Rat else coerce_exact(v) for v in values)
+            values = tuple(v if _is_exact(v) else coerce_exact(v) for v in values)
             nums = tuple(int(v.numerator) for v in values)
             dens = tuple(int(v.denominator) for v in values)
         self._values = values
@@ -55,7 +55,7 @@ class CoeffStream:
         if self._values is not None:
             return self._values[n - 1]
         v = self._fn(n)
-        return v if type(v) is Rat else coerce_exact(v)
+        return v if _is_exact(v) else coerce_exact(v)
 
     def _pair(self, n: int) -> tuple[int, int]:
         """c[n] as (numerator, denominator) Python ints; raises as ``self[n]``."""

@@ -19,13 +19,16 @@ here is exact and needs no measure.
 
 The kernel, the moment walk and the Laurent division run on integers over
 a common denominator, as ``Polynomial`` stores its coefficients.  The
-kernel and the walk take their entries as (numerator, denominator) pairs
-of Python ints from ``_pair_readers``, which validates a2 over the
-unchecked readers a system supplies (``_raw_pair_readers``): a value stream
-hands out its stored integers, a rule's value is split on read, and a
-gamma row evaluates its pair formulas (``chains._gamma_system``).  The
-Laurent division keeps its past terms over one running denominator, so
-the integers stay at the height of the answer.
+kernel forms no product with an absent entry of P_{k-2}, with the monic
+leading entry or with a zero diagonal entry, and the walk computes no row
+a closed walk cannot reach.  The kernel and the walk take their entries
+as (numerator, denominator) pairs of Python ints from ``_pair_readers``,
+which validates a2 over the unchecked readers a system supplies
+(``_raw_pair_readers``): a value stream hands out its stored integers, a
+rule's value is split on read, and a gamma row evaluates its pair
+formulas (``chains._gamma_system``).  The Laurent division keeps its past
+terms over one running denominator, so the integers stay at the height of
+the answer.
 """
 
 from __future__ import annotations
@@ -158,6 +161,12 @@ def _recurrence(diag, sub) -> list[Polynomial]:
     Before P_1 come 0 and 1, and s_0 = 0 multiplies the 0.  Each step runs
     on integer vectors over the lcm of the denominators of its three terms,
     with one gcd reduction per degree.
+
+    No product is formed that the shape of the recurrence makes zero.  Every
+    P_k is monic and P_{k-2} is one entry shorter than P_{k-1}, so only the
+    entries below the top two take all three terms; the next one has no
+    P_{k-2} term, and the leading one is den itself.  A zero diagonal entry,
+    as at every step of ``symmetric_sequence``, drops the d_k term.
     """
     prev, pden, cur, cden = (), 1, (1,), 1
     out = []
@@ -167,10 +176,16 @@ def _recurrence(diag, sub) -> list[Polynomial]:
         den = lcm(cden * dd, sd)
         ms = sn * (den // sd)
         mx = den // cden
-        md = dn * (mx // dd)
-        low = prev + (0,) * (len(cur) + 1 - len(prev))
-        nxt = [mx * u - md * v - ms * w for u, v, w in zip((0, *cur), (*cur, 0), low)]
-        g = gcd(den, *nxt)
+        up = (0, *cur)  # x P_{k-1}
+        if dn:
+            md = dn * (mx // dd)
+            nxt = [mx * u - md * v - ms * w for u, v, w in zip(up, cur, prev)]
+            nxt.append(mx * up[-2] - md * cden)  # cur[-1] == cden: P_{k-1} is monic
+        else:
+            nxt = [mx * u - ms * w for u, w in zip(up, prev)]
+            nxt.append(mx * up[-2])
+        nxt.append(den)  # mx * cden, the monic leading term
+        g = gcd(*nxt)
         if g != 1:
             nxt = [c // g for c in nxt]
             den //= g

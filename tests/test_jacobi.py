@@ -276,6 +276,17 @@ def test_zeros_bit_identical_to_reference(tol):
             _hex_rows(_reference_zeros_with_brackets(sys, n, tol)), label
 
 
+def test_zeros_bit_identical_to_reference_at_extreme_scales():
+    # Newton steps here reach 1e140, whose cubes are past the float64 range:
+    # the test for quadratic convergence must compare them, not raise.
+    for scale in (Rat(10 ** 120), Rat(10 ** 150, 7)):
+        for m in (4, 10):
+            sys = _wilkinson(m, scale)
+            for tol in (1e-10, 1e100):
+                assert _hex_rows(zeros_with_brackets(sys, 2 * m + 1, tol)) == \
+                    _hex_rows(_reference_zeros_with_brackets(sys, 2 * m + 1, tol)), (scale, m, tol)
+
+
 def _nonmonotone_count(diag, sub2, x):
     """The reference count, one too high on every third 1/64-wide cell of
     the axis: deliberately not monotone in x."""
@@ -335,6 +346,22 @@ def test_newton_probes_take_only_the_count(monkeypatch):
         zeros_with_brackets(sys, n, 1e-10)
     assert runs and all(re.fullmatch("s+c*", r) for r in runs), runs
     assert sum(r.count("c") for r in runs) >= len(runs) / 2
+
+
+def test_converged_newton_iterates_take_only_the_count(monkeypatch):
+    # With a slope pass at every Newton iterate, these cases took 1,153
+    # passes, 780 of them with the slope.  An iterate that quadratic
+    # convergence puts within width / 4 of its zero takes only the count,
+    # which must save slope passes without adding passes.
+    kinds = []
+    for name, kind in (("_count_below", "c"), ("_count_and_slope", "s")):
+        def spy(pairs, x, f=getattr(jacobi, name), kind=kind):
+            kinds.append(kind)
+            return f(pairs, x)
+        monkeypatch.setattr(jacobi, name, spy)
+    for _, sys, n in list(_reference_cases())[:4]:
+        zeros_with_brackets(sys, n, 1e-10)
+    assert len(kinds) <= 1153 and kinds.count("s") < 780
 
 
 class _SortedCertificates:

@@ -243,6 +243,35 @@ def test_systems_over_foreign_integers_do_not_wrap():
     assert all(type(v.numerator) is int for v in got.u_diag + got.l_sub)
 
 
+def test_fractions_over_foreign_integers_are_coerced():
+    # A Fraction keeps the integer type it was built from, so being a
+    # Fraction is not enough for a reader to take it as it is.
+    b, a2 = [2 ** 62, 2 ** 61, 3 * 2 ** 60], [2 ** 62, 2 ** 60]
+    want = lu_factor(truncate(ThreeTermSystem.from_values(b, a2), 3))
+
+    def wrap(vs):
+        return [Fraction(_Int64(v)) for v in vs]
+
+    assert lu_factor(truncate(ThreeTermSystem.from_values(wrap(b), wrap(a2)), 3)) == want
+    big = Fraction(_Int64(2 ** 62))
+    assert type(big.numerator) is _Int64  # the stand-in survives in a Fraction
+    p = Polynomial([big, 1])
+    assert p == P(2 ** 62, 1) and all(type(n) is int for n in p.nums + (p.den,))
+    assert P(1).scale(big).scale(4) == P(2 ** 64)
+    assert P(0, 1)(big) * 4 == 2 ** 64
+    rule = CoeffStream.from_fn(lambda n: Fraction(_Int64(2 ** 62), n))
+    assert type(rule[1].numerator) is int and rule[1] * 4 == 2 ** 64
+    assert rule._pair(3) == (2 ** 62, 3)
+    values = CoeffStream.from_values([big])
+    assert type(values[1].numerator) is int and values.nums == (2 ** 62,)
+    # a foreign denominator alone is caught too
+    tiny = Fraction(1, _Int64(2 ** 62))
+    assert type(tiny.numerator) is int and type(tiny.denominator) is _Int64
+    q = Polynomial([tiny])
+    assert q == P(Rat(1, 2 ** 62)) and all(type(n) is int for n in q.nums + (q.den,))
+    assert type(CoeffStream.from_values([tiny])[1].denominator) is int
+
+
 # -- parsing and JSON -----------------------------------------------------------------
 
 def test_parse_rational_forms():
@@ -387,3 +416,62 @@ def test_constructor_forms_share_one_canonical_vector():
     assert p.coeffs == (Rat(1, 2), Rat(3), Rat(-5, 4))
     assert Polynomial([Rat(2, 4), Rat(6, 2), "-10/8"]) == p
     assert Polynomial.zero().nums == () and Polynomial.zero().den == 1
+
+
+# -- immutability and the combination test ----------------------------------------------
+
+@pytest.mark.parametrize("name", ["nums", "den", "_coeffs"])
+def test_polynomial_slots_cannot_be_assigned(name):
+    p = P(1, Rat(1, 2))
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(p, name, getattr(p, name))
+    assert (p.nums, p.den) == ((2, 1), 2) and p.coeffs == (1, Rat(1, 2))
+
+
+def _combination_by_arithmetic(terms):
+    """sum of c * x**s * q built with scale, x * and +."""
+    total, x = Polynomial.zero(), Polynomial.x()
+    for c, s, q in terms:
+        t = q.scale(c)
+        for _ in range(s):
+            t = x * t
+        total = total + t
+    return total
+
+
+coefficients = rationals | st.integers(-3, 3)
+terms_lists = st.lists(st.tuples(coefficients, st.integers(0, 3), polys), max_size=3)
+
+
+@given(polys, terms_lists)
+def test_is_combination_agrees_with_arithmetic(p, terms):
+    from opchain.poly import _is_combination
+
+    want = _combination_by_arithmetic(terms)
+    assert _is_combination(p, terms) == (p == want)
+    assert _is_combination(want, terms)
+    for k in range(want.degree + 2):
+        off = want + Polynomial([0] * k + [Rat(1, 5)])
+        assert not _is_combination(off, terms)
+
+
+def test_is_combination_edge_cases():
+    from opchain.poly import _is_combination
+
+    zero = Polynomial.zero()
+    assert _is_combination(zero, ())
+    assert not _is_combination(P(1), ())
+    assert _is_combination(zero, [(3, 2, zero), (0, 1, P(1, 2))])
+    assert not _is_combination(zero, [(Rat(-1, 3), 0, P(1))])
+    # unequal lengths: p longer than every shifted term, and shorter
+    assert _is_combination(P(1, 2, 0, 0, 5), [(1, 0, P(1, 2)), (5, 4, P(1))])
+    assert not _is_combination(P(1, 2), [(1, 0, P(1, 2)), (5, 4, P(1))])
+    # leading terms that cancel, with and without a shift
+    assert _is_combination(P(0, 1), [(1, 0, P(0, 1, 1)), (-1, 0, P(0, 0, 1))])
+    assert _is_combination(P(0, 1), [(1, 1, P(1, 1)), (-1, 2, P(1))])
+    assert _is_combination(zero, [(Rat(2, 3), 1, P(3, 6)), (-2, 0, P(0, 1, 2))])
+    # c = 0 contributes nothing; c < 0 on a rational polynomial
+    assert _is_combination(P(Rat(-3, 14), Rat(-3, 7)), [(0, 5, P(7)), (Rat(-3, 7), 0, P(Rat(1, 2), 1))])
+    assert not _is_combination(P(Rat(3, 14), Rat(3, 7)), [(Rat(-3, 7), 0, P(Rat(1, 2), 1))])
+    with pytest.raises(InvalidRationalLiteral):
+        _is_combination(P(1), [(0.5, 0, P(2))])

@@ -413,3 +413,107 @@ def test_deep_sequences_match_a_fraction_reference_on_gmpy2():
 
     assert RAT_BACKEND == "gmpy2"
     _compare_deep_with_reference(202)
+
+
+# -- the recurrence kernel against its padded form --------------------------------
+
+def _padded_recurrence(diag, sub):
+    """The kernel with all three terms at every entry, over vectors padded
+    with zeros: what ``_recurrence`` computes without skipping the products
+    known to be zero."""
+    prev, pden, cur, cden = (), 1, (1,), 1
+    out = []
+    for (dn, dd), (sn, sd) in zip(diag, ((0, 1), *sub)):
+        sd *= pden
+        den = math.lcm(cden * dd, sd)
+        ms = sn * (den // sd)
+        mx = den // cden
+        md = dn * (mx // dd)
+        low = prev + (0,) * (len(cur) + 1 - len(prev))
+        nxt = [mx * u - md * v - ms * w for u, v, w in zip((0, *cur), (*cur, 0), low)]
+        g = math.gcd(den, *nxt)
+        if g != 1:
+            nxt = [c // g for c in nxt]
+            den //= g
+        prev, pden, cur, cden = cur, cden, tuple(nxt), den
+        out.append(Polynomial._raw(cur, den))
+    return out
+
+
+def _kernel_blocks():
+    """(label, diag, sub) blocks as the kernel's callers pass them."""
+    from opchain import perturb
+
+    rng = random.Random(1717)
+
+    def pair(p, q):
+        v = Fraction(p, q)
+        return v.numerator, v.denominator
+
+    for n in (0, 1, 2, 3, 9, 45):
+        gamma = random_gamma(rng, 2 * n + 8)
+        yield (f"gamma row n={n}", *system_from_gamma(gamma)._block_pairs(n))
+        yield (f"kernel row n={n}", *kernel_system(gamma)._block_pairs(n))
+        for v in ("tilde", "hat", "q", "u"):
+            yield (f"{v} n={n}", *getattr(perturb, f"{v}_system")(gamma)._block_pairs(n))
+        nu = perturb.swapped_nu(gamma, n).nu
+        yield f"swapped nu n={n}", [(0, 1)] * n, [nu._pair(k) for k in range(2, n + 1)]
+        diag = [pair(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.5 else (0, 1)
+                for _ in range(n)]
+        sub = [pair(rng.randint(1, 50), rng.randint(1, 9)) for _ in range(n - 1)]
+        yield f"partly zero diagonal n={n}", diag, sub
+
+
+_KERNEL_BLOCKS = list(_kernel_blocks())
+
+
+@pytest.mark.parametrize("label, diag, sub", _KERNEL_BLOCKS,
+                         ids=[label for label, _, _ in _KERNEL_BLOCKS])
+def test_recurrence_equals_the_padded_kernel(label, diag, sub):
+    from opchain.systems import _recurrence
+
+    got, want = _recurrence(diag, sub), _padded_recurrence(diag, sub)
+    assert len(got) == len(diag)
+    for k, (p, w) in enumerate(zip(got, want), 1):
+        assert (p.nums, p.den) == (w.nums, w.den), (label, k)
+        assert all(type(c) is int for c in p.nums), (label, k)
+
+
+def test_kernel_blocks_cover_zero_and_nonzero_diagonal_entries():
+    mixed = [d for label, d, _ in _KERNEL_BLOCKS if label == "partly zero diagonal n=45"][0]
+    assert any(p == 0 for p, _ in mixed) and any(p != 0 for p, _ in mixed)
+
+
+# -- kernel identities against the polynomial arithmetic -----------------------------
+
+def _reference_kernel_items(gamma, n, kernel_gamma=None):
+    """kernel_identity_check's items, each side built with +, -, scale, x *
+    and compared with ==."""
+    P = monic_sequence(system_from_gamma(gamma, minimal_branch=True), n + 1)
+    K = monic_sequence(kernel_system(kernel_gamma if kernel_gamma is not None else gamma), n)
+    x = Polynomial.x()
+    items = [("x*K = P(+1) + gamma_even*P", m,
+              x * K[m] == P[m + 1] + P[m].scale(gamma.at(2 * m + 2))) for m in range(n + 1)]
+    items += [("K = P - gamma_odd*K(-1)", m,
+               K[m] == P[m] - K[m - 1].scale(gamma.at(2 * m + 1))) for m in range(1, n + 1)]
+    return tuple(items)
+
+
+def test_kernel_identity_items_equal_the_arithmetic_reference():
+    from opchain import laguerre_gamma
+
+    rng = random.Random(1718)
+    failed = 0
+    for n in (0, 1, 2, 12):
+        gammas = [random_gamma(rng, 2 * n + 6), laguerre_gamma(Rat(7, 3), 0)]
+        for gamma in gammas:
+            assert kernel_identity_check(gamma, n).items == _reference_kernel_items(gamma, n)
+            vals = gamma.window(1, 2 * n + 6)
+            for k in range(1, 2 * n + 4, 3):
+                bad = list(vals)
+                bad[k] += Rat(1, 3)
+                ker = GammaSeq.from_values(bad)
+                got = kernel_identity_check(gamma, n, kernel_gamma=ker).items
+                assert got == _reference_kernel_items(gamma, n, ker), (n, k)
+                failed += sum(not ok for _, _, ok in got)
+    assert failed > 50  # the corrupt runs fail items, so both outcomes are compared
