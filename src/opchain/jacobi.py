@@ -20,14 +20,23 @@ the basis of LAPACK dstebz), so a count already taken at x <= mid with
 count <= j, or at x >= mid with count > j, decides the midpoint of zero j
 exactly as a count there would.  Every count of a call is kept as such a
 certificate; only the least and the greatest x seen with each count value
-can decide a midpoint, so the certificates are kept per count value.  Once
-zero j is isolated, safeguarded Newton iterates, each carrying its own
-count, narrow its certificates to far below tol; the probes that close the
-last gap take only the count, without the slope, and so does an iterate
-that quadratic convergence already puts well within that gap.  The
-bisection path, and so every output bit, is the plain loop's.  A count
-that breaks the order of the certificates would void that argument: the
-call then starts over with a count at every midpoint.
+can decide a midpoint, so the certificates are kept per count value.
+
+The certificates are seeded before the bisection starts.  One float
+eigenvalue solve, the root-free rational QL algorithm on (b_k, a_k^2),
+estimates all n zeros, and a count is taken just below and just above
+each estimate.  The estimates only choose where these counts are taken;
+the counts decide, and any point would be a valid certificate.  Where the
+two counts bracket zero j, its bisection needs no further count.  Where
+they do not (the QL solve failed, or its absolute error exceeds the
+bracket, as it can for zeros near 0 at a tight tol), safeguarded Newton
+iterates narrow the certificates of the isolated zero instead, each
+carrying its own count; the probes that close the last gap take only the
+count, without the slope, and so does an iterate that quadratic
+convergence already puts well within that gap.  The bisection path, and
+so every output bit, is the plain loop's.  A count that breaks the order
+of the certificates would void that argument: the call then starts over
+with a count at every midpoint.
 """
 
 from __future__ import annotations
@@ -327,6 +336,99 @@ def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
     return True
 
 
+# Bounds the QL iterations for one eigenvalue, as in EISPACK.
+_QL_ITERATIONS = 30
+_EPS = 2.0 ** -52
+
+
+def _tqlrat(diag, sub2):
+    """All eigenvalues of the symmetrised matrix, unordered, by the
+    root-free rational QL algorithm (EISPACK tqlrat; Reinsch, CACM 16,
+    1973, Algorithm 464) on the squared subdiagonal ``sub2``.
+
+    A split is searched for before every iteration.  None if one
+    eigenvalue takes more than _QL_ITERATIONS iterations; overflow gives
+    inf or NaN, and a zero divisor raises ZeroDivisionError.
+    """
+    n = len(diag)
+    d = list(diag)
+    e2 = [*sub2, 0.0]  # e2[i] couples rows i and i + 1; the last is 0
+    out = []
+    f = t = b = c = 0.0  # f: the shifts taken so far, subtracted from d
+    for l in range(n):
+        h = abs(d[l]) + math.sqrt(e2[l])
+        if t <= h:
+            t = h
+            b = _EPS * t
+            c = b * b
+        for it in range(_QL_ITERATIONS + 1):
+            m = l
+            while e2[m] > c:  # e2[n - 1] = 0 ends the search
+                m += 1
+            if m == l:
+                break
+            if it == _QL_ITERATIONS:
+                return None
+            # shift by the eigenvalue of the leading 2 x 2 block nearer d[l]
+            s = math.sqrt(e2[l])
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * s)
+            d[l] = s / (p + math.copysign(math.hypot(p, 1.0), p))
+            h = g - d[l]
+            for i in range(l + 1, n):
+                d[i] -= h
+            f += h
+            # rational QL sweep from row m up to row l
+            g = d[m] or b
+            h = g
+            s = 0.0
+            for i in range(m - 1, l - 1, -1):
+                p = g * h
+                e = e2[i]
+                r = p + e
+                e2[i + 1] = s * r
+                s = e / r
+                d[i + 1] = h + s * (h + d[i])
+                g = (d[i] - e / g) or b
+                h = g * (p / r)  # p / r <= 1: the product g * p could overflow
+            e2[l] = s * g
+            d[l] = h
+            # the test e2[l] <= c, without the underflow of forming it
+            if h == 0.0 or abs(e2[l]) <= abs(c / h):
+                break
+            e2[l] *= h
+            if e2[l] == 0.0:
+                break
+        out.append(d[l] + f)
+    return out
+
+
+def _zero_estimates(diag, sub2):
+    """Float estimates of the n zeros from one _tqlrat solve, or None if it
+    fails: a zero divisor, a non-finite value or too many iterations."""
+    try:
+        values = _tqlrat(diag, sub2)
+    except ZeroDivisionError:
+        return None
+    if values is None or not all(math.isfinite(v) for v in values):
+        return None
+    return values
+
+
+def _seed_counts(pairs, estimates, lo: float, hi: float, tol: float,
+                 certs: _Certificates) -> bool:
+    """Record the counts just below and just above each estimate v, at
+    v -+ w/2 with w = max(tol / 64, 64 ulp(v)), the width rule of the
+    Newton step in _bisect_zeros.  Points outside (lo, hi) are skipped;
+    False if a count broke monotonicity."""
+    for v in estimates:
+        half = 0.5 * max(tol / 64, 64 * math.ulp(v))
+        for x in (v - half, v + half):
+            if lo < x < hi and not certs.add(x, _count_below(pairs, x)):
+                return False
+    return True
+
+
 def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
                   certs: _Certificates | None):
     """Bisect each zero inside [lo, hi] until its bracket is narrower than tol.
@@ -334,8 +436,10 @@ def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
     With ``certs`` the bisection is replayed: a midpoint at or below L_j or
     at or above U_j (see _Certificates.bracket) takes the decision a count
     there would give, and only a midpoint strictly between them is
-    counted; before the first of these for an isolated zero, Newton
-    iterates narrow (L_j, U_j).  Returns None as soon as a count breaks
+    counted.  The certificates arrive seeded (_seed_counts), which usually
+    leaves (L_j, U_j) no wider than the Newton width below; where it does
+    not, Newton iterates narrow (L_j, U_j) before the first midpoint
+    counted for an isolated zero.  Returns None as soon as a count breaks
     monotonicity.  With ``certs=None`` every midpoint is counted.
     """
     L, cL, U, cU = -math.inf, None, math.inf, None
@@ -378,7 +482,10 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
 
     The zeros are the eigenvalues of the order-n truncation; each is
     bisected inside its Gershgorin bracket until the bracket is narrower
-    than tol (replayed from certificates, see the module docstring).  Data
+    than tol.  The bisection is replayed from certificates: counts at
+    points the QL estimates choose decide it, with Newton counts as the
+    fallback, and the result is the plain loop's (see the module
+    docstring).  Data
     outside the float64 range, or zeros so close to it that a bisection
     midpoint overflows, raises FloatOverflow.
     """
@@ -406,7 +513,10 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     if not math.isfinite(hi - lo):
         raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
     pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
-    out = _bisect_zeros(pairs, n, lo, hi, tol, _Certificates(n))
+    certs = _Certificates(n)
+    out = None
+    if _seed_counts(pairs, _zero_estimates(diag, sub2) or (), lo, hi, tol, certs):
+        out = _bisect_zeros(pairs, n, lo, hi, tol, certs)
     if out is None:  # a count broke monotonicity: count at every midpoint
         out = _bisect_zeros(pairs, n, lo, hi, tol, None)
     # a midpoint is infinite only when a + b overflows, and every later

@@ -45,6 +45,9 @@ class Polynomial:
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    def __delattr__(self, _):
+        raise AttributeError("Polynomial is immutable")
+
     @classmethod
     def _raw(cls, nums: tuple, den: int) -> "Polynomial":
         """Wrap a vector that is already in canonical form."""

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opchain import (
     GammaSeq,
@@ -310,9 +311,17 @@ def test_zeros_fall_back_to_counting_every_midpoint(monkeypatch):
         assert _hex_rows(zeros_with_brackets(sys, n, 1e-10)) == _hex_rows(want), label
 
 
+def _without_seeds(monkeypatch):
+    """Leave the certificates unseeded, so that every isolated zero takes
+    the Newton path."""
+    monkeypatch.setattr(jacobi, "_zero_estimates", lambda diag, sub2: None)
+
+
 def test_zeros_pass_count(monkeypatch):
-    # Certified replay takes about 9 pivot passes per zero on these cases,
-    # plain bisection 38; the bound catches a slide back to the latter.
+    # Certified replay without seeds takes about 9 pivot passes per zero on
+    # these cases, plain bisection 38; the bound catches a slide back to
+    # the latter.
+    _without_seeds(monkeypatch)
     passes = []
     for name in ("_count_below", "_count_and_slope"):
         def counted(pairs, x, f=getattr(jacobi, name)):
@@ -328,6 +337,7 @@ def test_zeros_pass_count(monkeypatch):
 def test_newton_probes_take_only_the_count(monkeypatch):
     # In each _newton_counts call the Newton iterates take a slope pass and,
     # from the first probe on, every pass takes only the count.
+    _without_seeds(monkeypatch)
     kinds, runs = [], []
     for name, kind in (("_count_below", "c"), ("_count_and_slope", "s")):
         def spy(pairs, x, f=getattr(jacobi, name), kind=kind):
@@ -353,6 +363,7 @@ def test_converged_newton_iterates_take_only_the_count(monkeypatch):
     # passes, 780 of them with the slope.  An iterate that quadratic
     # convergence puts within width / 4 of its zero takes only the count,
     # which must save slope passes without adding passes.
+    _without_seeds(monkeypatch)
     kinds = []
     for name, kind in (("_count_below", "c"), ("_count_and_slope", "s")):
         def spy(pairs, x, f=getattr(jacobi, name), kind=kind):
@@ -362,6 +373,132 @@ def test_converged_newton_iterates_take_only_the_count(monkeypatch):
     for _, sys, n in list(_reference_cases())[:4]:
         zeros_with_brackets(sys, n, 1e-10)
     assert len(kinds) <= 1153 and kinds.count("s") < 780
+
+
+def test_seeded_zeros_pass_count(monkeypatch):
+    # Seeded from the QL estimates, these cases take about 2.06 pivot passes
+    # per zero, 0.04 of them with the slope (the two seed counts and a few
+    # Newton passes); unseeded, about 8.3, with 4.7 slope passes.
+    kinds = []
+    for name, kind in (("_count_below", "c"), ("_count_and_slope", "s")):
+        def spy(pairs, x, f=getattr(jacobi, name), kind=kind):
+            kinds.append(kind)
+            return f(pairs, x)
+        monkeypatch.setattr(jacobi, name, spy)
+    zeros_found = 0
+    for _, sys, n in list(_reference_cases())[:4]:
+        zeros_found += len(zeros_with_brackets(sys, n, 1e-10))
+    assert len(kinds) <= 3 * zeros_found and kinds.count("s") <= 0.1 * zeros_found
+
+
+# Estimates that place the seed counts badly, or not at all.
+_SEED_STUBS = {
+    "none": lambda v: None,
+    "nan": lambda v: [math.nan] * len(v),
+    "inf": lambda v: [(-1) ** k * math.inf for k in range(len(v))],
+    "equal": lambda v: [v[len(v) // 2]] * len(v),
+    "shuffled": lambda v: random.Random(len(v)).sample(v, len(v)),
+    "off by 1e-3": lambda v: [x + 1e-3 for x in v],
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 5e-324])
+@pytest.mark.parametrize("stub", list(_SEED_STUBS))
+def test_zeros_do_not_depend_on_the_seeds(monkeypatch, stub, tol):
+    # The estimates only choose where counts are taken; the counts decide.
+    def estimates(diag, sub2, f=jacobi._zero_estimates):
+        values = f(diag, sub2)
+        assert values is not None
+        return _SEED_STUBS[stub](values)
+
+    monkeypatch.setattr(jacobi, "_zero_estimates", estimates)
+    for label, sys, n in _reference_cases():
+        assert _hex_rows(zeros_with_brackets(sys, n, tol)) == \
+            _hex_rows(_reference_zeros_with_brackets(sys, n, tol)), label
+
+
+def _raise_zero_division(diag, sub2):
+    raise ZeroDivisionError("float division by zero")
+
+
+@pytest.mark.parametrize("solve", [
+    _raise_zero_division,
+    lambda diag, sub2: None,  # too many iterations
+    lambda diag, sub2: [math.nan] * len(diag),
+    lambda diag, sub2: [*diag[1:], math.inf],
+])
+def test_failed_ql_solve_leaves_the_zeros_unseeded(monkeypatch, solve):
+    monkeypatch.setattr(jacobi, "_tqlrat", solve)
+    for label, sys, n in list(_reference_cases())[:12]:
+        diag, sub2 = ([p / q for p, q in w] for w in sys._block_pairs(n))
+        assert jacobi._zero_estimates(diag, sub2) is None
+        assert _hex_rows(zeros_with_brackets(sys, n, 1e-10)) == \
+            _hex_rows(_reference_zeros_with_brackets(sys, n, 1e-10)), label
+
+
+@pytest.mark.parametrize("diag, sub2", [
+    ([1e308, 1e308], [1e300]),
+    ([-1e308, 1e308], [1e300]),
+    ([0.0] * 5, [1e300] * 4),
+    ([0.0] * 5, [1e-300] * 4),
+])
+def test_ql_estimates_never_raise(diag, sub2):
+    values = jacobi._zero_estimates(diag, sub2)
+    assert values is None or (len(values) == len(diag) and all(map(math.isfinite, values)))
+
+
+def test_ql_estimates_are_near_the_zeros():
+    # includes scales where a product of three entries would overflow
+    extreme = [(f"wilkinson m={m} scale={scale}", _wilkinson(m, scale), 2 * m + 1)
+               for scale in (Rat(10 ** 120), Rat(10 ** 150, 7)) for m in (4, 10)]
+    for label, sys, n in [*_reference_cases(), *extreme]:
+        diag, sub2 = ([p / q for p, q in w] for w in sys._block_pairs(n))
+        want = [v for v, _ in _reference_zeros_with_brackets(sys, n, 1e-300)]
+        got = jacobi._zero_estimates(diag, sub2)
+        assert got is not None, label
+        got.sort()
+        scale = max(abs(v) for v in want) + max(sub2, default=0.0) ** 0.5
+        assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), label
+
+
+def test_seed_points_outside_the_bracket_are_not_counted(monkeypatch):
+    counted = []
+    monkeypatch.setattr(jacobi, "_count_below", lambda pairs, x: counted.append(x) or 0)
+    pairs = [(1.0, 0.0), (2.0, 1.0)]
+    estimates = [math.nan, math.inf, -math.inf, -1.0, 5.0, 1.0, 4.0]
+    assert jacobi._seed_counts(pairs, estimates, 0.0, 4.0, 1e-10, jacobi._Certificates(2))
+    assert counted == [1.0 - 1e-10 / 128, 1.0 + 1e-10 / 128, 4.0 - 1e-10 / 128]
+
+
+@st.composite
+def _tridiagonals(draw):
+    """(system, n): random rational data at scales 1e-8..1e8, or Wilkinson-
+    type matrices, alone or glued by a weak coupling, whose eigenvalues come
+    in close pairs."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        b = [Rat(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 999)))
+             for _ in range(n)]
+        a2 = [Rat(draw(st.integers(1, 999))) * Rat(10) ** draw(st.integers(-8, 8))
+              for _ in range(n - 1)]
+        return ThreeTermSystem.from_values(b, a2), n
+    m = draw(st.integers(1, 8))
+    scale = Rat(10) ** draw(st.integers(-5, 5))
+    copies = draw(st.integers(1, 3))
+    glue = Rat(draw(st.integers(1, 999))) * Rat(10) ** draw(st.integers(-30, 0))
+    b = [abs(m - k) * scale for _ in range(copies) for k in range(2 * m + 1)]
+    a2 = []
+    for c in range(copies):
+        a2 += [scale * scale] * (2 * m) + ([glue * scale * scale] if c + 1 < copies else [])
+    return ThreeTermSystem.from_values(b, a2), len(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(), st.sampled_from([1e-3, 1e-10, 1e-12, 1e-14, 5e-324]))
+def test_seeded_zeros_bit_identical_to_reference(case, tol):
+    sys, n = case
+    assert _hex_rows(zeros_with_brackets(sys, n, tol)) == \
+        _hex_rows(_reference_zeros_with_brackets(sys, n, tol))
 
 
 class _SortedCertificates:

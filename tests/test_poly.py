@@ -428,6 +428,15 @@ def test_polynomial_slots_cannot_be_assigned(name):
     assert (p.nums, p.den) == ((2, 1), 2) and p.coeffs == (1, Rat(1, 2))
 
 
+@pytest.mark.parametrize("name", ["nums", "den", "_coeffs"])
+def test_polynomial_slots_cannot_be_deleted(name):
+    p = Polynomial([1, 2])
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(p, name)
+    assert (p.nums, p.den, p.degree) == ((1, 2), 1, 1) and p.coeffs == (1, 2)
+    assert p == Polynomial([1, 2]) and hash(p) == hash(Polynomial([1, 2]))
+
+
 def _combination_by_arithmetic(terms):
     """sum of c * x**s * q built with scale, x * and +."""
     total, x = Polynomial.zero(), Polynomial.x()
