@@ -19,6 +19,10 @@ row of offsets (i, j, k, l) in
 
 with b_1 optionally replaced by a single gamma_r; ``_gamma_system`` builds
 all of them from one pair of integer-pair formulas.
+
+``kernel_identity_check`` decides each of its items by comparing both
+sides at one point x = 2^B past the height of their difference
+(``systems._relations_hold``), which is an exact equality test.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ from .errors import (
     PositivityBreak,
     ZeroDenominator,
 )
-from .poly import _is_combination
 from .scalars import ONE, ZERO, Rat, coerce_exact, format_scalar
 from .streams import CoeffStream
-from .systems import ThreeTermSystem, _order, monic_sequence
+from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps, monic_sequence
 
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
@@ -328,20 +331,21 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
     convention under which the m = 0 case x = P_1 + gamma_2 closes.  Both
     identities hold for every admissible gamma, so a negative control must
     desynchronise one ingredient: ``kernel_gamma`` feeds the kernel side
-    from a different sequence.
+    from a different sequence.  Every item compares values at one exact
+    point (``systems._relations_hold``).
     """
     base = system_from_gamma(gamma, minimal_branch=True)
     ker = kernel_system(kernel_gamma if kernel_gamma is not None else gamma)
-    P = monic_sequence(base, n + 1)
-    K = monic_sequence(ker, n)
-    items = []
-    for m in range(0, n + 1):
-        # P_{m+1} = x K_m - gamma_{2m+2} P_m
-        ok = _is_combination(P[m + 1], ((1, 1, K[m]), (-gamma.at(2 * m + 2), 0, P[m])))
-        items.append(("x*K = P(+1) + gamma_even*P", m, ok))
-    for m in range(1, n + 1):
-        ok = _is_combination(K[m], ((1, 0, P[m]), (-gamma.at(2 * m + 1), 0, K[m - 1])))
-        items.append(("K = P - gamma_odd*K(-1)", m, ok))
+    P = _Evaluation(_steps(*base._block_pairs(n + 1)))
+    K = _Evaluation(_steps(*ker._block_pairs(n)))
+    # P_{m+1} - x K_m + gamma_{2m+2} P_m, then K_m - P_m + gamma_{2m+1} K_{m-1}
+    relations = [[((1, 1), 0, P, m + 1), ((-1, 1), 1, K, m), (gamma._pair(2 * m + 2), 0, P, m)]
+                 for m in range(n + 1)]
+    relations += [[((1, 1), 0, K, m), ((-1, 1), 0, P, m), (gamma._pair(2 * m + 1), 0, K, m - 1)]
+                  for m in range(1, n + 1)]
+    held = iter(_relations_hold(relations))
+    items = [("x*K = P(+1) + gamma_even*P", m, next(held)) for m in range(n + 1)]
+    items += [("K = P - gamma_odd*K(-1)", m, next(held)) for m in range(1, n + 1)]
     return IdentityReport(tuple(items))
 
 

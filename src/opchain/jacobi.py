@@ -405,14 +405,23 @@ def _tqlrat(diag, sub2):
 
 def _zero_estimates(diag, sub2):
     """Float estimates of the n zeros from one _tqlrat solve, or None if it
-    fails: a zero divisor, a non-finite value or too many iterations."""
+    fails: a zero divisor, a non-finite value or too many iterations.
+
+    The solve runs on the data scaled by 2^s (diag) and 2^2s (sub2), which
+    brings the largest |b| or a to [1/2, 1) exactly, so its split threshold
+    (2^-52 t)^2 cannot underflow on a tiny matrix; the estimates are scaled
+    back by 2^-s.
+    """
+    top = max(max(map(abs, diag), default=0.0), math.sqrt(max(sub2, default=0.0)))
+    s = -math.frexp(top)[1]
     try:
-        values = _tqlrat(diag, sub2)
+        values = _tqlrat([math.ldexp(d, s) for d in diag], [math.ldexp(e, 2 * s) for e in sub2])
     except ZeroDivisionError:
         return None
-    if values is None or not all(math.isfinite(v) for v in values):
+    if values is None:
         return None
-    return values
+    values = [math.ldexp(v, -s) for v in values]
+    return values if all(math.isfinite(v) for v in values) else None
 
 
 def _seed_counts(pairs, estimates, lo: float, hi: float, tol: float,

@@ -13,7 +13,10 @@ differ only in b_1.
 
 Every identity in this module is checked exactly; reports carry the first
 violated index, and ``quasi_sides`` both sides of its identity, instead of
-a boolean lost to tolerance.
+a boolean lost to tolerance.  ``swap_split_check`` decides each item by
+comparing both sides at one point x = 2^B past the height of their
+difference (``systems._relations_hold``); ``quasi_sides`` compares the
+polynomials themselves.
 """
 
 from __future__ import annotations
@@ -23,17 +26,19 @@ from dataclasses import dataclass
 from .chains import GammaSeq, IdentityReport, _gamma_system, kernel_system, system_from_gamma
 from .errors import DegenerateFavard, Gamma1Zero
 from .jacobi import interlace_check, truncate, zeros
-from .poly import Polynomial, even_part, odd_part
+from .poly import Polynomial
 from .scalars import Rat
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
+    _Evaluation,
     _order,
     _pairs,
     _recurrence,
+    _relations_hold,
+    _steps,
     associated_sequence,
     monic_sequence,
-    symmetric_sequence,
 )
 
 TILDE_P = "TildeP"
@@ -167,22 +172,42 @@ def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
 # -- identity checks -------------------------------------------------------------
 
 
-def swap_split_check(gamma: GammaSeq, N: int) -> IdentityReport:
+def swap_split_check(gamma: GammaSeq, N: int,
+                     tilde_gamma: GammaSeq | None = None) -> IdentityReport:
     """Even/odd split of the swapped symmetric family.
 
     even_part(S_{2n}) must equal the tilde polynomial and odd_part(S_{2n+1})
-    the tilde-kernel polynomial, exactly, for n <= N.
+    the tilde-kernel polynomial, exactly, for n <= N.  Both identities hold
+    for every gamma with gamma_1 > 0, so a negative control must
+    desynchronise one ingredient: ``tilde_gamma`` feeds the tilde family
+    from a different sequence.
+
+    S is run through its parity parts E_n(x^2) = S_{2n} and
+    x O_n(x^2) = S_{2n+1}, which obey E_n = y O_{n-1} - nu_{2n} E_{n-1} and
+    O_n = E_n - nu_{2n+1} O_{n-1} in y = x^2: the symmetric recurrence
+    restated, not the split under test.  Every item compares two values at
+    one exact point (``systems._relations_hold``).
     """
     sym = swapped_nu(gamma, N + 1)
-    even_sys = tilde_system(gamma)    # raises Gamma1Zero when gamma_1 = 0
+    # raises Gamma1Zero when gamma_1 = 0
+    even_sys = tilde_system(tilde_gamma if tilde_gamma is not None else gamma)
     odd_sys = tilde_kernel_system(gamma)
-    S = symmetric_sequence(sym, 2 * N + 1)
-    P = monic_sequence(even_sys, N)
-    K = monic_sequence(odd_sys, N)
+    # U_k = S_k / x^(k mod 2) in y: step k multiplies by y when k is even,
+    # by 1 when k is odd, and U_1 = U_0 = 1
+    nu = [sym.nu._pair(k) for k in range(1, 2 * N + 2)]
+    U = _Evaluation(((k % 2 == 0, (0, 1) if k % 2 == 0 else (-1, 1), s)
+                     for k, s in enumerate(((0, 1), *nu[1:]), 1)))
+    P = _Evaluation(_steps(*even_sys._block_pairs(N)))
+    K = _Evaluation(_steps(*odd_sys._block_pairs(N)))
+    relations = []
+    for n in range(0, N + 1):
+        relations.append([((1, 1), 0, U, 2 * n), ((-1, 1), 0, P, n)])
+        relations.append([((1, 1), 0, U, 2 * n + 1), ((-1, 1), 0, K, n)])
+    held = iter(_relations_hold(relations))
     items = []
     for n in range(0, N + 1):
-        items.append(("even_part(S_2n) == P_n", n, even_part(S[2 * n]) == P[n]))
-        items.append(("odd_part(S_2n+1) == K_n", n, odd_part(S[2 * n + 1]) == K[n]))
+        items.append(("even_part(S_2n) == P_n", n, next(held)))
+        items.append(("odd_part(S_2n+1) == K_n", n, next(held)))
     return IdentityReport(tuple(items))
 
 

@@ -11,10 +11,7 @@ InvalidRationalLiteral.
 
 Results already in canonical form are wrapped as they are (``_raw``), with
 the slots written through their descriptors, which skips the generic
-attribute lookup of ``object.__setattr__``.  A linear relation
-p = sum c x^s q is decided on the integer vectors (``_is_combination``),
-without building and reducing the scaled, shifted and summed polynomials
-that only the comparison would read.
+attribute lookup of ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -204,27 +201,6 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     for i, y in enumerate(b):
         out[i] += y * mb
     return Polynomial._reduced(out, den)
-
-
-def _is_combination(p: Polynomial, terms) -> bool:
-    """Whether p == sum of c * x**s * q over ``terms`` of (c, s, q), with c
-    exact and s >= 0.
-
-    Decided on integer vectors over one common denominator, so no scaled,
-    shifted or summed polynomial is formed or gcd-reduced on the way.
-    """
-    terms = [(c if _is_exact(c) else coerce_exact(c), s, q) for c, s, q in terms]
-    dens = [c.denominator * q.den for c, _, q in terms]
-    den = lcm(p.den, *dens)
-    m = den // p.den
-    out = [n * m for n in p.nums]
-    for (c, s, q), d in zip(terms, dens):
-        m = c.numerator * (den // d)
-        if m and q.nums:
-            out += [0] * (s + len(q.nums) - len(out))
-            for i, y in enumerate(q.nums, s):
-                out[i] -= m * y
-    return not any(out)
 
 
 def even_part(p: Polynomial) -> Polynomial:

@@ -29,11 +29,19 @@ rule's value is split on read, and a gamma row evaluates its pair
 formulas (``chains._gamma_system``).  The Laurent division keeps its past
 terms over one running denominator, so the integers stay at the height of
 the answer.
+
+Where only one polynomial, or one yes/no per identity, is read, the
+recurrence runs instead on one integer per degree, its value at x = 2^B
+(``_Evaluation``): ``convergent`` unpacks the top one, and
+``_relations_hold`` decides the split and kernel identities of ``perturb``
+and ``chains`` exactly, with 2^B past the height of every difference.
+``_recurrence`` stays the producer of whole sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, lcm
 
 from .errors import DegreeViolation, NonPositiveA2
@@ -199,6 +207,21 @@ def monic_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     return [Polynomial.one()] + _recurrence(*sys._block_pairs(n))
 
 
+def _associated_block(sys: ThreeTermSystem, n: int) -> tuple[list, list]:
+    """The block (b_2..b_n, a_2^2..a_{n-1}^2) of z_2..z_n, as pairs, for n >= 1.
+
+    a_1^2 only meets z_0 = 0 but is validated right after b_2: gamma-derived,
+    it reads a gamma b_2..b_n never read.
+    """
+    b, a2 = sys._pair_readers(n)
+    diag = []
+    if n >= 2:
+        diag.append(b(2))
+        a2(1)
+    diag += [b(m) for m in range(3, n + 1)]
+    return diag, [a2(m) for m in range(2, n)]
+
+
 def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """z_0 .. z_n with z_0 = 0, z_1 = 1 under the same recurrence.
 
@@ -207,22 +230,117 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     """
     if _order(n) == 0:
         return [Polynomial.zero()]
-    # b_2..b_n and a_2^2..a_{n-1}^2.  a_1^2 only meets z_0 = 0 but is validated
-    # right after b_2: gamma-derived, it reads a gamma b_2..b_n never read.
-    b, a2 = sys._pair_readers(n)
-    diag = []
-    if n >= 2:
-        diag.append(b(2))
-        a2(1)
-    diag += [b(m) for m in range(3, n + 1)]
-    sub = [a2(m) for m in range(2, n)]
-    return [Polynomial.zero(), Polynomial.one()] + _recurrence(diag, sub)
+    return [Polynomial.zero(), Polynomial.one()] + _recurrence(*_associated_block(sys, n))
 
 
 def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
     """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
     nu = [sym.nu._pair(k) for k in range(1, _order(n) + 1)]
     return [Polynomial.one()] + _recurrence([(0, 1)] * n, nu[1:])
+
+
+def _steps(diag, sub):
+    """The steps (1, d_k, s_{k-1}) of ``_recurrence`` over a block, for
+    ``_Evaluation``."""
+    return zip(repeat(1), diag, ((0, 1), *sub))
+
+
+class _Evaluation:
+    """P_0..P_m of P_k = (e_k x - d_k) P_{k-1} - s_{k-1} P_{k-2}, e_k in
+    {0, 1}, as values at x = 2^B, for the ``steps`` (e_k, d_k, s_{k-1}) of
+    (numerator, denominator) pairs.  ``_steps`` gives those of a monic block.
+
+    One scalar pass finds, per step, the multipliers (mx, md, ms) of
+    ``_recurrence``, with den_k, the lcm of den_{k-1} times the denominator
+    of d_k and den_{k-2} times that of s_{k-1}, left unreduced:
+    P_k = N_k / den_k with N_k = (mx x - md) N_{k-1} - ms N_{k-2}.  It also
+    bounds the coefficients of N_k by M_k = (mx + |md|) M_{k-1} + |ms| M_{k-2}.
+    ``at(B)`` then runs the recurrence on the one integer N_k(2^B) per
+    degree.  A nonzero integer polynomial whose coefficients are at most H
+    in absolute value has no root T > H (its top term outweighs the rest),
+    so two such values decide an identity exactly once 2^B exceeds the
+    height of the difference (``_relations_hold``), and with 2^(B-1) > M_k
+    the value N_k(2^B) holds the coefficients of N_k as its balanced
+    base-2^B digits (``top``).
+    """
+
+    __slots__ = ("mults", "dens", "bounds")
+
+    def __init__(self, steps):
+        pden = cden = 1
+        pm, cm = 0, 1
+        mults, dens, bounds = [], [1], [1]
+        for e, (dn, dd), (sn, sd) in steps:
+            sd *= pden
+            den = lcm(cden * dd, sd)
+            ms = sn * (den // sd)
+            mx = den // cden
+            md = dn * (mx // dd)
+            if not e:
+                mx = 0
+            pm, cm = cm, (mx + abs(md)) * cm + abs(ms) * pm
+            pden, cden = cden, den
+            mults.append((mx, md, ms))
+            dens.append(den)
+            bounds.append(cm)
+        self.mults, self.dens, self.bounds = mults, dens, bounds
+
+    def at(self, B: int) -> list[int]:
+        """N_0(2^B)..N_m(2^B)."""
+        prev, cur = 0, 1
+        out = [1]
+        for mx, md, ms in self.mults:
+            prev, cur = cur, ((mx * cur) << B) - md * cur - ms * prev
+            out.append(cur)
+        return out
+
+    def top(self) -> Polynomial:
+        """P_m, unpacked from N_m(2^B) with 2^(B-1) > M_m, and reduced once."""
+        B = self.bounds[-1].bit_length() + 1
+        v, mask, half = self.at(B)[-1], (1 << B) - 1, 1 << (B - 1)
+        nums = []
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= mask + 1
+            nums.append(c)
+            v = (v - c) >> B
+        return Polynomial._reduced(nums, self.dens[-1])
+
+
+def _relations_hold(relations) -> list[bool]:
+    """Whether each relation sum c x^s F_k = 0 holds exactly.
+
+    A relation is a list of terms (c, s, F, k): a rational c as a
+    (numerator, denominator) pair, a shift s >= 0 and the k-th polynomial
+    of the ``_Evaluation`` F.  Each relation is taken on integers over the
+    lcm L of its denominators, where the term weighs w = c L / den_k and
+    the difference has height at most H = sum |w| M_k.  Every F is
+    evaluated once, at one 2^B above every H, and a relation holds iff its
+    integer sum w 2^(sB) N_k(2^B) is 0.
+    """
+    weighed, B = [], 1
+    for terms in relations:
+        dens = [q * F.dens[k] for (_, q), _, F, k in terms]
+        L = lcm(*dens)
+        ws, H = [], 0
+        for ((p, _), s, F, k), d in zip(terms, dens):
+            w = p * (L // d)
+            H += abs(w) * F.bounds[k]
+            ws.append((w, s, F, k))
+        B = max(B, H.bit_length())
+        weighed.append(ws)
+    values = {}
+    held = []
+    for ws in weighed:
+        total = 0
+        for w, s, F, k in ws:
+            X = values.get(F)
+            if X is None:
+                X = values[F] = F.at(B)
+            total += (w * X[k]) << (s * B)
+        held.append(not total)
+    return held
 
 
 # -- moments ------------------------------------------------------------------
@@ -262,10 +380,15 @@ def moments(sys: ThreeTermSystem, k: int):
 
 
 def convergent(sys: ThreeTermSystem, n: int) -> tuple[Polynomial, Polynomial]:
-    """The n-th convergent (numerator, denominator) = (z_n, P_n)."""
-    num = associated_sequence(sys, n)[n]
-    den = monic_sequence(sys, n)[n]
-    return num, den
+    """The n-th convergent (numerator, denominator) = (z_n, P_n).
+
+    Each is read off one evaluation of its recurrence at the top degree
+    (``_Evaluation.top``), with the reads and errors of
+    ``associated_sequence(sys, n)`` and then ``monic_sequence(sys, n)``.
+    """
+    num = (Polynomial.zero() if _order(n) == 0
+           else _Evaluation(_steps(*_associated_block(sys, n))).top())
+    return num, _Evaluation(_steps(*sys._block_pairs(n))).top()
 
 
 def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSeries:

@@ -30,14 +30,12 @@ from .chains import (
 )
 from .families import FAMILIES, closed_form, laguerre_gamma, laguerre_system
 from .jacobi import darboux_pivot_check, lu_factor, truncate, ul_product
-from .poly import even_part
 from .scalars import Rat, format_scalar
 from .systems import (
     associated_sequence,
     laurent_expand,
     moments,
     monic_sequence,
-    symmetric_sequence,
     systems_agree,
 )
 
@@ -122,17 +120,17 @@ def suite_theorem33(seed=0, samples=25, n=15, corrupt=False) -> SuiteReport:
     need = 2 * n + 4
     for s, gamma in _samples(rep, need):
         if corrupt:
-            # negative control: compare the split of the original symmetric
-            # family against the tilde family of a corrupted gamma; P~_1
-            # reads only gamma_1, so n = 1 bumps that one
-            S = symmetric_sequence(perturb.swapped_nu(gamma, n + 1), 2 * n)
-            P = monic_sequence(perturb.tilde_system(_bumped(gamma, 1 if n == 1 else 4, need)), n)
-            bad = next((m for m in range(n + 1) if even_part(S[2 * m]) != P[m]), None)
-            ok, witness = bad is None, bad
+            # negative control: split the original symmetric family against
+            # the tilde family of a corrupted gamma; P~_1 reads only
+            # gamma_1, so n = 1 bumps that one.  The witness is the index.
+            tilde = _bumped(gamma, 1 if n == 1 else 4, need)
+            report = perturb.swap_split_check(gamma, n, tilde_gamma=tilde)
+            witness = report.first_failure and report.first_failure[1]
         else:
             report = perturb.swap_split_check(gamma, n)
-            ok, witness = report.ok, report.first_failure
-        rep.add("even/odd split equals perturbed families", f"sample {s}, n<={n}", ok, witness)
+            witness = report.first_failure
+        rep.add("even/odd split equals perturbed families", f"sample {s}, n<={n}",
+                report.ok, witness)
     return rep
 
 

@@ -461,6 +461,29 @@ def test_ql_estimates_are_near_the_zeros():
         assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want)), label
 
 
+def test_ql_estimates_on_a_tiny_matrix(monkeypatch):
+    # With a norm t near 1e-150 the split threshold (2^-52 t)^2 would
+    # underflow to 0; unscaled, the estimates missed the zeros 0, +-1e-150
+    # and +-sqrt(3) 1e-150 by up to 5e-151, and the seeds stopped bracketing.
+    sys = ThreeTermSystem.from_values([0] * 5, [Rat(1, 10 ** 300)] * 4)
+    want = [-math.sqrt(3) * 1e-150, -1e-150, 0.0, 1e-150, math.sqrt(3) * 1e-150]
+    got = sorted(jacobi._zero_estimates([0.0] * 5, [1e-300] * 4))
+    t = max(want) + 1e-150
+    assert all(abs(a - b) <= 1e-13 * t for a, b in zip(got, want)), got
+    passes = []
+    for name in ("_count_below", "_count_and_slope"):
+        def counted(pairs, x, f=getattr(jacobi, name)):
+            passes.append(x)
+            return f(pairs, x)
+        monkeypatch.setattr(jacobi, name, counted)
+    zeros_with_brackets(sys, 5, 1e-160)
+    assert len(passes) <= 3 * 5
+    monkeypatch.undo()
+    for tol in (1e-160, 1e-170, 5e-324):
+        assert _hex_rows(zeros_with_brackets(sys, 5, tol)) == \
+            _hex_rows(_reference_zeros_with_brackets(sys, 5, tol)), tol
+
+
 def test_seed_points_outside_the_bracket_are_not_counted(monkeypatch):
     counted = []
     monkeypatch.setattr(jacobi, "_count_below", lambda pairs, x: counted.append(x) or 0)

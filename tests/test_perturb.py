@@ -31,7 +31,13 @@ from opchain import (
     zero_sum_interlacing_report,
 )
 from opchain.chains import _gamma_system
-from opchain.errors import DegenerateFavard, Gamma1Zero, NonPositiveA2, NonPositiveGamma
+from opchain.errors import (
+    DegenerateFavard,
+    Gamma1Zero,
+    NonPositiveA2,
+    NonPositiveGamma,
+    OpchainError,
+)
 from opchain.perturb import _quasi_pair, _quasi_sequences, quasi_sides
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
@@ -358,6 +364,55 @@ def test_swap_split_disabled_lands_on_unperturbed():
     for n in range(N + 1):
         assert even_part(S[2 * n]) == P[n]
         assert odd_part(S[2 * n + 1]) == K[n]
+
+
+def _reference_split_items(gamma, N, tilde_gamma=None):
+    """swap_split_check's items, from the symmetric sequence, its even and
+    odd parts and the monic sequences, compared with ==."""
+    S = symmetric_sequence(swapped_nu(gamma, N + 1), 2 * N + 1)
+    P = monic_sequence(tilde_system(tilde_gamma if tilde_gamma is not None else gamma), N)
+    K = monic_sequence(tilde_kernel_system(gamma), N)
+    items = []
+    for n in range(N + 1):
+        items.append(("even_part(S_2n) == P_n", n, even_part(S[2 * n]) == P[n]))
+        items.append(("odd_part(S_2n+1) == K_n", n, odd_part(S[2 * n + 1]) == K[n]))
+    return tuple(items)
+
+
+def test_swap_split_items_equal_the_polynomial_reference():
+    rng = random.Random(1819)
+    failed = 0
+    for N in (0, 1, 2, 12):
+        for gamma in (random_gamma(rng, 2 * N + 6), laguerre_gamma(Rat(7, 3), 1)):
+            assert swap_split_check(gamma, N).items == _reference_split_items(gamma, N)
+            vals = gamma.window(1, 2 * N + 6)
+            for k in range(0, 2 * N + 4, 3):
+                bad = list(vals)
+                bad[k] += Rat(1, 3)
+                tilde = GammaSeq.from_values(bad)
+                got = swap_split_check(gamma, N, tilde_gamma=tilde).items
+                assert got == _reference_split_items(gamma, N, tilde), (N, k)
+                failed += sum(not ok for _, _, ok in got)
+    assert failed > 50  # the corrupt runs fail items, so both outcomes are compared
+
+
+def test_swap_split_fails_as_the_polynomial_reference():
+    # a gamma cut short, or with one entry 0, raises the reference's error
+    # at the reference's index: the reads keep their order
+    def outcome(f):
+        try:
+            return f()
+        except OpchainError as exc:
+            return type(exc), getattr(exc, "index", None), str(exc)
+
+    rng = random.Random(1820)
+    for N in (1, 4):
+        vals = random_gamma(rng, 2 * N + 4).window(1, 2 * N + 4)
+        for k in range(len(vals)):
+            for bad in (vals[:k], vals[:k] + [Rat(0)] + vals[k + 1:]):
+                gamma = GammaSeq.from_values(bad)
+                got = outcome(lambda: swap_split_check(gamma, N).items)
+                assert got == outcome(lambda: _reference_split_items(gamma, N)), (N, k)
 
 
 def test_swap_split_rejects_zero_gamma1():

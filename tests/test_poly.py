@@ -436,51 +436,3 @@ def test_polynomial_slots_cannot_be_deleted(name):
     assert (p.nums, p.den, p.degree) == ((1, 2), 1, 1) and p.coeffs == (1, 2)
     assert p == Polynomial([1, 2]) and hash(p) == hash(Polynomial([1, 2]))
 
-
-def _combination_by_arithmetic(terms):
-    """sum of c * x**s * q built with scale, x * and +."""
-    total, x = Polynomial.zero(), Polynomial.x()
-    for c, s, q in terms:
-        t = q.scale(c)
-        for _ in range(s):
-            t = x * t
-        total = total + t
-    return total
-
-
-coefficients = rationals | st.integers(-3, 3)
-terms_lists = st.lists(st.tuples(coefficients, st.integers(0, 3), polys), max_size=3)
-
-
-@given(polys, terms_lists)
-def test_is_combination_agrees_with_arithmetic(p, terms):
-    from opchain.poly import _is_combination
-
-    want = _combination_by_arithmetic(terms)
-    assert _is_combination(p, terms) == (p == want)
-    assert _is_combination(want, terms)
-    for k in range(want.degree + 2):
-        off = want + Polynomial([0] * k + [Rat(1, 5)])
-        assert not _is_combination(off, terms)
-
-
-def test_is_combination_edge_cases():
-    from opchain.poly import _is_combination
-
-    zero = Polynomial.zero()
-    assert _is_combination(zero, ())
-    assert not _is_combination(P(1), ())
-    assert _is_combination(zero, [(3, 2, zero), (0, 1, P(1, 2))])
-    assert not _is_combination(zero, [(Rat(-1, 3), 0, P(1))])
-    # unequal lengths: p longer than every shifted term, and shorter
-    assert _is_combination(P(1, 2, 0, 0, 5), [(1, 0, P(1, 2)), (5, 4, P(1))])
-    assert not _is_combination(P(1, 2), [(1, 0, P(1, 2)), (5, 4, P(1))])
-    # leading terms that cancel, with and without a shift
-    assert _is_combination(P(0, 1), [(1, 0, P(0, 1, 1)), (-1, 0, P(0, 0, 1))])
-    assert _is_combination(P(0, 1), [(1, 1, P(1, 1)), (-1, 2, P(1))])
-    assert _is_combination(zero, [(Rat(2, 3), 1, P(3, 6)), (-2, 0, P(0, 1, 2))])
-    # c = 0 contributes nothing; c < 0 on a rational polynomial
-    assert _is_combination(P(Rat(-3, 14), Rat(-3, 7)), [(0, 5, P(7)), (Rat(-3, 7), 0, P(Rat(1, 2), 1))])
-    assert not _is_combination(P(Rat(3, 14), Rat(3, 7)), [(Rat(-3, 7), 0, P(Rat(1, 2), 1))])
-    with pytest.raises(InvalidRationalLiteral):
-        _is_combination(P(1), [(0.5, 0, P(2))])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opchain import (
     GammaSeq,
@@ -24,7 +25,8 @@ from opchain import (
     system_from_gamma,
     systems_agree,
 )
-from opchain.errors import DegreeViolation, NonPositiveGamma, StreamExhausted
+from opchain.errors import DegreeViolation, NonPositiveGamma, OpchainError, StreamExhausted
+from opchain.streams import CoeffStream
 from opchain.verify import random_gamma
 
 
@@ -225,6 +227,65 @@ def test_moment_matching_through_order_2n():
             num, den = convergent(sys, n)
             series = laurent_expand(num, den, 2 * n)
             assert list(series.coeffs) == [moments(sys, k) for k in range(2 * n)]
+
+
+def _outcome(f):
+    """f()'s value, or the type, index and message of the error it raised."""
+    try:
+        return f()
+    except OpchainError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+
+
+_signed = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+_positive = st.fractions(min_value=Fraction(1, 60), max_value=40, max_denominator=60)
+
+
+@st.composite
+def _convergent_systems(draw):
+    """A system with signed b, as values or as rules; now and then the data
+    stop short of the order, or one a2 is <= 0."""
+    n = draw(st.integers(0, 25))
+    length = max(n - draw(st.sampled_from([0, 0, 0, 1, 2])), 0)
+    b = draw(st.lists(_signed, min_size=length, max_size=length))
+    a2 = draw(st.lists(_positive, min_size=length, max_size=length))
+    if length and draw(st.sampled_from([False, False, True])):
+        a2[draw(st.integers(0, length - 1))] = draw(st.sampled_from([Fraction(0), Fraction(-1, 3)]))
+    if draw(st.booleans()):
+        return ThreeTermSystem.from_values(b, a2), n
+
+    def rule(vals):
+        def at(k):
+            if k > len(vals):
+                raise StreamExhausted(k, f"rule ends at {len(vals)}")
+            return vals[k - 1]
+        return CoeffStream.from_fn(at)
+
+    return ThreeTermSystem(rule(b), rule(a2)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convergent_systems())
+def test_convergent_is_the_top_of_both_sequences(case):
+    # read off one evaluation at x = 2^B, it must be the sequences' own top
+    # polynomials, and fail with their error at their index
+    sys, n = case
+    got = _outcome(lambda: convergent(sys, n))
+    want = _outcome(lambda: (associated_sequence(sys, n)[n], monic_sequence(sys, n)[n]))
+    assert got == want
+
+
+def test_evaluation_point_is_above_the_height_of_the_difference():
+    # 2^b - x, coefficients (2^b, -1), vanishes at x = 2^b, so B = b would
+    # call it zero: the point must lie past the height of the difference
+    from opchain.systems import _Evaluation, _relations_hold, _steps
+
+    F = _Evaluation(_steps([(0, 1)], []))  # P_0 = 1, P_1 = x
+    for b in (1, 2, 7, 64, 300):
+        assert _relations_hold([[((2 ** b, 1), 0, F, 0), ((-1, 1), 0, F, 1)]]) == [False]
+        assert _relations_hold([[((2 ** b, 1), 0, F, 0), ((-1, 1), 1, F, 0)]]) == [False]
+        assert _relations_hold([[((2 ** b, 3), 0, F, 0), ((-1, 3), 0, F, 1)]]) == [False]
+    assert _relations_hold([[((1, 1), 0, F, 1), ((-1, 1), 1, F, 0)]]) == [True]
 
 
 # -- stream discipline ----------------------------------------------------------------------
