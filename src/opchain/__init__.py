@@ -1,9 +1,8 @@
 """opchain: exact chain sequences, three-term recurrences, and their
 pairwise-swap perturbations, with a verification-first design.
 
-Everything algebraic runs on an exact rational backend (GMP when
-available, pure Python otherwise); float64 appears only in the Sturm
-bisection used for zeros.
+Everything algebraic runs on exact rationals (``fractions.Fraction``);
+float64 appears only in the Sturm bisection used for zeros.
 """
 
 from .chains import (

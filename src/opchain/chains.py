@@ -59,7 +59,7 @@ class GammaSeq:
     gamma: CoeffStream
 
     def at(self, k: int):
-        # Signs are read off numerators: both exact types keep the
+        # Signs are read off numerators: the exact type keeps the
         # denominator positive, and a numerator test skips a rational compare.
         v = self.gamma[k]
         if k == 1:
@@ -72,7 +72,7 @@ class GammaSeq:
     def _pair(self, k: int) -> tuple[int, int]:
         """``at(k)`` as (numerator, denominator) Python ints."""
         v = self.at(k)
-        return int(v.numerator), int(v.denominator)
+        return v.numerator, v.denominator
 
     def _stored_pairs(self, hi: int):
         """[None, pair of gamma_1, ..., pair of gamma_hi] when the gamma is a

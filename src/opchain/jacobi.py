@@ -22,7 +22,8 @@ exactly as a count there would.  Every count of a call is kept as such a
 certificate; only the least and the greatest x seen with each count value
 can decide a midpoint, so the certificates are kept per count value.
 
-The certificates are seeded before the bisection starts.  One float
+The certificates are seeded before the bisection starts, unless the
+Gershgorin bracket is within four halvings of tol.  One float
 eigenvalue solve, the root-free rational QL algorithm on (b_k, a_k^2),
 estimates all n zeros, and a count is taken just below and just above
 each estimate.  The estimates only choose where these counts are taken;
@@ -524,7 +525,10 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
     certs = _Certificates(n)
     out = None
-    if _seed_counts(pairs, _zero_estimates(diag, sub2) or (), lo, hi, tol, certs):
+    # Within four halvings of tol the bisection meets at most 15 distinct
+    # midpoints, whatever n; the seeds would cost 2n counts and the solve.
+    estimates = _zero_estimates(diag, sub2) if hi - lo > 16 * tol else None
+    if _seed_counts(pairs, estimates or (), lo, hi, tol, certs):
         out = _bisect_zeros(pairs, n, lo, hi, tol, certs)
     if out is None:  # a count broke monotonicity: count at every midpoint
         out = _bisect_zeros(pairs, n, lo, hi, tol, None)

@@ -1,10 +1,10 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-A polynomial is stored as integers over one denominator, the canonical
-form of FLINT's ``fmpq_poly``: ``nums`` is a tuple of integers ascending by
-degree and ``den`` a positive integer, with ``gcd(den, *nums) == 1`` and no
-trailing zero; the zero polynomial is ``((), 1)``.  So the form of a value
-is unique and equality is a tuple comparison.  ``coeffs`` gives the
+A polynomial is stored as integers over one denominator, the canonical form
+of FLINT's rational polynomials: ``nums`` is a tuple of integers ascending
+by degree and ``den`` a positive integer, with ``gcd(den, *nums) == 1`` and
+no trailing zero; the zero polynomial is ``((), 1)``.  So the form of a
+value is unique and equality is a tuple comparison.  ``coeffs`` gives the
 coefficients as exact rationals, built once on first use.  All values are
 immutable.  A float coefficient or evaluation point raises
 InvalidRationalLiteral.

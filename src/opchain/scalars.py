@@ -5,29 +5,20 @@ gcd-normalised form, so equality is meaningful and no tolerance ever enters
 an algebraic test.  Float64 appears only in the spectra code of ``jacobi``;
 a float handed to the exact code is rejected, never rounded.
 
-The rational type is chosen once at import: ``gmpy2.mpq`` (GMP, compiled)
-when available, otherwise the stdlib ``fractions.Fraction``.  Both are
-normalised rationals with identical semantics.
+The rational type is the stdlib ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
+from fractions import Fraction as Rat
 from numbers import Rational
 
 from .errors import InvalidRationalLiteral
 
-try:
-    from gmpy2 import mpq as _ratio
-    RAT_BACKEND = "gmpy2"
-except ImportError:
-    from fractions import Fraction as _ratio
-    RAT_BACKEND = "fractions"
-
-#: Exact-rational constructor of the active implementation.
-#: Accepts ints, 'p/q' strings, other rationals, or a (num, den) pair.
-Rat = _ratio
+#: Name of the rational type, recorded with benchmark runs.
+RAT_BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -66,15 +57,11 @@ def format_scalar(x) -> str:
         return p if q == "1" else f"{p}/{q}"
 
 
-# The integer type of the active rational's parts: int for Fraction, mpz for
-# mpq.  A Fraction built from another integer type keeps it as its parts.
-_INT = type(ONE.numerator)
-
-
 def _is_exact(x) -> bool:
-    """Whether x is of the exact type over the backend's own integers, so
-    that a reader may take it without ``coerce_exact``."""
-    return type(x) is Rat and type(x.numerator) is _INT and type(x.denominator) is _INT
+    """Whether x is of the exact type over Python ints, so that a reader may
+    take it without ``coerce_exact``.  A Fraction built from another integer
+    type keeps it as its parts."""
+    return type(x) is Rat and type(x.numerator) is int and type(x.denominator) is int
 
 
 def coerce_exact(x):

@@ -32,8 +32,8 @@ class CoeffStream:
         nums = dens = None
         if values is not None:
             values = tuple(v if _is_exact(v) else coerce_exact(v) for v in values)
-            nums = tuple(int(v.numerator) for v in values)
-            dens = tuple(int(v.denominator) for v in values)
+            nums = tuple(v.numerator for v in values)
+            dens = tuple(v.denominator for v in values)
         self._values = values
         self.nums = nums
         self.dens = dens
@@ -62,7 +62,7 @@ class CoeffStream:
         if self.nums is not None and 0 < n <= self.stop:
             return self.nums[n - 1], self.dens[n - 1]
         v = self[n]  # a rule's value, or StreamExhausted
-        return int(v.numerator), int(v.denominator)
+        return v.numerator, v.denominator
 
     def window(self, lo: int, hi: int) -> list:
         """Values for indices lo..hi inclusive."""

@@ -153,10 +153,10 @@ def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
 def _pairs(values) -> list:
     """(numerator, denominator) of each rational, as Python ints.
 
-    ``int`` keeps any other integer type a rational may carry out of the
-    kernel, as the ``int`` of the stream readers (``CoeffStream._pair``,
-    ``chains.GammaSeq._pair``) does for every other caller: a fixed-width
-    type such as numpy's int64 would wrap in the products of the recurrence.
+    The values come unchecked from the caller of ``perturb.unified_sequence``,
+    so ``int`` keeps any other integer type a Fraction may carry out of the
+    kernel: a fixed-width type such as numpy's int64 would wrap in the
+    products of the recurrence.
     """
     return [(int(v.numerator), int(v.denominator)) for v in values]
 

@@ -317,21 +317,42 @@ def _without_seeds(monkeypatch):
     monkeypatch.setattr(jacobi, "_zero_estimates", lambda diag, sub2: None)
 
 
-def test_zeros_pass_count(monkeypatch):
-    # Certified replay without seeds takes about 9 pivot passes per zero on
-    # these cases, plain bisection 38; the bound catches a slide back to
-    # the latter.
-    _without_seeds(monkeypatch)
+def _passes(monkeypatch) -> list:
+    """The points of every pivot pass from now on, with or without the slope."""
     passes = []
     for name in ("_count_below", "_count_and_slope"):
         def counted(pairs, x, f=getattr(jacobi, name)):
             passes.append(x)
             return f(pairs, x)
         monkeypatch.setattr(jacobi, name, counted)
+    return passes
+
+
+def test_zeros_pass_count(monkeypatch):
+    # Certified replay without seeds takes about 9 pivot passes per zero on
+    # these cases, plain bisection 38; the bound catches a slide back to
+    # the latter.
+    _without_seeds(monkeypatch)
+    passes = _passes(monkeypatch)
     zeros_found = 0
     for _, sys, n in list(_reference_cases())[:4]:
         zeros_found += len(zeros_with_brackets(sys, n, 1e-10))
     assert len(passes) <= 12 * zeros_found
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_no_seeds_within_a_few_halvings_of_tol(monkeypatch, n):
+    # At tol 10 the Gershgorin bracket of Laguerre alpha = 0 is 2 (n = 10)
+    # and 4 (n = 30) halvings wide; the seeds took 20 and 60 passes there,
+    # the bisection alone 3 and 18.
+    want = _reference_zeros_with_brackets(LAG0, n, 10.0)
+    passes = _passes(monkeypatch)
+    assert _hex_rows(zeros_with_brackets(LAG0, n, 10.0)) == _hex_rows(want)
+    seeded = len(passes)
+    _without_seeds(monkeypatch)
+    passes.clear()
+    assert _hex_rows(zeros_with_brackets(LAG0, n, 10.0)) == _hex_rows(want)
+    assert seeded <= len(passes)
 
 
 def test_newton_probes_take_only_the_count(monkeypatch):
@@ -470,12 +491,7 @@ def test_ql_estimates_on_a_tiny_matrix(monkeypatch):
     got = sorted(jacobi._zero_estimates([0.0] * 5, [1e-300] * 4))
     t = max(want) + 1e-150
     assert all(abs(a - b) <= 1e-13 * t for a, b in zip(got, want)), got
-    passes = []
-    for name in ("_count_below", "_count_and_slope"):
-        def counted(pairs, x, f=getattr(jacobi, name)):
-            passes.append(x)
-            return f(pairs, x)
-        monkeypatch.setattr(jacobi, name, counted)
+    passes = _passes(monkeypatch)
     zeros_with_brackets(sys, 5, 1e-160)
     assert len(passes) <= 3 * 5
     monkeypatch.undo()

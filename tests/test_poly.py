@@ -1,13 +1,27 @@
 import math
 import numbers
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from opchain import Polynomial, Rat, even_part, odd_part, parse_rational, substitute_square
+import opchain
+from opchain import (
+    GammaSeq,
+    Polynomial,
+    Rat,
+    even_part,
+    odd_part,
+    parse_rational,
+    substitute_square,
+    system_from_gamma,
+)
 from opchain.errors import (
     InvalidRationalLiteral,
     NonEvenPolynomial,
@@ -222,6 +236,12 @@ _int64_ops()
 numbers.Integral.register(_Int64)
 
 
+class _IntSub(int):
+    """An int subclass that, unlike int, is its own numerator."""
+
+    numerator = property(lambda self: self)
+
+
 def test_foreign_rationals_come_back_over_python_ints():
     big = _Int64(2 ** 62)
     assert big * 2 == -2 ** 63  # the stand-in wraps
@@ -270,6 +290,34 @@ def test_fractions_over_foreign_integers_are_coerced():
     q = Polynomial([tiny])
     assert q == P(Rat(1, 2 ** 62)) and all(type(n) is int for n in q.nums + (q.den,))
     assert type(CoeffStream.from_values([tiny])[1].denominator) is int
+    # an int subclass that is its own numerator survives in a Fraction too;
+    # every integer-pair reader hands out Python ints
+    sub = Fraction(_IntSub(2 ** 62))
+    assert type(sub.numerator) is _IntSub
+    values, rule = CoeffStream.from_values([sub] * 3), CoeffStream.from_fn(lambda n: sub)
+    gammas = (GammaSeq.from_values([sub] * 8), GammaSeq(rule))
+    pairs = [values._pair(2), rule._pair(2), *(g._pair(3) for g in gammas),
+             *zip(values.nums, values.dens)]
+    for system in (ThreeTermSystem(values, rule), *map(system_from_gamma, gammas)):
+        diag, sub2 = system._block_pairs(3)
+        pairs += diag + sub2
+    assert all(type(n) is int and type(d) is int for n, d in pairs)
+
+
+def test_an_importable_gmpy2_is_not_used():
+    code = """if True:
+        import fractions, sys, types
+        fake = types.ModuleType("gmpy2")
+        fake.mpq = type("mpq", (fractions.Fraction,), {})
+        sys.modules["gmpy2"] = fake
+        import opchain
+        assert opchain.scalars.Rat is fractions.Fraction, opchain.scalars.Rat
+        assert opchain.RAT_BACKEND == "fractions", opchain.RAT_BACKEND
+    """
+    src = str(pathlib.Path(opchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # -- parsing and JSON -----------------------------------------------------------------

@@ -468,14 +468,6 @@ def test_laurent_matches_long_division(case):
     assert all(type(c) is Rat for c in series.coeffs)
 
 
-def test_deep_sequences_match_a_fraction_reference_on_gmpy2():
-    pytest.importorskip("gmpy2")
-    from opchain.scalars import RAT_BACKEND
-
-    assert RAT_BACKEND == "gmpy2"
-    _compare_deep_with_reference(202)
-
-
 # -- the recurrence kernel against its padded form --------------------------------
 
 def _padded_recurrence(diag, sub):
