@@ -31,13 +31,13 @@ the counts decide, and any point would be a valid certificate.  Where the
 two counts bracket zero j, its bisection needs no further count.  Where
 they do not (the QL solve failed, or its absolute error exceeds the
 bracket, as it can for zeros near 0 at a tight tol), safeguarded Newton
-iterates narrow the certificates of the isolated zero instead, each
-carrying its own count; the probes that close the last gap take only the
-count, without the slope, and so does an iterate that quadratic
-convergence already puts well within that gap.  The bisection path, and
-so every output bit, is the plain loop's.  A count that breaks the order
-of the certificates would void that argument: the call then starts over
-with a count at every midpoint.
+iterates, each carrying its own count, narrow the certificates of an
+isolated zero more than five halvings above tol; the probes that close
+the last gap take only the count, without the slope, and so does an
+iterate that quadratic convergence already puts well within that gap.
+The bisection path, and so every output bit, is the plain loop's.  A
+count that breaks the order of the certificates would void that
+argument: the call then starts over with a count at every midpoint.
 """
 
 from __future__ import annotations
@@ -449,8 +449,10 @@ def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
     counted.  The certificates arrive seeded (_seed_counts), which usually
     leaves (L_j, U_j) no wider than the Newton width below; where it does
     not, Newton iterates narrow (L_j, U_j) before the first midpoint
-    counted for an isolated zero.  Returns None as soon as a count breaks
-    monotonicity.  With ``certs=None`` every midpoint is counted.
+    counted for an isolated zero while more than five halvings are left;
+    below that the bisection's own counts take no more passes.  Returns
+    None as soon as a count breaks monotonicity.  With ``certs=None``
+    every midpoint is counted.
     """
     L, cL, U, cU = -math.inf, None, math.inf, None
     out = []
@@ -467,7 +469,7 @@ def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
                 a = mid
             elif mid >= U:  # count(mid) >= count(U) > j
                 b = mid
-            elif newton and cL == j and cU == j + 1:
+            elif newton and cL == j and cU == j + 1 and b - a > 32 * tol:
                 newton = False
                 width = max(tol / 64, 64 * math.ulp(max(-L, U)))
                 if U - L > width and not _newton_counts(pairs, j, L, U, width, certs):

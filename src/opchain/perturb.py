@@ -12,11 +12,11 @@ Each of these systems is one row of gamma offsets built by
 differ only in b_1.
 
 Every identity in this module is checked exactly; reports carry the first
-violated index, and ``quasi_sides`` both sides of its identity, instead of
-a boolean lost to tolerance.  ``swap_split_check`` decides each item by
-comparing both sides at one point x = 2^B past the height of their
-difference (``systems._relations_hold``); ``quasi_sides`` compares the
-polynomials themselves.
+violated index, instead of a boolean lost to tolerance.
+``swap_split_check`` and ``quasi_holds`` decide each item by comparing
+both sides at one point x = 2^B past the height of their difference
+(``systems._relations_hold``).  ``quasi_sides`` states the
+quasi-orthogonality identity as its two polynomials.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
     _Evaluation,
+    _associated_block,
     _order,
     _pairs,
     _recurrence,
@@ -211,27 +212,6 @@ def swap_split_check(gamma: GammaSeq, N: int,
     return IdentityReport(tuple(items))
 
 
-def _quasi_sequences(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
-    """Q_0..Q_n and K1_0..K1_{n+1} of ``gamma_lhs`` and P_0..P_{n+2} of
-    ``gamma_rhs``: every polynomial ``_quasi_pair`` reads for m <= n."""
-    return (monic_sequence(q_system(gamma_lhs), n),
-            associated_sequence(kernel_system(gamma_lhs), n + 1),
-            monic_sequence(system_from_gamma(gamma_rhs, minimal_branch=True), n + 2))
-
-
-def _quasi_pair(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, seqs, m: int):
-    """(lhs, rhs) of the identity at degree m from ``_quasi_sequences``."""
-    Q, K1, P = seqs
-    x = Polynomial.x()
-    g = gamma_lhs.at
-    lhs = (x * x) * Q[m] - (x * (K1[m + 1] + K1[m].scale(g(2 * m + 3)))).scale(g(2))
-    h = gamma_rhs.at
-    rhs = (P[m + 2]
-           + P[m + 1].scale(h(2 * m + 3) + h(2 * m + 4))
-           + P[m].scale(h(2 * m + 2) * h(2 * m + 3)))
-    return lhs, rhs
-
-
 def quasi_sides(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
     """Both sides (lhs, rhs) of the order-2 quasi-orthogonality identity
 
@@ -246,7 +226,34 @@ def quasi_sides(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int):
     separately parameterised so negative controls can corrupt one side
     only; ``lhs - rhs`` is then the difference polynomial.
     """
-    return _quasi_pair(gamma_lhs, gamma_rhs, _quasi_sequences(gamma_lhs, gamma_rhs, n), n)
+    Q = monic_sequence(q_system(gamma_lhs), n)
+    K1 = associated_sequence(kernel_system(gamma_lhs), n + 1)
+    P = monic_sequence(system_from_gamma(gamma_rhs, minimal_branch=True), n + 2)
+    x = Polynomial.x()
+    g, h = gamma_lhs.at, gamma_rhs.at
+    lhs = (x * x) * Q[n] - (x * (K1[n + 1] + K1[n].scale(g(2 * n + 3)))).scale(g(2))
+    rhs = (P[n + 2]
+           + P[n + 1].scale(h(2 * n + 3) + h(2 * n + 4))
+           + P[n].scale(h(2 * n + 2) * h(2 * n + 3)))
+    return lhs, rhs
+
+
+def quasi_holds(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int) -> list[bool]:
+    """[lhs == rhs of ``quasi_sides(gamma_lhs, gamma_rhs, m)`` for m = 1..n],
+    each decided at one exact point (``systems._relations_hold``) over one
+    evaluation each of Q, K1 and P.  For n >= 1 it raises what the m = n call does."""
+    Q = _Evaluation(_steps(*q_system(gamma_lhs)._block_pairs(n)))
+    # index k holds z_{k+1}, so K1_m is K1's entry m - 1
+    K1 = _Evaluation(_steps(*_associated_block(kernel_system(gamma_lhs), n + 1)))
+    P = _Evaluation(_steps(*system_from_gamma(gamma_rhs, minimal_branch=True)._block_pairs(n + 2)))
+    g, h = gamma_lhs.at, gamma_rhs.at
+    relations = []
+    for m in range(1, n + 1):  # rhs - lhs
+        c2, c3, c1, c0 = _pairs((g(2), g(2) * g(2 * m + 3), h(2 * m + 3) + h(2 * m + 4),
+                                 h(2 * m + 2) * h(2 * m + 3)))
+        relations.append([((-1, 1), 2, Q, m), (c2, 1, K1, m), (c3, 1, K1, m - 1),
+                          ((1, 1), 0, P, m + 2), (c1, 0, P, m + 1), (c0, 0, P, m)])
+    return _relations_hold(relations)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ The rational type is the stdlib ``fractions.Fraction``.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction as Rat
 from numbers import Rational
@@ -42,8 +43,9 @@ def parse_rational(text: str):
         return Rat(token)
     except ZeroDivisionError:
         raise InvalidRationalLiteral(f"zero denominator: {text!r}") from None
-    except ValueError as exc:  # CPython's digit limit, its guard against quadratic parsing
-        raise InvalidRationalLiteral(str(exc).partition(";")[0]) from None
+    except ValueError:  # CPython's digit limit, whose own text differs between versions
+        raise InvalidRationalLiteral(f"literal exceeds the limit ({sys.get_int_max_str_digits()} "
+                                     "digits) for integer string conversion") from None
 
 
 def format_scalar(x) -> str:

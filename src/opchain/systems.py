@@ -33,8 +33,8 @@ the answer.
 Where only one polynomial, or one yes/no per identity, is read, the
 recurrence runs instead on one integer per degree, its value at x = 2^B
 (``_Evaluation``): ``convergent`` unpacks the top one, and
-``_relations_hold`` decides the split and kernel identities of ``perturb``
-and ``chains`` exactly, with 2^B past the height of every difference.
+``_relations_hold`` decides the split, kernel and quasi-orthogonality
+identities exactly, with 2^B past the height of every difference.
 ``_recurrence`` stays the producer of whole sequences.
 """
 

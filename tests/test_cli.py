@@ -324,6 +324,26 @@ def test_verify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+def test_suites_and_commands_do_no_polynomial_arithmetic(capsys, monkeypatch):
+    # Every suite identity is decided on recurrence data or by one exact
+    # evaluation; the ring operations of Polynomial are for the tests alone.
+    commands = (("perturb", "--variant", "q", "--gamma", "1,2,3,4,5,6,7,8", "--n", "3"),
+                ("convergent", "--family", "laguerre", "--alpha", "7/3", "--n", "6"))
+
+    def outputs():
+        docs = [[r.to_json() for r in verify.run_suite("all", corrupt=c)] for c in (False, True)]
+        return docs, [run(capsys, *argv) for argv in commands]
+
+    want = outputs()
+
+    def ring(*_):
+        raise AssertionError("Polynomial ring arithmetic")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale"):
+        monkeypatch.setattr(opchain.Polynomial, name, ring)
+    assert outputs() == want
+
+
 # sha256 of `verify --suite all --seed 0` stdout, pinned when the suites were
 # rewritten onto one shared sampler and report shape
 _VERIFY_GOLDEN = {

@@ -355,6 +355,26 @@ def test_no_seeds_within_a_few_halvings_of_tol(monkeypatch, n):
     assert seeded <= len(passes)
 
 
+@pytest.mark.parametrize("sys, most", [
+    (LAG0, 11),
+    (system_from_gamma(random_gamma(random.Random(5), 12)), 14),
+])
+def test_no_newton_within_five_halvings_of_tol(monkeypatch, sys, most):
+    # With the Gershgorin bracket 4 halvings above tol, so unseeded, Newton
+    # to tol/64 took 17 passes on Laguerre alpha = 0 and 35 on this random
+    # gamma at n = 5; the bisection alone takes at most five counts a zero.
+    diag, sub2 = ([p / q for p, q in w] for w in sys._block_pairs(5))
+    radius = [(sub2[i - 1] ** 0.5 if i else 0.0) + (sub2[i] ** 0.5 if i < 4 else 0.0)
+              for i in range(5)]
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
+    tol = (hi - lo) / 16
+    want = _reference_zeros_with_brackets(sys, 5, tol)
+    passes = _passes(monkeypatch)
+    assert _hex_rows(zeros_with_brackets(sys, 5, tol)) == _hex_rows(want)
+    assert len(passes) <= most
+
+
 def test_newton_probes_take_only_the_count(monkeypatch):
     # In each _newton_counts call the Newton iterates take a slope pass and,
     # from the first probe on, every pass takes only the count.

@@ -38,9 +38,9 @@ from opchain.errors import (
     NonPositiveGamma,
     OpchainError,
 )
-from opchain.perturb import _quasi_pair, _quasi_sequences, quasi_sides
+from opchain.perturb import quasi_holds, quasi_sides
 from opchain.systems import _pairs, _recurrence
-from opchain.verify import random_gamma
+from opchain.verify import _bumped, random_gamma
 
 
 def P(*coeffs):
@@ -125,6 +125,18 @@ def test_hat_of_shifted_tail_is_next_laguerre():
     for alpha in (Rat(0), Rat(1, 2)):
         h = hat_system(laguerre_gamma(alpha, 1))
         assert systems_agree(h, laguerre_system(alpha + 1), 20)
+
+
+def test_hat_against_shifted_family_both_routes():
+    # equal recurrence data to order 20 is equal P_0..P_20: the verify line
+    # reads the data, the polynomials say the same
+    for alpha in (Rat(0), Rat(1, 2), Rat(7, 3)):
+        hat = hat_system(laguerre_gamma(alpha, 1))
+        got = monic_sequence(hat, 20)
+        for shift, want in ((1, True), (2, False)):
+            ref = laguerre_system(alpha + shift)
+            assert systems_agree(hat, ref, 20) is want
+            assert (got == monic_sequence(ref, 20)) is want
 
 
 def test_hat_degenerate_leading_entry():
@@ -328,14 +340,19 @@ def test_quasi_orthogonality_boundary_gammas_cancel():
     assert lhs == lhs2 and rhs == rhs2
 
 
-def test_quasi_pairs_from_one_build_match_quasi_sides():
-    # one build to degree n serves every m <= n, each side from its own gamma
+def test_quasi_holds_matches_quasi_sides():
+    # one evaluation per family decides every m <= n, each side from its own
+    # gamma: the same sequence, a bump at gamma_{2n+2} on the right (which
+    # breaks m = n - 1 and m = n), and an unrelated right-hand sequence
     rng = random.Random(31)
-    for _ in range(5):
-        g, h = random_gamma(rng, 30), random_gamma(rng, 30)
-        seqs = _quasi_sequences(g, h, 8)
-        for m in range(1, 9):
-            assert _quasi_pair(g, h, seqs, m) == quasi_sides(g, h, m)
+    for n in range(1, 11):
+        g = random_gamma(rng, 2 * n + 6)
+        for h in (g, _bumped(g, 2 * n + 2, 2 * n + 6), random_gamma(rng, 2 * n + 6)):
+            want = []
+            for m in range(1, n + 1):
+                lhs, rhs = quasi_sides(g, h, m)
+                want.append(lhs == rhs)
+            assert quasi_holds(g, h, n) == want
 
 
 # -- even/odd split of the swapped family -----------------------------------------------------------
