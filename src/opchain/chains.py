@@ -205,9 +205,11 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     and gamma_{2n+2} = b_{n+1} - gamma_{2n+1}.  PositivityBreak(k) signals
     that the zero-argument ratios are not a chain sequence for this choice
     of leading parameter.  The data are read lazily, one step at a time,
-    so the error names the first failing index.  A negative N is a ValueError.
+    so the error names the first failing index.  A negative N is a ValueError;
+    gamma_1 is an int, a rational or a 'p/q' string.
     """
     _order(N)
+    gamma1 = coerce_exact(gamma1)
     b1 = sys.b_at(1)
     if not (0 <= gamma1 < b1):
         raise InvalidGamma1(f"gamma_1 = {format_scalar(gamma1)} outside [0, {format_scalar(b1)})")
@@ -467,8 +469,12 @@ def true_interval_predicate(sys: ThreeTermSystem, a, b, N: int) -> TrueIntervalV
     endpoints admit minimal parameters up to N.  Pass ``b = INFINITY``
     (None) for the one-sided interval (a, oo); the right-endpoint ratio
     check is then skipped.  The b's are read one at a time, so the verdict
-    comes at the first b outside the interval.
+    comes at the first b outside the interval.  The endpoints are ints,
+    rationals or 'p/q' strings.
     """
+    a = coerce_exact(a)
+    if b is not INFINITY:
+        b = coerce_exact(b)
     for n in range(1, N + 2):
         bn = sys.b_at(n)
         if not (a < bn and (b is INFINITY or bn < b)):

@@ -28,16 +28,14 @@ eigenvalue solve, the root-free rational QL algorithm on (b_k, a_k^2),
 estimates all n zeros, and a count is taken just below and just above
 each estimate.  The estimates only choose where these counts are taken;
 the counts decide, and any point would be a valid certificate.  Where the
-two counts bracket zero j, its bisection needs no further count.  Where
-they do not (the QL solve failed, or its absolute error exceeds the
-bracket, as it can for zeros near 0 at a tight tol), safeguarded Newton
-iterates, each carrying its own count, narrow the certificates of an
-isolated zero more than five halvings above tol; the probes that close
-the last gap take only the count, without the slope, and so does an
-iterate that quadratic convergence already puts well within that gap.
-The bisection path, and so every output bit, is the plain loop's.  A
-count that breaks the order of the certificates would void that
-argument: the call then starts over with a count at every midpoint.
+two counts bracket zero j, its bisection needs no further count.  The
+two points are as far apart as the solve's own error, about 2^-52 times
+the Gershgorin bound (see _seed_counts).  Where they still do not bracket
+a zero, or the QL solve failed, the bisection counts its midpoints as the
+plain loop does.  The bisection path, and so every output bit, is the
+plain loop's.  A count that breaks the order of the certificates would
+void that argument: the call then starts over with a count at every
+midpoint.
 """
 
 from __future__ import annotations
@@ -190,32 +188,6 @@ def _count_below(pairs, x: float) -> int:
     return count
 
 
-def _count_and_slope(pairs, x: float) -> tuple[int, float]:
-    """``_count_below(pairs, x)`` and d/dx log|det(J - x)| from one pass.
-
-    The pivots come from the same float operations as in _count_below, so
-    the count is the same function of x.  The derivative is the sum of
-    q_k'/q_k, with q_k' = -1 + (a_{k-1}^2 / q_{k-1}) q_{k-1}'/q_{k-1}; it may
-    overflow to inf or NaN near a minor's eigenvalue.
-    """
-    floor = _PIVOT_FLOOR
-    neg = -floor
-    count = 0
-    q = 1.0
-    r = 0.0  # q_{k-1}' / q_{k-1}
-    slope = 0.0
-    for d, s in pairs:
-        t = s / q
-        q = (d - x) - t
-        if q < floor:
-            count += 1
-            if q > neg:
-                q = neg
-        r = (t * r - 1.0) / q
-        slope += r
-    return count, slope
-
-
 class _Certificates:
     """Every count taken during one zeros call, indexed by its value.
 
@@ -255,86 +227,17 @@ class _Certificates:
         return True
 
     def bracket(self, j: int):
-        """(L, count(L), U, count(U)) for the j-th zero: the largest recorded
-        x with count <= j and the smallest with count > j (+-inf if none)."""
+        """(L, U) for the j-th zero: the largest recorded x with count <= j
+        and the smallest with count > j (+-inf if none)."""
         lo, hi, end = self.lo, self.hi, len(self.lo)
         c = j
         while c >= 0 and hi[c] is None:
             c -= 1
-        low = (hi[c], c) if c >= 0 else (-math.inf, None)
+        low = hi[c] if c >= 0 else -math.inf
         c = j + 1
         while c < end and lo[c] is None:
             c += 1
-        high = (lo[c], c) if c < end else (math.inf, None)
-        return (*low, *high)
-
-
-# Bounds the Newton and probe passes for one zero; past it the replay
-# counts its way down instead.
-_NEWTON_PASSES = 40
-
-
-def _newton_counts(pairs, j: int, lo: float, hi: float, width: float,
-                   certs: _Certificates) -> bool:
-    """Record counts at safeguarded Newton iterates for the j-th zero.
-
-    (lo, hi) isolates it: count(lo) = j and count(hi) = j + 1.  An iterate
-    leaving the bracket, or a Newton step above half the previous one (slow,
-    linear progress), is replaced by the bracket's midpoint.  Once a Newton
-    step is below ``width``, probes cross the count's threshold from the
-    last evaluated iterate, 4x further each time one lands on the same side;
-    a probe takes only the count, and one that crosses without closing the
-    bracket to ``width`` starts the probes again from itself.  An accepted
-    step s after a Newton step of size ``last`` with |s|^3 < width last^2 / 4
-    lands, by quadratic convergence, within about width / 4 of the zero;
-    that iterate takes only the count, since the step its slope would give
-    is expected below ``width``, and the probes start from it.  Stops
-    when the bracket is at most ``width`` wide, or after _NEWTON_PASSES
-    passes; False if a count broke monotonicity.
-    """
-    x = 0.5 * (lo + hi)
-    newton = True  # this pass takes the slope for a Newton step
-    base = None  # evaluated point the probes start from
-    last = math.inf  # size of the previous Newton step
-    for _ in range(_NEWTON_PASSES):
-        if newton:
-            count, slope = _count_and_slope(pairs, x)
-        else:
-            count = _count_below(pairs, x)
-        if not certs.add(x, count):
-            return False
-        below = count <= j
-        if below:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= width:
-            return True
-        if not newton:
-            if base is not None and below == base_below:
-                dist *= 4.0
-            else:
-                base, base_below, dist = x, below, 0.5 * width
-        else:
-            step = 1.0 / slope if slope else math.inf
-            size = abs(step)
-            if size < width or math.isnan(step):  # NaN: det(J - x) ~ 0
-                newton = False
-                base, base_below, dist = x, below, 0.5 * width
-            elif size > 0.5 * last:
-                x = 0.5 * (lo + hi)
-                last = size
-            else:
-                x -= step
-                # the next error is about size**3 / last**2; a first step
-                # has no last.  Products overflow to inf where ** would raise.
-                newton = last == math.inf or size * size * size >= 0.25 * width * last * last
-                last = size
-        if base is not None:
-            x = base + dist if base_below else base - dist
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-    return True
+        return low, (lo[c] if c < end else math.inf)
 
 
 # Bounds the QL iterations for one eigenvalue, as in EISPACK.
@@ -428,11 +331,13 @@ def _zero_estimates(diag, sub2):
 def _seed_counts(pairs, estimates, lo: float, hi: float, tol: float,
                  certs: _Certificates) -> bool:
     """Record the counts just below and just above each estimate v, at
-    v -+ w/2 with w = max(tol / 64, 64 ulp(v)), the width rule of the
-    Newton step in _bisect_zeros.  Points outside (lo, hi) are skipped;
-    False if a count broke monotonicity."""
+    v -+ w/2 with w = max(tol / 64, 64 ulp(v), 4 ulp(t)), t = max(-lo, hi).
+    A QL estimate is off by about 2^-52 t, so the last term keeps a zero
+    near 0 between its two seeds at a tol far below t.  Points outside
+    (lo, hi) are skipped; False if a count broke monotonicity."""
+    least = 4 * math.ulp(max(-lo, hi))
     for v in estimates:
-        half = 0.5 * max(tol / 64, 64 * math.ulp(v))
+        half = 0.5 * max(tol / 64, 64 * math.ulp(v), least)
         for x in (v - half, v + half):
             if lo < x < hi and not certs.add(x, _count_below(pairs, x)):
                 return False
@@ -447,19 +352,12 @@ def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
     at or above U_j (see _Certificates.bracket) takes the decision a count
     there would give, and only a midpoint strictly between them is
     counted.  The certificates arrive seeded (_seed_counts), which usually
-    leaves (L_j, U_j) no wider than the Newton width below; where it does
-    not, Newton iterates narrow (L_j, U_j) before the first midpoint
-    counted for an isolated zero while more than five halvings are left;
-    below that the bisection's own counts take no more passes.  Returns
-    None as soon as a count breaks monotonicity.  With ``certs=None``
-    every midpoint is counted.
+    leaves no midpoint to count.  Returns None as soon as a count breaks
+    monotonicity.  With ``certs=None`` every midpoint is counted.
     """
-    L, cL, U, cU = -math.inf, None, math.inf, None
     out = []
     for j in range(n):  # j-th smallest eigenvalue
-        if certs is not None:
-            L, cL, U, cU = certs.bracket(j)
-        newton = certs is not None
+        L, U = certs.bracket(j) if certs is not None else (-math.inf, math.inf)
         a, b = lo, hi
         while b - a > tol:
             mid = 0.5 * (a + b)
@@ -469,22 +367,15 @@ def _bisect_zeros(pairs, n: int, lo: float, hi: float, tol: float,
                 a = mid
             elif mid >= U:  # count(mid) >= count(U) > j
                 b = mid
-            elif newton and cL == j and cU == j + 1 and b - a > 32 * tol:
-                newton = False
-                width = max(tol / 64, 64 * math.ulp(max(-L, U)))
-                if U - L > width and not _newton_counts(pairs, j, L, U, width, certs):
-                    return None
-                L, cL, U, cU = certs.bracket(j)
             else:
                 count = _count_below(pairs, mid)
+                if certs is not None and not certs.add(mid, count):
+                    return None
+                # mid lies strictly inside (L, U), so it is the new L or U
                 if count > j:
-                    b = mid
+                    b = U = mid
                 else:
-                    a = mid
-                if certs is not None:
-                    if not certs.add(mid, count):
-                        return None
-                    L, cL, U, cU = certs.bracket(j)
+                    a = L = mid
         out.append((0.5 * (a + b), b - a))
     return out
 
@@ -495,11 +386,10 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     The zeros are the eigenvalues of the order-n truncation; each is
     bisected inside its Gershgorin bracket until the bracket is narrower
     than tol.  The bisection is replayed from certificates: counts at
-    points the QL estimates choose decide it, with Newton counts as the
-    fallback, and the result is the plain loop's (see the module
-    docstring).  Data
-    outside the float64 range, or zeros so close to it that a bisection
-    midpoint overflows, raises FloatOverflow.
+    points the QL estimates choose decide it, a count at a midpoint where
+    they do not, and the result is the plain loop's (see the module
+    docstring).  Data outside the float64 range, or zeros so close to it
+    that a bisection midpoint overflows, raises FloatOverflow.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")

@@ -144,6 +144,14 @@ def test_gamma_recovery_rejects_leading_split():
         gamma_from_system(LAG0, Rat(-1), 3)
 
 
+def test_gamma_recovery_coerces_gamma1():
+    # a 'p/q' string and an int are taken as the rational they name
+    want = gamma_from_system(LAG0, Rat(0), 3).window(1, 8)
+    assert gamma_from_system(LAG0, "0", 3).window(1, 8) == want
+    assert gamma_from_system(LAG0, 0, 3).window(1, 8) == want
+    assert gamma_from_system(e_family_system(0), "1/2", 2).at(2) == Rat(3, 2)
+
+
 def test_gamma_round_trip():
     rng = random.Random(2)
     for _ in range(5):
@@ -324,6 +332,13 @@ def test_wall_inconclusive():
 def test_true_interval_laguerre_half_line():
     v = true_interval_predicate(LAG0, Rat(0), INFINITY, 20)
     assert v.passed and v.up_to == 20 and v.witness is None
+
+
+def test_true_interval_coerces_endpoints():
+    assert true_interval_predicate(LAG0, "0", INFINITY, 5) == \
+        true_interval_predicate(LAG0, Rat(0), INFINITY, 5)
+    assert true_interval_predicate(LAG0, "2", 3, 4) == \
+        true_interval_predicate(LAG0, Rat(2), Rat(3), 4)
 
 
 def test_true_interval_fails_on_wrong_window():
