@@ -10,7 +10,6 @@ from .chains import (
     GammaSeq,
     ParameterSeq,
     chain_at,
-    chain_at_via_polynomials,
     complementary,
     gamma_from_system,
     generalised_complementary,
@@ -54,11 +53,9 @@ from .perturb import (
     tilde_kernel_system,
     tilde_system,
     u_system,
-    unified_coefficients,
-    unified_sequence,
     zero_sum_interlacing_report,
 )
-from .poly import Polynomial, even_part, odd_part, substitute_square
+from .poly import Polynomial
 from .scalars import RAT_BACKEND, Rat, format_scalar, parse_rational
 from .systems import (
     LaurentSeries,

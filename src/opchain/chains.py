@@ -40,11 +40,10 @@ from .errors import (
     ParameterOutOfRange,
     PoleAtB,
     PositivityBreak,
-    ZeroDenominator,
 )
-from .scalars import ONE, ZERO, Rat, coerce_exact, format_scalar
+from .scalars import ONE, ZERO, Rat, coerce_exact, exact_tuple, format_scalar
 from .streams import CoeffStream
-from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps, monic_sequence
+from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps
 
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
@@ -102,13 +101,16 @@ class ParameterSeq:
 
     Construction enforces 0 <= g_0 < 1 and 0 < g_n < 1; ``minimal`` is the
     derived fact g_0 = 0.  ``horizon`` is set on backward-iterated maximal
-    parameters to record how far past N the iteration started.
+    parameters to record how far past N the iteration started.  Entries are
+    ints, rationals or 'p/q' strings, held on the exact type; a float raises
+    InvalidRationalLiteral.
     """
 
     g: tuple
     horizon: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "g", exact_tuple(self.g))
         if not self.g:
             raise ParameterOutOfRange("empty parameter sequence")
         if not (0 <= self.g[0] < 1):
@@ -366,27 +368,6 @@ def chain_at(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
         if t == bn:
             raise PoleAtB(n, f"t = {format_scalar(t)} equals b_{n}")
     return ChainSequence.from_values([s / ((t - u) * (t - v)) for s, u, v in zip(a2, b, b[1:])])
-
-
-def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
-    """The same d_n(t) through ratios of the monic polynomials at t.
-
-    d_n(t) = P_n(t)/((t-b_n) P_{n-1}(t)) * [1 - P_{n+1}(t)/((t-b_{n+1}) P_n(t))];
-    equality with ``chain_at`` is exact and serves as a cross-check of the
-    recurrence itself, so it reads b_n and b_{n+1} on its own instead of
-    sharing ``chain_at``'s block.
-    """
-    if _order(N) == 0:
-        return ChainSequence.from_values([])
-    P = monic_sequence(sys, N + 1)
-    pvals = [p(t) for p in P]
-    vals = []
-    for n in range(1, N + 1):
-        tb_n, tb_n1 = t - sys.b_at(n), t - sys.b_at(n + 1)
-        if pvals[n - 1] == 0 or pvals[n] == 0 or tb_n == 0 or tb_n1 == 0:
-            raise ZeroDenominator(n, f"vanishing denominator at n = {n}")
-        vals.append(pvals[n] / (tb_n * pvals[n - 1]) * (1 - pvals[n + 1] / (tb_n1 * pvals[n])))
-    return ChainSequence.from_values(vals)
 
 
 # -- complementary constructions ----------------------------------------------------

@@ -103,10 +103,11 @@ def cmd_family(args) -> int:
     else:
         gamma1 = parse_rational(args.gamma1)
     # recovery to depth N consumes b[1..N+1] and a2[1..N]; finite families
-    # (finite streams) therefore cap the emitted gamma window
+    # (finite streams) therefore cap the emitted gamma window, at depth 0
+    # for a family with no recurrence data, whose b_1 read then names the gap
     depth = n
     if sys_.b.stop is not None:
-        depth = min(depth, sys_.b.stop - 1)
+        depth = max(0, min(depth, sys_.b.stop - 1))
     if sys_.a2.stop is not None:
         depth = min(depth, sys_.a2.stop)
     gamma = gamma_from_system(sys_, gamma1, depth)

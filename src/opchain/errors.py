@@ -28,14 +28,6 @@ class InvalidRationalLiteral(OpchainError):
     or 'p/q' with nonzero q."""
 
 
-class NonEvenPolynomial(OpchainError):
-    """Polynomial has a nonzero odd-degree coefficient."""
-
-
-class NonOddPolynomial(OpchainError):
-    """Polynomial has a nonzero even-degree coefficient."""
-
-
 class DegreeViolation(OpchainError):
     """Degree precondition broken (e.g. numerator degree >= denominator)."""
 

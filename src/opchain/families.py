@@ -16,7 +16,7 @@ from .errors import (
     NonPositiveInput,
     ZeroDenominator,
 )
-from .scalars import Rat, coerce_exact, parse_rational
+from .scalars import Rat, coerce_exact, exact_tuple, parse_rational
 from .streams import CoeffStream
 from .systems import ThreeTermSystem
 
@@ -174,12 +174,18 @@ def closed_form(name: str, value) -> ThreeTermSystem:
 
 @dataclass(frozen=True)
 class LSequence:
-    """l_0 = 1 < l_n together with the positive Christoffel constant k."""
+    """l_0 = 1 < l_n together with the positive Christoffel constant k.
+
+    The l_n and k are ints, rationals or 'p/q' strings, held on the exact
+    type; a float raises InvalidRationalLiteral.
+    """
 
     l: tuple
     k: object
 
     def __post_init__(self):
+        object.__setattr__(self, "l", exact_tuple(self.l))
+        object.__setattr__(self, "k", coerce_exact(self.k))
         if not self.l or self.l[0] != 1:
             raise NonPositiveInput("l_0 must be exactly 1")
         for n, v in enumerate(self.l[1:], start=1):

@@ -45,18 +45,24 @@ from dataclasses import dataclass
 
 from .chains import gamma_from_system
 from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
-from .scalars import ZERO, coerce_exact, format_scalar
+from .scalars import ZERO, coerce_exact, exact_tuple, format_scalar
 from .systems import ThreeTermSystem
 
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Leading block of a monic Jacobi matrix (unit superdiagonal implied)."""
+    """Leading block of a monic Jacobi matrix (unit superdiagonal implied).
+
+    Entries are ints, rationals or 'p/q' strings, held on the exact type; a
+    float raises InvalidRationalLiteral.
+    """
 
     diag: tuple   # b_1..b_n
     sub: tuple    # a_1^2..a_{n-1}^2
 
     def __post_init__(self):
+        object.__setattr__(self, "diag", exact_tuple(self.diag))
+        object.__setattr__(self, "sub", exact_tuple(self.sub))
         if len(self.sub) != max(len(self.diag) - 1, 0):
             raise LengthMismatch("sub must have length n-1")
 

@@ -35,15 +35,11 @@ from .systems import (
     _associated_block,
     _order,
     _pairs,
-    _recurrence,
     _relations_hold,
     _steps,
     associated_sequence,
     monic_sequence,
 )
-
-TILDE_P = "TildeP"
-TILDE_K = "TildeK"
 
 
 def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
@@ -120,54 +116,6 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
     orthogonal family."""
     gamma.at(3), gamma.at(4)
     return _gamma_system(gamma, (0, 1), (1, 2), b1=3)
-
-
-def unified_coefficients(gamma: GammaSeq, variant: str, N: int):
-    """Coefficient streams (xi, eta) of the single recurrence
-    T_n = (x - xi_n) T_{n-1} - eta_n T_{n-2} reproducing either perturbed family.
-
-    variant "TildeP": xi_1 = gamma_1, later xi from the base system's
-    diagonal; eta_2 = gamma_1 gamma_4 and eta_{n+1} is the ratio
-    (a_{n-1}^2)'' (a_n^2)'' / (a_n^2)' of kernel and base subdiagonals.
-    variant "TildeK": xi_1 = gamma_1 + gamma_4, later xi combines the base
-    and kernel diagonals, and eta comes from the kernel subdiagonal.
-
-    Returned lists are 1-indexed (position 0 is None); eta_1 multiplies
-    T_{-1} = 0 and is only meaningful for TildeK where it equals
-    gamma_1 gamma_2.  N must be at least 1.
-    """
-    if N < 1:
-        raise ValueError(f"unified coefficients need N >= 1, got N = {N}")
-    base, ker = system_from_gamma(gamma), kernel_system(gamma)
-    xi = [None] * (N + 1)
-    eta = [None] * (N + 1)
-    if variant == TILDE_P:
-        if gamma.at(1) == 0:
-            raise Gamma1Zero("TildeP unified coefficients require gamma_1 > 0")
-        xi[1] = gamma.at(1)
-        for m in range(2, N + 1):
-            xi[m] = base.b[m]
-        if N >= 2:
-            eta[2] = gamma.at(1) * gamma.at(4)
-        for m in range(3, N + 1):
-            n = m - 1
-            eta[m] = ker.a2[n - 1] * ker.a2[n] / base.a2[n]
-    elif variant == TILDE_K:
-        xi[1] = gamma.at(1) + gamma.at(4)
-        eta[1] = gamma.at(1) * gamma.at(2)
-        for m in range(2, N + 1):
-            xi[m] = base.b[m] + base.b[m + 1] - ker.b[m]
-            eta[m] = ker.a2[m - 1]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return xi, eta
-
-
-def unified_sequence(xi, eta, n: int) -> list[Polynomial]:
-    """T_0..T_n of T_m = (x - xi_m) T_{m-1} - eta_m T_{m-2}, T_{-1} = 0, T_0 = 1."""
-    if _order(n) >= len(xi) or (n >= 2 and n >= len(eta)):
-        raise ValueError(f"n = {n} exceeds xi, eta of lengths {len(xi)}, {len(eta)}")
-    return [Polynomial.one()] + _recurrence(_pairs(xi[1:n + 1]), _pairs(eta[2:n + 1]))
 
 
 # -- identity checks -------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import NonEvenPolynomial, NonOddPolynomial
 from .scalars import ZERO, Rat, _is_exact, coerce_exact, format_scalar
 
 
@@ -201,29 +200,3 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     for i, y in enumerate(b):
         out[i] += y * mb
     return Polynomial._reduced(out, den)
-
-
-def even_part(p: Polynomial) -> Polynomial:
-    """Invert the square substitution: return q with q(x^2) = p(x).
-
-    Requires every odd-degree coefficient of p to vanish.
-    """
-    for k in range(1, len(p.nums), 2):
-        if p.nums[k]:
-            raise NonEvenPolynomial(f"nonzero coefficient at odd degree {k}")
-    return Polynomial._raw(p.nums[0::2], p.den)
-
-
-def odd_part(p: Polynomial) -> Polynomial:
-    """Return q with x * q(x^2) = p(x); every even-degree coefficient must vanish."""
-    for k in range(0, len(p.nums), 2):
-        if p.nums[k]:
-            raise NonOddPolynomial(f"nonzero coefficient at even degree {k}")
-    return Polynomial._raw(p.nums[1::2], p.den)
-
-
-def substitute_square(p: Polynomial) -> Polynomial:
-    """Return p(x^2)."""
-    out = [0] * (2 * len(p.nums) - 1) if p.nums else []
-    out[0::2] = p.nums
-    return Polynomial._raw(tuple(out), p.den)

@@ -82,3 +82,9 @@ def coerce_exact(x):
     if isinstance(x, Rational):
         return Rat(int(x.numerator), int(x.denominator))
     return Rat(x)
+
+
+def exact_tuple(values) -> tuple:
+    """The values on the exact type, each as ``coerce_exact`` gives it; a
+    value that ``_is_exact`` accepts is kept as it is."""
+    return tuple(v if _is_exact(v) else coerce_exact(v) for v in values)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import StreamExhausted
-from .scalars import _is_exact, coerce_exact
+from .scalars import _is_exact, coerce_exact, exact_tuple
 
 
 class CoeffStream:
@@ -31,7 +31,7 @@ class CoeffStream:
             raise ValueError("exactly one of values/fn required")
         nums = dens = None
         if values is not None:
-            values = tuple(v if _is_exact(v) else coerce_exact(v) for v in values)
+            values = exact_tuple(values)
             nums = tuple(v.numerator for v in values)
             dens = tuple(v.denominator for v in values)
         self._values = values

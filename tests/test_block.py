@@ -18,7 +18,6 @@ from opchain import (
     ThreeTermSystem,
     associated_sequence,
     chain_at,
-    chain_at_via_polynomials,
     gamma_from_system,
     hat_system,
     kernel_invariance_condition,
@@ -38,8 +37,6 @@ from opchain import (
     tilde_system,
     truncate,
     u_system,
-    unified_coefficients,
-    unified_sequence,
     wall_sppcs_test,
     zeros_with_brackets,
     cli,
@@ -50,6 +47,8 @@ from opchain.errors import StreamExhausted
 from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
+
+from reference import chain_at_via_polynomials
 
 LAG73 = laguerre_system(Rat(7, 3))
 
@@ -135,17 +134,7 @@ def test_perturb_short_gamma(capsys, variant):
     assert (code, out, err) == (2, "", "error: StreamExhausted: index 6 outside [1, 5]\n")
 
 
-@pytest.mark.parametrize("variant", ["TildeP", "TildeK"])
-def test_unified_sequence_rejects_n_past_the_coefficients(variant):
-    gamma = GammaSeq.from_values([Rat(k) for k in range(1, 13)])
-    xi, eta = unified_coefficients(gamma, variant, 3)
-    assert len(unified_sequence(xi, eta, 3)) == 4
-    with pytest.raises(ValueError, match="n = 4 exceeds xi, eta of lengths 4, 4"):
-        unified_sequence(xi, eta, 4)
-
-
 G12 = GammaSeq.from_values([Rat(k) for k in range(1, 13)])
-_XI_ETA = unified_coefficients(G12, "TildeK", 3)
 _D = chain_at(LAG73, Rat(-1, 2), 3)
 # reader of order n, and its result at n = 0
 _ORDER_READERS = {
@@ -154,7 +143,6 @@ _ORDER_READERS = {
     "associated_sequence": (lambda n: associated_sequence(LAG73, n), [Polynomial.zero()]),
     "symmetric_sequence": (lambda n: symmetric_sequence(SymmetricSystem.from_values([1, 2]), n),
                            [Polynomial.one()]),
-    "unified_sequence": (lambda n: unified_sequence(*_XI_ETA, n), [Polynomial.one()]),
     "truncate": (lambda n: truncate(LAG73, n).diag, ()),
     "zeros_with_brackets": (lambda n: zeros_with_brackets(LAG73, n, 1e-10), []),
     "chain_at": (lambda n: chain_at(LAG73, Rat(-1, 2), n).window(1, n), []),

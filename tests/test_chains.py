@@ -11,7 +11,6 @@ from opchain import (
     Rat,
     INFINITY,
     chain_at,
-    chain_at_via_polynomials,
     complementary,
     e_family_system,
     gamma_from_system,
@@ -35,6 +34,8 @@ from opchain.errors import (
     PoleAtB,
 )
 from opchain.verify import random_gamma
+
+from reference import chain_at_via_polynomials
 
 LAG0 = laguerre_system(0)
 LAG_HALF = laguerre_system(Rat(-1, 2))
@@ -286,6 +287,14 @@ def test_parameter_bounds_rejected():
         ParameterSeq((Rat(1),))  # g_0 = 1
     with pytest.raises(ParameterOutOfRange):
         ParameterSeq((Rat(0), Rat(1), Rat(1, 2)))  # interior entry = 1
+
+
+def test_parameter_entries_are_exact():
+    # a float entry would let wall_sppcs_test decide its verdict on floats
+    with pytest.raises(InvalidRationalLiteral):
+        ParameterSeq((0, 0.25))
+    m = ParameterSeq((0, "1/4"))
+    assert m.g == (0, Rat(1, 4)) and all(type(v) is Rat for v in m.g)
 
 
 def test_parameter_sandwich_on_shifted_family():

@@ -64,6 +64,17 @@ def test_family_finite_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["0", "1", "2"])
+def test_family_without_recurrence_data(capsys, p):
+    # at these p the family has no recurrence data: every command names the
+    # first entry it lacks, not an order the user never gave
+    for argv in (("family", "routh_romanovski", "--p", p, "--n", "1"),
+                 ("lu", "--family", "routh_romanovski", "--p", p, "--n", "1"),
+                 ("zeros", "--family", "routh_romanovski", "--p", p, "--n", "1"),
+                 ("moments", "--family", "routh_romanovski", "--p", p, "--k", "1")):
+        assert run(capsys, *argv) == (2, "", "error: StreamExhausted: index 1 outside [1, 0]\n")
+
+
 def test_perturb_hat_degenerate_exit(capsys):
     code, _, err = run(capsys, "perturb", "--variant", "hat",
                        "--gamma", "0,1,1,2,2,3", "--n", "2")
@@ -326,7 +337,8 @@ def test_verify_deterministic_bytes(capsys):
 
 def test_suites_and_commands_do_no_polynomial_arithmetic(capsys, monkeypatch):
     # Every suite identity is decided on recurrence data or by one exact
-    # evaluation; the ring operations of Polynomial are for the tests alone.
+    # evaluation of the recurrence; the ring operations of Polynomial and its
+    # evaluation at a point are for the tests alone.
     commands = (("perturb", "--variant", "q", "--gamma", "1,2,3,4,5,6,7,8", "--n", "3"),
                 ("convergent", "--family", "laguerre", "--alpha", "7/3", "--n", "6"))
 
@@ -337,9 +349,9 @@ def test_suites_and_commands_do_no_polynomial_arithmetic(capsys, monkeypatch):
     want = outputs()
 
     def ring(*_):
-        raise AssertionError("Polynomial ring arithmetic")
+        raise AssertionError("Polynomial ring arithmetic or evaluation")
 
-    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale"):
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "__call__"):
         monkeypatch.setattr(opchain.Polynomial, name, ring)
     assert outputs() == want
 

@@ -22,6 +22,7 @@ from opchain import (
 from opchain.errors import (
     AlphaOutOfRange,
     DegreeBeyondFamily,
+    InvalidRationalLiteral,
     NonPositiveInput,
     StreamExhausted,
     ZeroDenominator,
@@ -243,6 +244,18 @@ def test_forward_solve_rejects_degenerate():
 def test_partner_coefficients_basic():
     l = LSequence((Rat(1), Rat(3), Rat(5)), Rat(1))
     assert gamma_phi2_from_l(l) == [3]  # (3-1)(5+1)/4
+
+
+def test_l_sequence_entries_are_exact():
+    # a float l_n or k would make gamma_phi2_from_l compute in float64
+    with pytest.raises(InvalidRationalLiteral):
+        LSequence((1, 1.5, Rat(5, 2)), Rat(1, 2))
+    with pytest.raises(InvalidRationalLiteral):
+        LSequence((1, Rat(3, 2), Rat(5, 2)), 0.5)
+    l = LSequence((1, "3/2", 3), "1/2")
+    assert (l.l, l.k) == ((1, Rat(3, 2), 3), Rat(1, 2))
+    assert all(type(v) is Rat for v in (*l.l, l.k))
+    assert gamma_phi2_from_l(l) == [1]  # (3/2 - 1)(3 + 1)/(4 * 1/2)
 
 
 def test_partner_equals_source_for_constant_l():

@@ -63,6 +63,15 @@ def test_shape_mismatch_rejected():
         TridiagonalMatrix((1, 2), (1, 2, 3))
 
 
+def test_matrix_entries_are_exact():
+    # a float entry would carry float64 into lu_factor and its printed factors
+    with pytest.raises(InvalidRationalLiteral):
+        TridiagonalMatrix((Rat(1, 2), 3), (1.0,))
+    J = TridiagonalMatrix((1, "3/2"), ("1/2",))
+    assert (J.diag, J.sub) == ((1, Rat(3, 2)), (Rat(1, 2),))
+    assert all(type(v) is Rat for v in J.diag + J.sub)
+
+
 # -- LU ------------------------------------------------------------------------
 
 def test_lu_laguerre_multiply_back():

@@ -9,14 +9,12 @@ from opchain import (
     Rat,
     SymmetricSystem,
     associated_sequence,
-    even_part,
     hat_system,
     kernel_invariance_condition,
     kernel_system,
     laguerre_gamma,
     laguerre_system,
     monic_sequence,
-    odd_part,
     q_system,
     swap_split_check,
     swapped_nu,
@@ -26,8 +24,6 @@ from opchain import (
     tilde_kernel_system,
     tilde_system,
     u_system,
-    unified_coefficients,
-    unified_sequence,
     zero_sum_interlacing_report,
 )
 from opchain.chains import _gamma_system
@@ -41,6 +37,8 @@ from opchain.errors import (
 from opchain.perturb import quasi_holds, quasi_sides
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import _bumped, random_gamma
+
+from reference import even_part, odd_part
 
 
 def P(*coeffs):
@@ -204,46 +202,42 @@ def test_invariance_condition_forces_equal_kernels():
 
 # -- unified recurrence --------------------------------------------------------------------
 
-def test_unified_coefficients_values():
-    xi, eta = unified_coefficients(G16, "TildeP", 3)
-    assert eta[2] == 4 and eta[3] == 18  # gamma_1*gamma_4 and gamma_3*gamma_6
-    xi_k, eta_k = unified_coefficients(G16, "TildeK", 2)
-    assert xi_k[1] == 5 and eta_k[1] == 2
+def _unified_coefficients(gamma, variant, N):
+    """The paper's (xi_1..xi_N, eta_2..eta_N), N >= 2, of the recurrence
+    T_n = (x - xi_n) T_{n-1} - eta_n T_{n-2}, from the b and a2 of the base
+    system (') and the kernel system ('').  eta_1 multiplies T_{-1} = 0.
+
+    TildeP: xi_1 = gamma_1, xi_m = b'_m, eta_2 = gamma_1 gamma_4 and
+    eta_{n+1} = a''_{n-1}^2 a''_n^2 / a'_n^2.  TildeK: xi_1 = gamma_1 + gamma_4,
+    xi_m = b'_m + b'_{m+1} - b''_m and eta_m = a''_{m-1}^2.
+    """
+    base, ker = system_from_gamma(gamma), kernel_system(gamma)
+    if variant == "TildeP":
+        xi = [gamma.at(1)] + [base.b[m] for m in range(2, N + 1)]
+        eta = [gamma.at(1) * gamma.at(4)] + [ker.a2[n - 1] * ker.a2[n] / base.a2[n]
+                                             for n in range(2, N)]
+    else:
+        xi = [gamma.at(1) + gamma.at(4)] + [base.b[m] + base.b[m + 1] - ker.b[m]
+                                            for m in range(2, N + 1)]
+        eta = [ker.a2[m - 1] for m in range(2, N + 1)]
+    return xi, eta
 
 
-@pytest.mark.parametrize("variant", ["TildeP", "TildeK"])
-def test_unified_coefficients_reject_empty_window(variant):
-    with pytest.raises(ValueError, match="N = 0"):
-        unified_coefficients(G16, variant, 0)
-
-
-def test_unified_reproduces_tilde():
-    rng = random.Random(21)
-    gamma = random_gamma(rng, 36)
-    xi, eta = unified_coefficients(gamma, "TildeP", 15)
-    T = unified_sequence(xi, eta, 15)
-    ref = monic_sequence(tilde_system(gamma), 15)
-    assert all(T[m] == ref[m] for m in range(16))
-    assert T[2] == monic_sequence(tilde_system(gamma), 2)[2]
-
-
-def test_unified_reproduces_tilde_kernel():
-    rng = random.Random(22)
-    gamma = random_gamma(rng, 36)
-    xi, eta = unified_coefficients(gamma, "TildeK", 15)
-    T = unified_sequence(xi, eta, 15)
-    ref = monic_sequence(tilde_kernel_system(gamma), 15)
-    assert all(T[m] == ref[m] for m in range(16))
-
-
-def test_unified_worked_generated_polynomial():
-    xi, eta = unified_coefficients(G1234, "TildeP", 2)
-    assert unified_sequence(xi, eta, 2)[2] == P(3, -8, 1)
-
-
-def test_unified_requires_positive_gamma1_for_tilde_p():
-    with pytest.raises(Gamma1Zero):
-        unified_coefficients(laguerre_gamma(0, 0), "TildeP", 5)
+# G16 holds gamma_1..gamma_6: xi and eta to N = 3 for TildeP, whose eta are
+# gamma_1 gamma_4 and gamma_3 gamma_6; to N = 2 for TildeK, which reads b'_{N+1}
+@pytest.mark.parametrize("variant, row, N, pinned", [
+    ("TildeP", tilde_system, 3, ([1, 7, 11], [4, 18])),
+    ("TildeK", tilde_kernel_system, 2, ([5, 9], [12])),
+], ids=["TildeP", "TildeK"])
+def test_unified_recurrence_is_the_perturbed_row(variant, row, N, pinned):
+    # the unified recurrence is the row's own (b, a2), entry for entry, so
+    # its polynomials are the row's at every degree
+    assert _unified_coefficients(G16, variant, N) == row(G16).block(N) == pinned
+    rng = random.Random(23)
+    gammas = [random_gamma(rng, 82) for _ in range(5)]
+    gammas += [laguerre_gamma(alpha, 1) for alpha in (Rat(-1, 2), Rat(0), Rat(7, 3))]
+    for gamma in gammas:
+        assert _unified_coefficients(gamma, variant, 40) == row(gamma).block(40)
 
 
 # -- q and u families ------------------------------------------------------------------------

