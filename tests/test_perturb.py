@@ -240,6 +240,35 @@ def test_unified_recurrence_is_the_perturbed_row(variant, row, N, pinned):
         assert _unified_coefficients(gamma, variant, 40) == row(gamma).block(40)
 
 
+def _unified_sequence(xi, eta):
+    """T_0..T_N of T_n = (x - xi_n) T_{n-1} - eta_n T_{n-2}."""
+    return [P(1)] + _recurrence(_pairs(xi), _pairs(eta))
+
+
+def test_unified_coefficients_values():
+    xi, eta = _unified_coefficients(G16, "TildeP", 3)
+    assert eta == [4, 18]  # gamma_1*gamma_4 and gamma_3*gamma_6
+    xi_k, eta_k = _unified_coefficients(G16, "TildeK", 2)
+    assert xi_k[0] == 5 and eta_k == [12]  # gamma_1 + gamma_4 and a''_1^2
+
+
+def test_unified_reproduces_tilde():
+    rng = random.Random(21)
+    gamma = random_gamma(rng, 36)
+    T = _unified_sequence(*_unified_coefficients(gamma, "TildeP", 15))
+    ref = monic_sequence(tilde_system(gamma), 15)
+    assert len(T) == 16 and all(T[m] == ref[m] for m in range(16))
+    assert T[2] == monic_sequence(tilde_system(gamma), 2)[2]
+
+
+def test_unified_reproduces_tilde_kernel():
+    rng = random.Random(22)
+    gamma = random_gamma(rng, 36)
+    T = _unified_sequence(*_unified_coefficients(gamma, "TildeK", 15))
+    ref = monic_sequence(tilde_kernel_system(gamma), 15)
+    assert len(T) == 16 and all(T[m] == ref[m] for m in range(16))
+
+
 # -- q and u families ------------------------------------------------------------------------
 
 def test_q_first_steps():
