@@ -15,7 +15,6 @@ from .chains import (
     generalised_complementary,
     kernel_identity_check,
     kernel_system,
-    maximal_parameters,
     minimal_parameters,
     parameters_from_gamma,
     system_from_gamma,
@@ -37,7 +36,6 @@ from .families import (
 from .jacobi import (
     BidiagonalFactors,
     TridiagonalMatrix,
-    interlace_check,
     lu_factor,
     truncate,
     ul_product,
@@ -53,7 +51,6 @@ from .perturb import (
     tilde_kernel_system,
     tilde_system,
     u_system,
-    zero_sum_interlacing_report,
 )
 from .poly import Polynomial
 from .scalars import RAT_BACKEND, Rat, format_scalar, parse_rational

@@ -1,8 +1,7 @@
 """Chain sequences, their parameter sequences, and gamma decompositions.
 
 A positive chain sequence is d_n = (1 - g_{n-1}) g_n with 0 <= g_0 < 1 and
-0 < g_n < 1.  The minimal parameters start at m_0 = 0; the maximal ones are
-the suprema over all admissible parameter sequences.  Splitting each
+0 < g_n < 1.  The minimal parameters start at m_0 = 0.  Splitting each
 recurrence coefficient as
 
     b_{n+1} = gamma_{2n+1} + gamma_{2n+2},     a_n^2 = gamma_{2n} gamma_{2n+1}
@@ -41,7 +40,7 @@ from .errors import (
     PoleAtB,
     PositivityBreak,
 )
-from .scalars import ONE, ZERO, Rat, coerce_exact, exact_tuple, format_scalar
+from .scalars import ZERO, Rat, coerce_exact, exact_tuple, format_scalar
 from .streams import CoeffStream
 from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps
 
@@ -100,14 +99,11 @@ class ParameterSeq:
     """Finite realization g_0..g_N of a parameter sequence.
 
     Construction enforces 0 <= g_0 < 1 and 0 < g_n < 1; ``minimal`` is the
-    derived fact g_0 = 0.  ``horizon`` is set on backward-iterated maximal
-    parameters to record how far past N the iteration started.  Entries are
-    ints, rationals or 'p/q' strings, held on the exact type; a float raises
-    InvalidRationalLiteral.
+    derived fact g_0 = 0.  Entries are ints, rationals or 'p/q' strings,
+    held on the exact type; a float raises InvalidRationalLiteral.
     """
 
     g: tuple
-    horizon: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "g", exact_tuple(self.g))
@@ -115,11 +111,8 @@ class ParameterSeq:
             raise ParameterOutOfRange("empty parameter sequence")
         if not (0 <= self.g[0] < 1):
             raise ParameterOutOfRange(f"g_0 = {self.g[0]} outside [0, 1)")
-        last = len(self.g) - 1
         for n, v in enumerate(self.g[1:], start=1):
-            # the final entry may be exactly 1: a finite chain sequence's
-            # maximal terminal parameter
-            if not (0 < v < 1 or (n == last and v == 1)):
+            if not 0 < v < 1:
                 raise ParameterOutOfRange(f"g_{n} = {v} outside (0, 1)")
 
     @property
@@ -167,34 +160,6 @@ def minimal_parameters(d: ChainSequence, N: int) -> ParameterSeq:
             raise NotAChainSequence(n, f"m_{n} = {mn} outside (0, 1)")
         m.append(mn)
     return ParameterSeq(tuple(m))
-
-
-def maximal_parameters(d: ChainSequence, N: int, horizon: int) -> ParameterSeq:
-    """Approximate M_0..M_N by backward iteration M_{n-1} = 1 - d_n / M_n.
-
-    The iteration starts from the terminal value 1 at index N + horizon (or
-    at the stream's end, where 1 is exact for a finite chain sequence) and
-    overestimates: outputs decrease monotonically toward the true maxima as
-    the horizon grows.  Entries are clamped below by the minimal parameters;
-    the horizon actually used is recorded on the result.  A negative
-    horizon is a ValueError, and a window N past the end of a finite chain
-    sequence is a LengthMismatch.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    T = _order(N) + horizon
-    if d.d.stop is not None:
-        if N > d.d.stop:
-            raise LengthMismatch(f"window N = {N} needs d_1..d_{N}, got {d.d.stop} terms")
-        T = min(T, d.d.stop)
-    m = minimal_parameters(d, T)  # also certifies d is a chain sequence to T
-    cur = ONE
-    out = {T: cur}
-    for n in range(T, 0, -1):
-        cur = 1 - d.at(n) / cur
-        out[n - 1] = cur
-    vals = [max(m[n], out[n]) for n in range(N + 1)]
-    return ParameterSeq(tuple(vals), horizon=T - N)
 
 
 # -- gamma decomposition --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Truncated monic Jacobi matrices: LU structure, spectra, interlacing.
+"""Truncated monic Jacobi matrices: LU structure and spectra.
 
 The monic convention puts 1 on the superdiagonal, b_n on the diagonal and
 a_n^2 on the subdiagonal.  LU factorisation of such a matrix reproduces the
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chains import gamma_from_system
 from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
 from .scalars import ZERO, coerce_exact, exact_tuple, format_scalar
 from .systems import ThreeTermSystem
@@ -88,11 +87,18 @@ class BidiagonalFactors:
     the split of the corner entry chosen at factorisation time, zero for the
     plain LU decomposition.  ``product`` is the bare L.U; ``reconstruct``
     adds the corner term back and always reproduces the source exactly.
+    Entries are held on the exact type, as in TridiagonalMatrix; a float
+    raises InvalidRationalLiteral.
     """
 
     l_sub: tuple    # subdiagonal of L
     u_diag: tuple   # pivots
     gamma1: object = ZERO
+
+    def __post_init__(self):
+        object.__setattr__(self, "l_sub", exact_tuple(self.l_sub))
+        object.__setattr__(self, "u_diag", exact_tuple(self.u_diag))
+        object.__setattr__(self, "gamma1", coerce_exact(self.gamma1))
 
     @property
     def n(self) -> int:
@@ -154,15 +160,6 @@ def ul_product(f: BidiagonalFactors) -> TridiagonalMatrix:
     diag = [u[i] + l[i] for i in range(len(l))] + [u[-1]]
     sub = [u[i + 1] * l[i] for i in range(len(l))]
     return TridiagonalMatrix(tuple(diag), tuple(sub))
-
-
-def darboux_pivot_check(sys: ThreeTermSystem, gamma1, n: int) -> bool:
-    """Cross-check: LU pivots equal the even-indexed entries of the gamma
-    recovery and the multipliers the odd-indexed ones (exact)."""
-    g = gamma_from_system(sys, gamma1, n)
-    f = lu_factor(truncate(sys, n), gamma1)
-    return (all(f.u_diag[i - 1] == g.at(2 * i) for i in range(1, n + 1))
-            and all(f.l_sub[i - 1] == g.at(2 * i + 1) for i in range(1, n)))
 
 
 # -- spectra ------------------------------------------------------------------
@@ -442,33 +439,3 @@ def zeros(sys: ThreeTermSystem, n: int, tol: float) -> list[float]:
     """Ascending zeros of P_n, each bracketed to width <= tol."""
     return [v for v, _ in zeros_with_brackets(sys, n, tol)]
 
-
-@dataclass(frozen=True)
-class InterlaceVerdict:
-    interlaced: bool
-    witness: int | None = None
-
-
-def interlace_check(xs, ys, tol: float) -> InterlaceVerdict:
-    """Mutual separation of two ascending zero sets of equal length.
-
-    Interlaced means the merged order alternates strictly, starting from
-    either side; comparisons are strict at margin tol.  The witness is the
-    first 1-based position where alternation fails.
-    """
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} vs {len(ys)} zeros")
-    if not xs:
-        return InterlaceVerdict(True)
-
-    def less(a, b):
-        return a + tol < b
-
-    first, second = (xs, ys) if xs[0] < ys[0] else (ys, xs)
-    # require first_1 < second_1 < first_2 < second_2 < ...
-    for j in range(len(first)):
-        if not less(first[j], second[j]):
-            return InterlaceVerdict(False, j + 1)
-        if j + 1 < len(first) and not less(second[j], first[j + 1]):
-            return InterlaceVerdict(False, j + 1)
-    return InterlaceVerdict(True)

@@ -21,13 +21,9 @@ quasi-orthogonality identity as its two polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import GammaSeq, IdentityReport, _gamma_system, kernel_system, system_from_gamma
 from .errors import DegenerateFavard, Gamma1Zero
-from .jacobi import interlace_check, truncate, zeros
 from .poly import Polynomial
-from .scalars import Rat
 from .systems import (
     SymmetricSystem,
     ThreeTermSystem,
@@ -202,62 +198,3 @@ def quasi_holds(gamma_lhs: GammaSeq, gamma_rhs: GammaSeq, n: int) -> list[bool]:
         relations.append([((-1, 1), 2, Q, m), (c2, 1, K1, m), (c3, 1, K1, m - 1),
                           ((1, 1), 0, P, m + 2), (c1, 0, P, m + 1), (c0, 0, P, m)])
     return _relations_hold(relations)
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    """Zero sums, their trace cross-check, and the interlacing verdict."""
-
-    n: int
-    sum_base: object          # exact: gamma_2 + ... + gamma_{2n}
-    sum_tilde: object         # exact: gamma_1 + gamma_3 + ... + gamma_{2n}
-    zero_sum_base: float
-    zero_sum_tilde: float
-    trace_consistent: bool
-    verdict: str              # excluded | observed | undetermined
-    reason: str
-    witnesses: tuple = ()
-
-
-def zero_sum_interlacing_report(gamma: GammaSeq, n: int, tol: float) -> InterlacingReport:
-    """Compare the zeros of the base and tilde polynomials of degree n.
-
-    The zero sums satisfy exact trace identities (gamma_2 + ... + gamma_{2n}
-    and gamma_1 + gamma_3 + ... + gamma_{2n}); their difference gamma_2 -
-    gamma_1 drives the obstruction: interlacing is impossible whenever
-    gamma_1 - gamma_2 and some x_j - xtilde_j share a sign, and in the equal
-    case the sums coincide so interlacing can never occur.  Verdicts are
-    reported, not asserted: "excluded", "observed" (numerically), or
-    "undetermined".
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = system_from_gamma(gamma, minimal_branch=True)
-    til = tilde_system(gamma)
-    xs = zeros(base, n, tol)
-    ys = zeros(til, n, tol)
-    sum_base = sum(gamma.window(2, 2 * n), Rat(0))
-    sum_tilde = gamma.at(1) + (sum(gamma.window(3, 2 * n), Rat(0)) if n >= 2 else 0)
-    zs_base, zs_tilde = sum(xs), sum(ys)
-    trace_ok = (abs(zs_base - float(sum_base)) <= n * tol
-                and abs(zs_tilde - float(sum_tilde)) <= n * tol
-                and truncate(base, n).trace() == sum_base
-                and truncate(til, n).trace() == sum_tilde)
-    delta = gamma.at(1) - gamma.at(2)
-    if delta == 0:
-        return InterlacingReport(n, sum_base, sum_tilde, zs_base, zs_tilde, trace_ok,
-                                 "excluded", "equal zero sums (gamma_1 = gamma_2)")
-    witnesses = tuple(
-        j + 1 for j in range(n)
-        if abs(xs[j] - ys[j]) > tol and ((xs[j] - ys[j] > 0) == (delta > 0))
-    )
-    if witnesses:
-        return InterlacingReport(n, sum_base, sum_tilde, zs_base, zs_tilde, trace_ok,
-                                 "excluded", "sign obstruction", witnesses)
-    verdict = interlace_check(xs, ys, tol)
-    if verdict.interlaced:
-        return InterlacingReport(n, sum_base, sum_tilde, zs_base, zs_tilde, trace_ok,
-                                 "observed", "zeros interlace numerically")
-    return InterlacingReport(n, sum_base, sum_tilde, zs_base, zs_tilde, trace_ok,
-                             "undetermined", f"no obstruction, not interlaced "
-                                             f"(witness {verdict.witness})")

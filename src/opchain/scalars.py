@@ -22,7 +22,6 @@ from .errors import InvalidRationalLiteral
 RAT_BACKEND = "fractions"
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 _LITERAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 

@@ -1,12 +1,23 @@
 """Reference routes that the tests compare the library against.
 
 None of these is reached by a command, a suite or the benchmark: each
-restates a result the library computes another way, so it lives with the
-tests.  The file name keeps pytest from collecting it.
+restates a result the library computes another way, or, as
+``interlace_check`` does, judges the library's float zeros at a margin,
+so it lives with the tests.  The file name keeps pytest from collecting it.
 """
 
-from opchain import ChainSequence, Polynomial, ThreeTermSystem, monic_sequence
-from opchain.errors import OpchainError, ZeroDenominator
+from dataclasses import dataclass
+
+from opchain import (
+    ChainSequence,
+    Polynomial,
+    ThreeTermSystem,
+    gamma_from_system,
+    lu_factor,
+    monic_sequence,
+    truncate,
+)
+from opchain.errors import LengthMismatch, OpchainError, ZeroDenominator
 from opchain.systems import _order
 
 
@@ -63,3 +74,43 @@ def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
             raise ZeroDenominator(n, f"vanishing denominator at n = {n}")
         vals.append(pvals[n] / (tb_n * pvals[n - 1]) * (1 - pvals[n + 1] / (tb_n1 * pvals[n])))
     return ChainSequence.from_values(vals)
+
+
+def darboux_pivot_check(sys: ThreeTermSystem, gamma1, n: int) -> bool:
+    """Cross-check: LU pivots equal the even-indexed entries of the gamma
+    recovery and the multipliers the odd-indexed ones (exact)."""
+    g = gamma_from_system(sys, gamma1, n)
+    f = lu_factor(truncate(sys, n), gamma1)
+    return (all(f.u_diag[i - 1] == g.at(2 * i) for i in range(1, n + 1))
+            and all(f.l_sub[i - 1] == g.at(2 * i + 1) for i in range(1, n)))
+
+
+@dataclass(frozen=True)
+class InterlaceVerdict:
+    interlaced: bool
+    witness: int | None = None
+
+
+def interlace_check(xs, ys, tol: float) -> InterlaceVerdict:
+    """Mutual separation of two ascending zero sets of equal length.
+
+    Interlaced means the merged order alternates strictly, starting from
+    either side; comparisons are strict at margin tol.  The witness is the
+    first 1-based position where alternation fails.
+    """
+    if len(xs) != len(ys):
+        raise LengthMismatch(f"{len(xs)} vs {len(ys)} zeros")
+    if not xs:
+        return InterlaceVerdict(True)
+
+    def less(a, b):
+        return a + tol < b
+
+    first, second = (xs, ys) if xs[0] < ys[0] else (ys, xs)
+    # require first_1 < second_1 < first_2 < second_2 < ...
+    for j in range(len(first)):
+        if not less(first[j], second[j]):
+            return InterlaceVerdict(False, j + 1)
+        if j + 1 < len(first) and not less(second[j], first[j + 1]):
+            return InterlaceVerdict(False, j + 1)
+    return InterlaceVerdict(True)

@@ -20,7 +20,6 @@ from opchain import (
     convergent,
     gamma_from_system,
     generalised_complementary,
-    interlace_check,
     kernel_system,
     laguerre_gamma,
     laguerre_system,
@@ -42,11 +41,10 @@ from opchain import (
     RRParams,
 )
 from opchain.errors import Gamma1Zero, NotAChainSequence, ZeroDenominator
-from opchain.jacobi import darboux_pivot_check
 from opchain.perturb import quasi_sides
 from opchain.verify import random_gamma, run_suite
 
-from reference import even_part, odd_part
+from reference import darboux_pivot_check, even_part, interlace_check, odd_part
 
 ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
 

@@ -23,7 +23,6 @@ from opchain import (
     kernel_invariance_condition,
     kernel_system,
     laguerre_system,
-    maximal_parameters,
     minimal_parameters,
     moments,
     monic_sequence,
@@ -154,8 +153,6 @@ _ORDER_READERS = {
     "gamma_from_system": (lambda n: gamma_from_system(LAG73, 0, n).window(1, 2 * n + 2),
                           [0, LAG73.b_at(1)]),
     "minimal_parameters": (lambda n: minimal_parameters(_D, n).g, (0,)),
-    "maximal_parameters": (lambda n: maximal_parameters(_D, n, 2).g,
-                           (1 - _D.at(1) / (1 - _D.at(2)),)),
     "parameters_from_gamma": (lambda n: parameters_from_gamma(G12, n).g, (Rat(1, 3),)),
     "kernel_invariance_condition": (lambda n: kernel_invariance_condition(G12, n), True),
     "swapped_nu": (lambda n: swapped_nu(G12, n).nu.window(1, 2 * n), []),

@@ -16,7 +16,6 @@ from opchain import (
     gamma_from_system,
     generalised_complementary,
     laguerre_system,
-    maximal_parameters,
     minimal_parameters,
     parameters_from_gamma,
     system_from_gamma,
@@ -84,48 +83,6 @@ def test_minimal_parameters_bounded_by_any_parameter_seq(gs):
     assert tuple(m.g) == tuple(g)
 
 
-# -- maximal parameters ------------------------------------------------------
-
-def test_maximal_constant_quarter_frozen():
-    # backward iteration from 1 after h steps sits at (h+2)/(2h+2)
-    M = maximal_parameters(const_chain(Rat(1, 4), 70), 2, 64)
-    assert M.g == (Rat(34, 67), Rat(67, 132), Rat(33, 65))
-    assert M.horizon == 64
-    assert all(abs(float(v) - 0.5) < 1e-2 for v in M.g)
-
-
-def test_maximal_finite_chain_terminal_is_one():
-    M = maximal_parameters(const_chain(Rat(1, 4), 3), 3, 50)
-    assert M.g[-1] == 1
-    assert M.horizon == 0
-
-
-def test_maximal_window_past_a_finite_chain():
-    with pytest.raises(LengthMismatch, match="window N = 5 needs d_1..d_5, got 3 terms"):
-        maximal_parameters(const_chain(Rat(1, 4), 3), 5, 10)
-
-
-def test_maximal_rejects_negative_horizon():
-    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
-        maximal_parameters(const_chain(Rat(1, 4), 3), 2, -1)
-
-
-def test_maximal_monotone_in_horizon_for_sppcs_chain():
-    d = chain_at(LAG_HALF, Rat(0), 400)
-    m128 = maximal_parameters(d, 2, 128)
-    m256 = maximal_parameters(d, 2, 256)
-    # unique-parameter case: M_0 = m_0 = 0, approached from above
-    assert float(m128.g[0]) == pytest.approx(0.05179729286784496, rel=1e-9)
-    assert 0 < m256.g[0] < m128.g[0]
-
-
-def test_maximal_dominates_minimal():
-    d = chain_at(LAG0, Rat(0), 80)
-    m = minimal_parameters(d, 10)
-    M = maximal_parameters(d, 10, 64)
-    assert all(m[k] <= M[k] for k in range(11))
-
-
 # -- gamma recovery -----------------------------------------------------------
 
 def test_gamma_recovery_laguerre():
@@ -180,7 +137,7 @@ def test_chain_and_parameter_values():
     m = minimal_parameters(d, 3)
     assert d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
     assert m.g == (0, Rat(1, 3), Rat(2, 5), Rat(3, 7))
-    assert m.minimal and m.horizon is None
+    assert m.minimal
 
 
 def test_chain_at_pole():
@@ -287,6 +244,8 @@ def test_parameter_bounds_rejected():
         ParameterSeq((Rat(1),))  # g_0 = 1
     with pytest.raises(ParameterOutOfRange):
         ParameterSeq((Rat(0), Rat(1), Rat(1, 2)))  # interior entry = 1
+    with pytest.raises(ParameterOutOfRange, match=r"g_2 = 1 outside \(0, 1\)"):
+        ParameterSeq((0, "1/2", 1))  # final entry = 1
 
 
 def test_parameter_entries_are_exact():
@@ -304,9 +263,8 @@ def test_parameter_sandwich_on_shifted_family():
     assert all(v == Rat(1, 2) for v in g.g)
     d = chain_at(sys, Rat(0), 80)
     m = minimal_parameters(d, 8)
-    M = maximal_parameters(d, 8, 64)
     for k in range(9):
-        assert m[k] <= g[k] <= M[k]
+        assert m[k] <= g[k]
 
 
 # -- window classification -------------------------------------------------------------

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opchain import (
+    BidiagonalFactors,
     GammaSeq,
     Rat,
     ThreeTermSystem,
     TridiagonalMatrix,
     gamma_from_system,
-    interlace_check,
     kernel_system,
     laguerre_gamma,
     laguerre_system,
@@ -30,8 +30,9 @@ from opchain.errors import (
     NonPositiveA2,
     PivotBreakdown,
 )
-from opchain.jacobi import darboux_pivot_check
 from opchain.verify import random_gamma
+
+from reference import darboux_pivot_check, interlace_check
 
 LAG0 = laguerre_system(0)
 
@@ -70,6 +71,19 @@ def test_matrix_entries_are_exact():
     J = TridiagonalMatrix((1, "3/2"), ("1/2",))
     assert (J.diag, J.sub) == ((1, Rat(3, 2)), (Rat(1, 2),))
     assert all(type(v) is Rat for v in J.diag + J.sub)
+
+
+def test_factor_entries_are_exact():
+    # a float entry would print as a decimal and fail later, in a sum
+    # the caller never passed
+    with pytest.raises(InvalidRationalLiteral):
+        BidiagonalFactors((0.5,), (1, 2))
+    with pytest.raises(InvalidRationalLiteral):
+        BidiagonalFactors((Rat(1, 2),), (1, 2), 0.25)
+    f = BidiagonalFactors(("1/2",), (1, "3/2"), "1/4")
+    assert (f.l_sub, f.u_diag, f.gamma1) == ((Rat(1, 2),), (1, Rat(3, 2)), Rat(1, 4))
+    assert all(type(v) is Rat for v in f.l_sub + f.u_diag + (f.gamma1,))
+    assert f.to_json() == {"L_sub": ["1/2"], "U_diag": ["1", "3/2"]}
 
 
 # -- LU ------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from opchain import (
     systems_agree,
     tilde_kernel_system,
     tilde_system,
+    truncate,
     u_system,
-    zero_sum_interlacing_report,
 )
 from opchain.chains import _gamma_system
 from opchain.errors import (
@@ -460,38 +460,18 @@ def test_swap_split_rejects_zero_gamma1():
         swap_split_check(laguerre_gamma(0, 0), 5)
 
 
-# -- zero sums and interlacing -----------------------------------------------------------------------
-
-def test_interlacing_excluded_for_equal_leading_pair():
-    gamma = GammaSeq.from_values([Rat(2), Rat(2)] + list(range(2, 20)))
-    rep = zero_sum_interlacing_report(gamma, 3, 1e-12)
-    assert rep.verdict == "excluded"
-    assert rep.sum_base == rep.sum_tilde
-    assert rep.trace_consistent
-
+# -- zero sums ------------------------------------------------------------------------------
 
 def test_zero_sums_match_traces_exactly():
-    gamma = laguerre_gamma(0, 1)
-    rep = zero_sum_interlacing_report(gamma, 3, 1e-12)
-    assert rep.sum_base == sum(gamma.window(2, 6), Rat(0))
-    assert rep.sum_tilde == gamma.at(1) + sum(gamma.window(3, 6), Rat(0))
-    assert rep.trace_consistent
-
-
-def test_interlacing_excluded_by_sign_obstruction():
-    # gamma_1 > gamma_2 makes the tilde zero sum larger; some x_j - xtilde_j
-    # must then be positive as well, matching the sign of gamma_1 - gamma_2
-    gamma = GammaSeq.from_values([Rat(5), Rat(1)] + list(range(2, 24)))
-    rep = zero_sum_interlacing_report(gamma, 4, 1e-12)
-    assert rep.verdict in ("excluded", "undetermined")
-    if rep.verdict == "excluded":
-        assert rep.witnesses
-
-
-def test_interlacing_report_fields():
-    gamma = laguerre_gamma(0, 1)
-    rep = zero_sum_interlacing_report(gamma, 2, 1e-12)
-    assert rep.n == 2
-    assert rep.sum_base == rep.sum_tilde == sum(gamma.window(2, 4), Rat(0))
-    assert (rep.verdict, rep.witnesses) == ("excluded", ())
-    assert rep.reason == "equal zero sums (gamma_1 = gamma_2)"
+    # the sum of the zeros of P_n is the trace of the order-n block:
+    # gamma_2 + ... + gamma_2n for the minimal-branch base family and
+    # gamma_1 + gamma_3 + ... + gamma_2n for tilde, equal when gamma_1 = gamma_2
+    rng = random.Random(24)
+    cases = [laguerre_gamma(0, 1), GammaSeq.from_values([2, 2] + list(range(2, 20)))]
+    cases += [random_gamma(rng, 20) for _ in range(3)]
+    for gamma in cases:
+        base = system_from_gamma(gamma, minimal_branch=True)
+        for n in range(1, 9):
+            tail = sum(gamma.window(3, 2 * n), Rat(0))
+            assert sum(truncate(base, n).diag) == gamma.at(2) + tail
+            assert sum(truncate(tilde_system(gamma), n).diag) == gamma.at(1) + tail
