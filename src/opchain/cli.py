@@ -78,7 +78,8 @@ def _resolve_system(args):
 
 
 def _resolve_gamma(args, need: int):
-    """GammaSeq from --gamma, a gamma JSON document, or a system + --gamma1."""
+    """GammaSeq from --gamma, a gamma JSON document, or a system + --gamma1;
+    a system is recovered to depth ``need``, that is gamma_1..gamma_{2 need + 2}."""
     if getattr(args, "gamma", None):
         vals = [parse_rational(tok) for tok in args.gamma.split(",")]
         return GammaSeq.from_values(vals)
@@ -142,7 +143,9 @@ _PERTURB_VARIANTS = {
 
 def cmd_perturb(args) -> int:
     n = args.n
-    gamma = _resolve_gamma(args, n + 2)
+    # an order-n row, and u_system's check of gamma_4 at n >= 1, read
+    # gamma_{2n+2} at most
+    gamma = _resolve_gamma(args, n)
     sys_ = _PERTURB_VARIANTS[args.variant](gamma)
     b, a2 = sys_.block(n)
     polys = monic_sequence(sys_, n)

@@ -99,6 +99,8 @@ class BidiagonalFactors:
         object.__setattr__(self, "l_sub", exact_tuple(self.l_sub))
         object.__setattr__(self, "u_diag", exact_tuple(self.u_diag))
         object.__setattr__(self, "gamma1", coerce_exact(self.gamma1))
+        if not len(self.l_sub) == len(self.u_diag) - 1 >= 0:
+            raise LengthMismatch("l_sub must have length n-1, for n >= 1 pivots")
 
     @property
     def n(self) -> int:

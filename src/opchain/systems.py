@@ -10,10 +10,11 @@ families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them run
 through one kernel over a block (diagonal, subdiagonal) of a monic Jacobi
 matrix.
 
-``ThreeTermSystem.block(n)`` is the one reader of the order-n block:
-b_1..b_n first, then the validated a_1^2..a_{n-1}^2.  The polynomials, the
-moments, the truncated matrix, the spectra and the chain sequence at t are
-all read off it.  Moments come from a walk over that block and the
+``ThreeTermSystem.block(n)`` reads the order-n block: b_1..b_n first, then
+the validated a_1^2..a_{n-1}^2.  The truncated matrix and the chain
+sequence at t are read off it; the polynomials, the moments and the spectra
+read the same block as integer pairs (``_block_pairs``), in the same order
+and with the same errors, for every system.  Moments come from a walk over that block and the
 continued-fraction convergents are expanded at infinity, so every quantity
 here is exact and needs no measure.
 

@@ -1,9 +1,10 @@
 """Reference routes that the tests compare the library against.
 
 None of these is reached by a command, a suite or the benchmark: each
-restates a result the library computes another way, or, as
-``interlace_check`` does, judges the library's float zeros at a margin,
-so it lives with the tests.  The file name keeps pytest from collecting it.
+restates a result the library computes another way, evaluates a printed
+polynomial, or, as ``interlace_check`` does, judges the library's float
+zeros at a margin, so it lives with the tests.  The file name keeps pytest
+from collecting it.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from opchain import (
     truncate,
 )
 from opchain.errors import LengthMismatch, OpchainError, ZeroDenominator
+from opchain.scalars import ZERO, Rat, _is_exact, coerce_exact
 from opchain.systems import _order
 
 
@@ -27,6 +29,22 @@ class NonEvenPolynomial(OpchainError):
 
 class NonOddPolynomial(OpchainError):
     """Polynomial has a nonzero even-degree coefficient."""
+
+
+def evaluate(p: Polynomial, x):
+    """Horner evaluation of p at an exact point, on numerators; x is
+    coerced as ``Polynomial.scale`` coerces its factor."""
+    if not _is_exact(x):
+        x = coerce_exact(x)
+    nums = p.nums
+    if not nums:
+        return ZERO
+    num, q = x.numerator, x.denominator
+    acc, qk = nums[-1], 1
+    for n in reversed(nums[:-1]):
+        qk *= q
+        acc = acc * num + n * qk
+    return Rat(acc, p.den * qk)
 
 
 def even_part(p: Polynomial) -> Polynomial:
@@ -66,7 +84,7 @@ def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:
     if _order(N) == 0:
         return ChainSequence.from_values([])
     P = monic_sequence(sys, N + 1)
-    pvals = [p(t) for p in P]
+    pvals = [evaluate(p, t) for p in P]
     vals = []
     for n in range(1, N + 1):
         tb_n, tb_n1 = t - sys.b_at(n), t - sys.b_at(n + 1)

@@ -162,7 +162,7 @@ def test_rr_monic_polynomials_match_raw_recurrence():
     monic = monic_sequence(rr_system(params), 4)
     for m in range(4):
         A, B, C = _rr_raw(params.p, m)
-        nxt = (x.scale(A) + Polynomial.constant(B)) * cur - prev.scale(C)
+        nxt = (x.scale(A) + Polynomial([B])) * cur - prev.scale(C)
         prev, cur = cur, nxt
         lead = lead * A
         assert monic[m + 1] == cur.scale(1 / lead)

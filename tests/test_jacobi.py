@@ -86,6 +86,15 @@ def test_factor_entries_are_exact():
     assert f.to_json() == {"L_sub": ["1/2"], "U_diag": ["1", "3/2"]}
 
 
+def test_factor_lengths_are_checked():
+    # without the check these constructed, and product() or ul_product then
+    # raised a bare IndexError
+    for l_sub, u_diag in (((1, 2, 3), (1,)), ((), ()), ((1,), (1,)), ((), (1, 2))):
+        with pytest.raises(LengthMismatch, match="length n-1"):
+            BidiagonalFactors(l_sub, u_diag)
+    assert BidiagonalFactors((), (5,)).product() == TridiagonalMatrix((5,), ())
+
+
 # -- LU ------------------------------------------------------------------------
 
 def test_lu_laguerre_multiply_back():
