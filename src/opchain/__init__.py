@@ -47,7 +47,6 @@ from .perturb import (
     kernel_invariance_condition,
     q_system,
     swap_split_check,
-    swapped_nu,
     tilde_kernel_system,
     tilde_system,
     u_system,

@@ -11,13 +11,15 @@ odd/even split encodes a parameter choice g_n = gamma_{2n+1}/b_{n+1}; the
 complementary and generalised complementary constructions act on exactly
 these parameters.
 
-Every system built from a gamma sequence, here and in ``perturb``, is one
-row of offsets (i, j, k, l) in
+Every system built from a gamma sequence, here and in ``perturb``, is the
+base row ``system_from_gamma``, or its minimal branch, of the gamma moved by
+a word in the shift S, (S g)_k = g_{k+1}, and the pair swap W, (W g)_k =
+g_{k+1} for odd k and g_{k-1} for even k ("SW" moves g to S(W g)), whose
+offsets ``_row`` gives as (i, j, k, l) in
 
     b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
 
-with b_1 optionally replaced by a single gamma_r; ``_gamma_system`` builds
-all of them from one pair of integer-pair formulas.
+and b_1 = gamma_r on the minimal branch; ``_gamma_system`` builds each row.
 
 ``kernel_identity_check`` decides each of its items by comparing both
 sides at one point x = 2^B past the height of their difference
@@ -235,12 +237,23 @@ class _GammaRow(ThreeTermSystem):
                           *self.offsets)
 
 
-def _gamma_system(gamma: GammaSeq, b: tuple, a2: tuple,
-                  b1: int | None = None) -> ThreeTermSystem:
+_INDEX_MAPS = {"S": lambda k: k + 1, "W": lambda k: k + 1 if k % 2 else k - 1}
+
+
+@cache
+def _row(word: str, minimal_branch: bool = False) -> tuple:
+    """Offsets (i, j, k, l, b1) of the base row of (word) g.  Both index maps commute
+    with adding 2m, so the base offsets go through them, first letter first."""
+    idx = (-1, 0, 0, 1, 2)  # b = gamma_{2m-1} + gamma_{2m}, a2 = gamma_{2n} gamma_{2n+1}, b_1
+    for letter in word:
+        idx = [_INDEX_MAPS[letter](k) for k in idx]
+    return (*sorted(idx[:2]), *sorted(idx[2:4]), idx[4] if minimal_branch else None)
+
+
+def _gamma_system(gamma: GammaSeq, offsets: tuple) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
-    for offsets b = (i, j) and a2 = (k, l); ``b1 = r`` replaces b_1 with gamma_r.
+    for offsets (i, j, k, l, b1); b1 = r replaces b_1 with gamma_r.
     Its streams are rational views of ``_row_pairs`` over ``GammaSeq._pair``."""
-    offsets = (*b, *a2, b1)
     diag, sub = _row_pairs(gamma._pair, *offsets)
     return _GammaRow(CoeffStream.from_fn(lambda m: Rat(*diag(m))),
                      CoeffStream.from_fn(lambda n: Rat(*sub(n))), gamma, offsets)
@@ -253,7 +266,7 @@ def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTer
     which is the convention forced by the even/odd split of a symmetric
     family; it coincides with the default exactly when gamma_1 = 0.
     """
-    return _gamma_system(gamma, (-1, 0), (0, 1), b1=2 if minimal_branch else None)
+    return _gamma_system(gamma, _row("", minimal_branch))
 
 
 def parameters_from_gamma(gamma: GammaSeq, N: int) -> ParameterSeq:
@@ -271,7 +284,7 @@ def kernel_system(gamma: GammaSeq) -> ThreeTermSystem:
     b_n = gamma_{2n} + gamma_{2n+1} and a_n^2 = gamma_{2n+1} gamma_{2n+2};
     gamma_1 never enters.
     """
-    return _gamma_system(gamma, (0, 1), (1, 2))
+    return _gamma_system(gamma, _row("S"))
 
 
 @dataclass(frozen=True)
@@ -305,7 +318,7 @@ def kernel_identity_check(gamma: GammaSeq, n: int,
     """
     base = system_from_gamma(gamma, minimal_branch=True)
     ker = kernel_system(kernel_gamma if kernel_gamma is not None else gamma)
-    P = _Evaluation(_steps(*base._block_pairs(n + 1)))
+    P = _Evaluation(_steps(*base._block_pairs(_order(n) + 1)))
     K = _Evaluation(_steps(*ker._block_pairs(n)))
     # P_{m+1} - x K_m + gamma_{2m+2} P_m, then K_m - P_m + gamma_{2m+1} K_{m-1}
     relations = [[((1, 1), 0, P, m + 1), ((-1, 1), 1, K, m), (gamma._pair(2 * m + 2), 0, P, m)]

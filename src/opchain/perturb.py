@@ -7,9 +7,10 @@ chain sequence (requires gamma_1 > 0) and its kernel companion.  Running
 the same tilde recurrence from index zero gives the "hat" family of the
 generalised complementary chain sequence, co-recursive with tilde.  The
 constructions on the associated polynomials give the Q and U families.
-Each of these systems is one row of gamma offsets built by
-``chains._gamma_system``; the co-recursive pairs (tilde/hat, U/kernel)
-differ only in b_1.
+Each is the base row of g moved by a word in ``chains``' shift S and pair
+swap W: hat W, tilde kernel SW and Q SS, with tilde (W) and U (S) on the
+minimal branch.  So tilde/tilde kernel is the classical even/odd split of
+W g, and the co-recursive pairs (tilde/hat, U/kernel) differ only in b_1.
 
 Every identity in this module is checked exactly; reports carry the first
 violated index, instead of a boolean lost to tolerance.
@@ -21,11 +22,11 @@ quasi-orthogonality identity as its two polynomials.
 
 from __future__ import annotations
 
-from .chains import GammaSeq, IdentityReport, _gamma_system, kernel_system, system_from_gamma
+from .chains import (GammaSeq, IdentityReport, _INDEX_MAPS, _gamma_system, _row, kernel_system,
+                     system_from_gamma)
 from .errors import DegenerateFavard, Gamma1Zero
 from .poly import Polynomial
 from .systems import (
-    SymmetricSystem,
     ThreeTermSystem,
     _Evaluation,
     _associated_block,
@@ -38,22 +39,6 @@ from .systems import (
 )
 
 
-def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
-    """Symmetric coefficients nu_1..nu_{2N} with adjacent pairs interchanged.
-
-    nu_{2j} = gamma_{2j-1} and nu_{2j+1} = gamma_{2j+2}, so the stream
-    (gamma_1, gamma_2, gamma_3, gamma_4, ...) is consumed as
-    (gamma_2, gamma_1, gamma_4, gamma_3, ...).  A negative N is a ValueError.
-    """
-    vals = []
-    for n in range(1, 2 * _order(N) + 1):
-        if n % 2 == 0:
-            vals.append(gamma.at(n - 1))
-        else:
-            vals.append(gamma.at(n + 1))
-    return SymmetricSystem.from_values(vals)
-
-
 def tilde_system(gamma: GammaSeq) -> ThreeTermSystem:
     """System of the complementary chain sequence: b_1 = gamma_1,
     b_m = gamma_{2m-1} + gamma_{2m} for m >= 2, a_n^2 = gamma_{2n-1} gamma_{2n+2}.
@@ -63,7 +48,7 @@ def tilde_system(gamma: GammaSeq) -> ThreeTermSystem:
     """
     if gamma.at(1) == 0:
         raise Gamma1Zero("tilde construction requires gamma_1 > 0")
-    return _gamma_system(gamma, (-1, 0), (-1, 2), b1=1)
+    return _gamma_system(gamma, _row("W", minimal_branch=True))
 
 
 def hat_system(gamma: GammaSeq) -> ThreeTermSystem:
@@ -75,13 +60,13 @@ def hat_system(gamma: GammaSeq) -> ThreeTermSystem:
     """
     if gamma.at(1) == 0:
         raise DegenerateFavard("hat system has a_1^2 = gamma_1*gamma_4 = 0")
-    return _gamma_system(gamma, (-1, 0), (-1, 2))
+    return _gamma_system(gamma, _row("W"))
 
 
 def tilde_kernel_system(gamma: GammaSeq) -> ThreeTermSystem:
     """Kernel companion of the swapped family:
     b_m = gamma_{2m-1} + gamma_{2m+2}, a_n^2 = gamma_{2n+1} gamma_{2n+2}."""
-    return _gamma_system(gamma, (-1, 2), (1, 2))
+    return _gamma_system(gamma, _row("SW"))
 
 
 def kernel_invariance_condition(gamma: GammaSeq, N: int) -> bool:
@@ -98,9 +83,9 @@ def kernel_invariance_condition(gamma: GammaSeq, N: int) -> bool:
 
 
 def q_system(gamma: GammaSeq) -> ThreeTermSystem:
-    """Kernel-type family from the associated polynomials of the hat family:
+    """The associated polynomials of the base family, Q_n = z_{n+1}:
     b_m = gamma_{2m+1} + gamma_{2m+2}, a_n^2 = gamma_{2n+2} gamma_{2n+3}."""
-    return _gamma_system(gamma, (1, 2), (2, 3))
+    return _gamma_system(gamma, _row("SS"))
 
 
 def u_system(gamma: GammaSeq) -> ThreeTermSystem:
@@ -111,7 +96,7 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
     at construction: then a_1^2 <= 0 and the recurrence defines no
     orthogonal family."""
     gamma.at(3), gamma.at(4)
-    return _gamma_system(gamma, (0, 1), (1, 2), b1=3)
+    return _gamma_system(gamma, _row("S", minimal_branch=True))
 
 
 # -- identity checks -------------------------------------------------------------
@@ -119,7 +104,7 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
 
 def swap_split_check(gamma: GammaSeq, N: int,
                      tilde_gamma: GammaSeq | None = None) -> IdentityReport:
-    """Even/odd split of the swapped symmetric family.
+    """Even/odd split of the swapped symmetric family S, of coefficients nu = W g.
 
     even_part(S_{2n}) must equal the tilde polynomial and odd_part(S_{2n+1})
     the tilde-kernel polynomial, exactly, for n <= N.  Both identities hold
@@ -133,15 +118,15 @@ def swap_split_check(gamma: GammaSeq, N: int,
     restated, not the split under test.  Every item compares two values at
     one exact point (``systems._relations_hold``).
     """
-    sym = swapped_nu(gamma, N + 1)
+    # nu_1..nu_{2N+2}, read first: a fault there is raised before the tilde family's
+    nu = [gamma._pair(_INDEX_MAPS["W"](k)) for k in range(1, 2 * _order(N) + 3)]
     # raises Gamma1Zero when gamma_1 = 0
     even_sys = tilde_system(tilde_gamma if tilde_gamma is not None else gamma)
     odd_sys = tilde_kernel_system(gamma)
     # U_k = S_k / x^(k mod 2) in y: step k multiplies by y when k is even,
     # by 1 when k is odd, and U_1 = U_0 = 1
-    nu = [sym.nu._pair(k) for k in range(1, 2 * N + 2)]
     U = _Evaluation(((k % 2 == 0, (0, 1) if k % 2 == 0 else (-1, 1), s)
-                     for k, s in enumerate(((0, 1), *nu[1:]), 1)))
+                     for k, s in enumerate(((0, 1), *nu[1:2 * N + 1]), 1)))
     P = _Evaluation(_steps(*even_sys._block_pairs(N)))
     K = _Evaluation(_steps(*odd_sys._block_pairs(N)))
     relations = []

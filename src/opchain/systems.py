@@ -405,7 +405,10 @@ def laurent_expand(num: Polynomial, den: Polynomial, order: int) -> LaurentSerie
     M, scale = num.den, dd  # scale = (M / N_den) D_den
     kept = []  # e_{j-1}, e_{j-2}, ..., newest first
     # num/den = sum_j s_j x^-(j + gap), and only j + gap <= order is kept
-    out = [ZERO] * order
+    try:
+        out = [ZERO] * order
+    except (OverflowError, MemoryError):  # past the index range, or past the list limit
+        raise ValueError(f"order {order} is more terms than a list can hold") from None
     for j in range(min(order, order - gap + 1)):
         acc = n_rev[j] * scale if j < len(n_rev) else 0
         for c, e in zip(d_low, kept):

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from opchain import (
     ChainSequence,
+    GammaSeq,
     Polynomial,
+    SymmetricSystem,
     ThreeTermSystem,
     gamma_from_system,
     lu_factor,
@@ -71,6 +73,23 @@ def substitute_square(p: Polynomial) -> Polynomial:
     out = [0] * (2 * len(p.nums) - 1) if p.nums else []
     out[0::2] = p.nums
     return Polynomial._raw(tuple(out), p.den)
+
+
+def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
+    """Symmetric coefficients nu_1..nu_{2N} with adjacent pairs interchanged.
+
+    nu_{2j} = gamma_{2j-1} and nu_{2j+1} = gamma_{2j+2}, so the stream
+    (gamma_1, gamma_2, gamma_3, gamma_4, ...) is consumed as
+    (gamma_2, gamma_1, gamma_4, gamma_3, ...).  A negative N is a ValueError.
+    ``perturb.swap_split_check`` reads the same coefficients as integer pairs.
+    """
+    vals = []
+    for n in range(1, 2 * _order(N) + 1):
+        if n % 2 == 0:
+            vals.append(gamma.at(n - 1))
+        else:
+            vals.append(gamma.at(n + 1))
+    return SymmetricSystem.from_values(vals)
 
 
 def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:

@@ -29,7 +29,6 @@ from opchain import (
     moments,
     monic_sequence,
     parameters_from_gamma,
-    swapped_nu,
     symmetric_sequence,
     system_from_gamma,
     systems_agree,
@@ -44,7 +43,7 @@ from opchain.errors import Gamma1Zero, NotAChainSequence, ZeroDenominator
 from opchain.perturb import quasi_sides
 from opchain.verify import random_gamma, run_suite
 
-from reference import darboux_pivot_check, even_part, interlace_check, odd_part
+from reference import darboux_pivot_check, even_part, interlace_check, odd_part, swapped_nu
 
 ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
 

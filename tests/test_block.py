@@ -20,6 +20,7 @@ from opchain import (
     chain_at,
     gamma_from_system,
     hat_system,
+    kernel_identity_check,
     kernel_invariance_condition,
     kernel_system,
     laguerre_system,
@@ -28,11 +29,11 @@ from opchain import (
     monic_sequence,
     parameters_from_gamma,
     q_system,
+    swap_split_check,
     symmetric_sequence,
     system_from_gamma,
     systems_agree,
     tilde_kernel_system,
-    swapped_nu,
     tilde_system,
     truncate,
     u_system,
@@ -43,6 +44,7 @@ from opchain import (
 from opchain.chains import WallVerdict
 from opchain.chains import _gamma_system
 from opchain.errors import StreamExhausted
+from opchain.perturb import quasi_holds
 from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
@@ -155,7 +157,10 @@ _ORDER_READERS = {
     "minimal_parameters": (lambda n: minimal_parameters(_D, n).g, (0,)),
     "parameters_from_gamma": (lambda n: parameters_from_gamma(G12, n).g, (Rat(1, 3),)),
     "kernel_invariance_condition": (lambda n: kernel_invariance_condition(G12, n), True),
-    "swapped_nu": (lambda n: swapped_nu(G12, n).nu.window(1, 2 * n), []),
+    # identity checks of an order N
+    "swap_split_check": (lambda n: swap_split_check(G12, n).ok, True),
+    "kernel_identity_check": (lambda n: kernel_identity_check(G12, n).ok, True),
+    "quasi_holds": (lambda n: quasi_holds(G12, G12, n), []),
     "wall_sppcs_test": (lambda n: wall_sppcs_test(minimal_parameters(_D, 3), n),
                         WallVerdict("Inconclusive", 0)),
 }
@@ -165,10 +170,12 @@ _ORDER_READERS = {
 def test_one_order_rule(reader):
     read, empty = _ORDER_READERS[reader]
     assert read(0) == empty
-    # moments keeps its own message for the moment order k
-    message = "moment order must be >= 0" if reader == "moments" else "order n = -1 must be >= 0"
-    with pytest.raises(ValueError, match=message):
-        read(-1)
+    for n in (-1, -2):  # the order named is the caller's, not an inner read's
+        # moments keeps its own message for the moment order k
+        message = ("moment order must be >= 0" if reader == "moments"
+                   else f"order n = {n} must be >= 0")
+        with pytest.raises(ValueError, match=message):
+            read(n)
 
 
 # -- the integer-pair block of gamma-derived systems -------------------------------
@@ -205,10 +212,10 @@ _GAMMA_ROWS = {
     "q": (q_system, (1, 2, 2, 3, None)),
     "u": (u_system, (0, 1, 1, 2, 3)),
     # tilde and hat without their gamma_1 > 0 guard: a_1^2 = gamma_1 gamma_4
-    "tilde_row": (lambda g: _gamma_system(g, (-1, 0), (-1, 2), b1=1), (-1, 0, -1, 2, 1)),
-    "hat_row": (lambda g: _gamma_system(g, (-1, 0), (-1, 2)), (-1, 0, -1, 2, None)),
+    "tilde_row": (lambda g: _gamma_system(g, (-1, 0, -1, 2, 1)), (-1, 0, -1, 2, 1)),
+    "hat_row": (lambda g: _gamma_system(g, (-1, 0, -1, 2, None)), (-1, 0, -1, 2, None)),
     # a row whose a2 reaches further into the gamma than its b
-    "wide_a2_row": (lambda g: _gamma_system(g, (-1, 0), (1, 4)), (-1, 0, 1, 4, None)),
+    "wide_a2_row": (lambda g: _gamma_system(g, (-1, 0, 1, 4, None)), (-1, 0, 1, 4, None)),
 }
 
 

@@ -486,6 +486,11 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
      2, "InvalidGamma1"),
     (("moments", "--family", "laguerre", "--alpha", "1/" + "7" * 4400, "--k", "2"),
      2, "InvalidRationalLiteral"),
+    # an order past the index range, and one past the list limit (2^62)
+    (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
+      "--order", "100000000000000000000"), 2, "ValueError"),
+    (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
+      "--order", str(2 ** 62)), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
@@ -622,6 +627,11 @@ def _value_case(draw):
 @example((["family", "laguerre", "--alpha", _BEYOND_FLOAT64, "--n", "2", "--float"], None))
 @example((["perturb", "--variant", "q", "--n", "1", "--float"],
           {"gamma": ["1", "2", _BEYOND_FLOAT64, "4", "5", "6"]}))
+# orders no list can hold; none between 2^31 and 2^60, which may really allocate
+@example((["convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
+           "--order", "100000000000000000000"], None))
+@example((["convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
+           "--order", str(2 ** 62)], None))
 def test_value_fuzz_exits_with_a_documented_code(case):
     argv, doc = case
     out, err = io.StringIO(), io.StringIO()

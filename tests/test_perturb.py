@@ -17,7 +17,6 @@ from opchain import (
     monic_sequence,
     q_system,
     swap_split_check,
-    swapped_nu,
     symmetric_sequence,
     system_from_gamma,
     systems_agree,
@@ -38,7 +37,7 @@ from opchain.perturb import quasi_holds, quasi_sides
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import _bumped, random_gamma
 
-from reference import evaluate, even_part, odd_part
+from reference import evaluate, even_part, odd_part, swapped_nu
 
 
 def P(*coeffs):
@@ -70,6 +69,55 @@ def test_gamma_offsets_on_primes(build, b, a2):
     s = build(PRIMES)
     assert s.b.window(1, 4) == b
     assert s.a2.window(1, 3) == a2
+
+
+# -- every row is the base row of a moved gamma -------------------------------
+
+# the operators on sequences, (S g)_k = g_{k+1} and (W g)_k = g_{k+1} for odd k,
+# g_{k-1} for even k; a word is the composition it spells, rightmost first
+_MOVES = {"S": lambda at: lambda k: at(k + 1),
+          "W": lambda at: lambda k: at(k + 1 if k % 2 else k - 1)}
+
+
+def _moved(gamma, word):
+    at = gamma.at
+    for letter in reversed(word):
+        at = _MOVES[letter](at)
+    return GammaSeq.from_fn(at)
+
+
+# row: (constructor, word, minimal branch)
+_WORD_ROWS = {
+    "base": (system_from_gamma, "", False),
+    "kernel": (kernel_system, "S", False),
+    "tilde": (tilde_system, "W", True),
+    "hat": (hat_system, "W", False),
+    "tilde_kernel": (tilde_kernel_system, "SW", False),
+    "q": (q_system, "SS", False),
+    "u": (u_system, "S", True),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_WORD_ROWS))
+def test_each_row_is_the_base_row_of_its_word(row):
+    make, word, minimal = _WORD_ROWS[row]
+    rng = random.Random(2026)
+    gammas = [random_gamma(rng, 100) for _ in range(5)]
+    gammas += [laguerre_gamma(alpha, 1) for alpha in (Rat(-1, 2), Rat(0), Rat(7, 3))]
+    for gamma in gammas:
+        want = system_from_gamma(_moved(gamma, word), minimal_branch=minimal)
+        assert systems_agree(make(gamma), want, 40)
+
+
+def test_q_family_is_the_base_familys_associated_polynomials():
+    # Q_n = z_{n+1} of the base family (either branch: z never reads b_1);
+    # hat's z_{n+1} agrees only until a_1^2 enters, at n = 2
+    gamma = random_gamma(random.Random(2027), 40)
+    Q = monic_sequence(q_system(gamma), 12)
+    base_z = associated_sequence(system_from_gamma(gamma), 13)
+    hat_z = associated_sequence(hat_system(gamma), 13)
+    assert all(Q[n] == base_z[n + 1] for n in range(13))
+    assert [Q[n] == hat_z[n + 1] for n in range(13)] == [True, True] + [False] * 11
 
 
 # -- the pairwise swap --------------------------------------------------------
@@ -143,7 +191,7 @@ def test_hat_degenerate_leading_entry():
     # the hat row itself still reads b = 1, 3 and a_1^2 = 0; a_1^2 never
     # multiplies anything nonzero, so P_2 = (x - 3)(x - 1) with no correction
     # term, but every reader of the block rejects the zero
-    row = _gamma_system(laguerre_gamma(0, 0), (-1, 0), (-1, 2))
+    row = _gamma_system(laguerre_gamma(0, 0), (-1, 0, -1, 2, None))
     assert _recurrence(_pairs(row.b.window(1, 2)), _pairs(row.a2.window(1, 1)))[1] == P(3, -4, 1)
     with pytest.raises(NonPositiveA2, match=r"a2\[1\] = 0 is not positive"):
         monic_sequence(row, 2)

@@ -27,7 +27,7 @@ from opchain.errors import DegreeViolation, NonPositiveGamma, OpchainError, Stre
 from opchain.streams import CoeffStream
 from opchain.verify import random_gamma
 
-from reference import even_part, odd_part
+from reference import even_part, odd_part, swapped_nu
 
 
 def P(*coeffs):
@@ -509,7 +509,7 @@ def _kernel_blocks():
         yield (f"kernel row n={n}", *kernel_system(gamma)._block_pairs(n))
         for v in ("tilde", "hat", "q", "u"):
             yield (f"{v} n={n}", *getattr(perturb, f"{v}_system")(gamma)._block_pairs(n))
-        nu = perturb.swapped_nu(gamma, n).nu
+        nu = swapped_nu(gamma, n).nu
         yield f"swapped nu n={n}", [(0, 1)] * n, [nu._pair(k) for k in range(2, n + 1)]
         diag = [pair(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.5 else (0, 1)
                 for _ in range(n)]
