@@ -4,7 +4,8 @@ Subcommands expose the closed-form families, the swap-perturbed systems,
 the verification suites, and the numeric endpoints (zeros, LU, moments,
 convergents).  Everything is exact; only ``zeros`` works in float64, and
 ``--float`` only formats exact output as floats.  Output is canonical JSON
-(sorted keys) or CSV so identical invocations are byte-identical.
+(sorted keys) or CSV so identical invocations are byte-identical.  Every
+call builds the help of all commands and the arguments of only the named one.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation (each
 error class carries its code), 3 numerical breakdown, which includes an
@@ -200,7 +201,14 @@ def cmd_moments(args) -> int:
     return 0
 
 
+# the Laurent window is printed whole and its entries' digits grow with their
+# index, so the output grows at least quadratically with the order
+MAX_ORDER = 4096
+
+
 def cmd_convergent(args) -> int:
+    if args.order is not None and args.order > MAX_ORDER:
+        raise ValueError(f"--order {args.order} is above the cap of {MAX_ORDER}")
     sys_ = _resolve_system(args)
     num, den = convergent(sys_, args.n)
     order = args.order if args.order is not None else 2 * args.n
@@ -230,11 +238,7 @@ def _add_system_source(p, with_gamma1=False):
         p.add_argument("--gamma1", help="leading gamma entry (rational string)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="opchain")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("family", help="emit a closed-form family with its chain data")
+def _family_args(p):
     p.add_argument("family", choices=FAMILY_NAMES)
     _add_family_params(p)
     p.add_argument("--n", type=int, default=4)
@@ -242,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true")
     p.set_defaults(fn=cmd_family)
 
-    p = sub.add_parser("perturb", help="emit a swap-perturbed system and its polynomials")
+
+def _perturb_args(p):
     p.add_argument("--variant", choices=sorted(_PERTURB_VARIANTS), required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--gamma", help="comma-separated gamma entries")
@@ -251,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true")
     p.set_defaults(fn=cmd_perturb)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_args(p):
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -260,35 +266,64 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative-control hook: feed inconsistent inputs")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("zeros", help="zeros of P_n by Sturm bisection (CSV)")
+
+def _zeros_args(p):
     _add_system_source(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_zeros)
 
-    p = sub.add_parser("lu", help="bidiagonal LU factors of the truncated matrix")
+
+def _lu_args(p):
     _add_system_source(p, with_gamma1=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_lu)
 
-    p = sub.add_parser("moments", help="normalised moment mu_k/mu_0")
+
+def _moments_args(p):
     _add_system_source(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--output", choices=("plain", "json"), default="plain")
     p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("convergent", help="continued-fraction convergent and expansion")
+
+def _convergent_args(p):
     _add_system_source(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(fn=cmd_convergent)
 
+
+# name -> (help line, function adding the command's arguments), in help order
+_COMMANDS = {
+    "family": ("emit a closed-form family with its chain data", _family_args),
+    "perturb": ("emit a swap-perturbed system and its polynomials", _perturb_args),
+    "verify": ("run a verification suite", _verify_args),
+    "zeros": ("zeros of P_n by Sturm bisection (CSV)", _zeros_args),
+    "lu": ("bidiagonal LU factors of the truncated matrix", _lu_args),
+    "moments": ("normalised moment mu_k/mu_0", _moments_args),
+    "convergent": ("continued-fraction convergent and expansion", _convergent_args),
+}
+
+
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser with every subcommand and its help line, and the
+    arguments of ``command`` alone: argparse hands a subcommand's parser
+    only the tokens after its name, so the others need none."""
+    ap = argparse.ArgumentParser(prog="opchain")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name == command:
+            add_args(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((tok for tok in argv if tok in _COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         for flag in ("n", "samples"):
             value = getattr(args, flag, None)

@@ -1,11 +1,15 @@
+import argparse
 import ast
 import contextlib
 import hashlib
 import inspect
 import io
 import json
+import os
 import pathlib
+import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -491,11 +495,22 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
       "--order", "100000000000000000000"), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
       "--order", str(2 ** 62)), 2, "ValueError"),
+    (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
+      "--order", str(cli.MAX_ORDER + 1)), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
     assert got == code and out == ""
     assert err.startswith(f"error: {name}: ")
+
+
+def test_convergent_order_cap(capsys):
+    head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n", "1", "--order")
+    code, out, err = run(capsys, *head, str(cli.MAX_ORDER + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: --order {cli.MAX_ORDER + 1} is above the cap of 4096\n"
+    doc = run_json(capsys, *head, str(cli.MAX_ORDER))
+    assert len(doc["laurent"]) == cli.MAX_ORDER == 4096
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -575,6 +590,118 @@ def test_argv_fuzz_exits_with_a_documented_code(argv):
             return
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+# -- parser ---------------------------------------------------------------------------
+
+def _full_parser(command):
+    """Every command of ``cli._COMMANDS`` with its arguments, whatever the argv."""
+    ap = argparse.ArgumentParser(prog="opchain")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, add_args) in cli._COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_))
+    return ap
+
+
+def _parse_outcome(argv, build):
+    """(exit code, stdout, stderr, Namespace fields but fn) of ``cli.main(argv)``
+    with ``build`` as its parser builder; every command is a stub exiting 0."""
+    seen = []
+
+    def spied(command):
+        parser = build(command)
+        parse = parser.parse_args
+
+        def parse_args(args):
+            ns = parse(args)
+            # by repr, as a --tol of nan is unequal to itself
+            seen.append(repr({k: v for k, v in vars(ns).items() if k != "fn"}))
+            return ns
+
+        parser.parse_args = parse_args
+        return parser
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        # argparse wraps help to the terminal width
+        stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
+        stack.enter_context(mock.patch.object(cli, "build_parser", spied))
+        for name in cli._COMMANDS:
+            stack.enter_context(mock.patch.object(cli, f"cmd_{name}", lambda args: 0))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue(), seen
+
+
+def _assert_lazy_parse_matches_full(argv):
+    lazy = _parse_outcome(argv, cli.build_parser)
+    assert lazy == _parse_outcome(argv, _full_parser), argv
+
+
+_PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "zeros"], ["bogus"],
+    ["--", "moments", "--family", "laguerre", "--alpha", "0", "--k", "2"],
+    ["-x", "zeros", "--family", "laguerre", "--alpha", "0", "--n", "3"],
+] + [[name, "-h"] for name in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_lazy_parse_matches_full_parse(argv):
+    _assert_lazy_parse_matches_full(argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_lazy_parse_matches_full_parse_fuzz(argv):
+    _assert_lazy_parse_matches_full(argv)
+
+
+# sha256 of the help text at COLUMNS=80, as the full parser printed it
+_HELP_SHA256 = {
+    "": "eefe52067fcf286382780d2191814048d11aecb9482265526a8c6a75ecac7cef",
+    "family": "782e0caf99c902ea8c22fcfb880ec23a22546fc5106f6f2cb375ee6b576e42a8",
+    "perturb": "1ea538e7ccce425dfe6137bcb7385bc5b0bec43bc600a5ef991a32e5abae82c9",
+    "verify": "9c652787386720b0a8ed9f8bb228fa5488ac075d0f8ce751c793169529f36d47",
+    "zeros": "e9a9c3e2852255f8ed53e7bd9c2361e399b6ee30f7a23816326f5def7f94bc1e",
+    "lu": "36f158d1a183a1a72eb8f5456c294c65b271b8a52614795e796e2c7bf9fa8706",
+    "moments": "67e46e11e13e28c0c2b5a89a053dc0e34e8c7e9054e1893200f506be7e4fb4d8",
+    "convergent": "76a9b7726d4486617d5a5e599c90ded833b51eec285d68297f10e03ecd957d2b",
+}
+
+
+@pytest.mark.parametrize("command", ["", *cli._COMMANDS])
+def test_help_stdout_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-h"] if command else ["-h"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert hashlib.sha256(out.out.encode()).hexdigest() == _HELP_SHA256[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--family", "laguerre", "--alpha", "7/3", "--k", "3"],
+    ["lu", "--family", "laguerre", "--alpha", "0", "--n", "0"],
+    ["-x", "zeros", "--family", "laguerre", "--alpha", "0", "--n", "3"],
+    ["zeros", "-h"],
+    [],
+], ids=" ".join)
+def test_console_script_reads_sys_argv(capsys, monkeypatch, argv):
+    # the installed ``opchain`` script calls main() with no argv
+    def outcome(*args):
+        try:
+            code = cli.main(*args)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["opchain", *argv])
+    assert outcome() == outcome(list(argv))
 
 
 # -- value fuzz ----------------------------------------------------------------------
