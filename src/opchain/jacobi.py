@@ -19,8 +19,7 @@ float64 count is monotone in x (Kahan 1966; Demmel, Dhillon and Ren 1995,
 the basis of LAPACK dstebz), so a count already taken at x <= mid with
 count <= j, or at x >= mid with count > j, decides the midpoint of zero j
 exactly as a count there would.  Every count of a call is kept as such a
-certificate; only the least and the greatest x seen with each count value
-can decide a midpoint, so the certificates are kept per count value.
+certificate, in one record ascending in x.
 
 The certificates are seeded before the bisection starts, unless the
 Gershgorin bracket is within four halvings of tol.  One float
@@ -41,6 +40,7 @@ midpoint.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import FloatOverflow, InvalidGamma1, LengthMismatch, NonPositiveA2, PivotBreakdown
@@ -194,55 +194,36 @@ def _count_below(pairs, x: float) -> int:
 
 
 class _Certificates:
-    """Every count taken during one zeros call, indexed by its value.
+    """Every count taken during one zeros call, in one record ascending in x.
 
-    ``lo[c]`` and ``hi[c]`` are the least and the greatest x recorded with
-    count c (None if none), for c = 0..n.  The counts are monotone in x, so
-    the records of the nearest counts above and below c bound every other.
-    ``add`` refuses a count that breaks the order, which would be a
-    violation of the count's monotonicity in x.
+    ``xs`` holds the points and ``counts`` their counts; the counts are
+    monotone in x, so both lists ascend together and each is searched by
+    bisection.  ``add`` refuses a count that breaks the order, which would
+    be a violation of the count's monotonicity in x.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("xs", "counts")
 
-    def __init__(self, n: int):
-        self.lo = [None] * (n + 1)
-        self.hi = [None] * (n + 1)
+    def __init__(self):
+        self.xs, self.counts = [], []
 
     def add(self, x: float, count: int) -> bool:
         """Record count(x) unless a recorded x' <= x has a larger count or a
         recorded x' > x a smaller one; False if it is refused."""
-        lo, hi, end = self.lo, self.hi, len(self.lo)
-        c = count - 1
-        while c >= 0 and hi[c] is None:
-            c -= 1
-        if c >= 0 and hi[c] > x:
+        xs, counts = self.xs, self.counts
+        i = bisect_right(xs, x)
+        if (i and counts[i - 1] > count) or (i < len(counts) and counts[i] < count):
             return False
-        c = count + 1
-        while c < end and lo[c] is None:
-            c += 1
-        if c < end and lo[c] <= x:
-            return False
-        if lo[count] is None:
-            lo[count] = hi[count] = x
-        elif x < lo[count]:
-            lo[count] = x
-        elif x > hi[count]:
-            hi[count] = x
+        xs.insert(i, x)
+        counts.insert(i, count)
         return True
 
     def bracket(self, j: int):
         """(L, U) for the j-th zero: the largest recorded x with count <= j
         and the smallest with count > j (+-inf if none)."""
-        lo, hi, end = self.lo, self.hi, len(self.lo)
-        c = j
-        while c >= 0 and hi[c] is None:
-            c -= 1
-        low = hi[c] if c >= 0 else -math.inf
-        c = j + 1
-        while c < end and lo[c] is None:
-            c += 1
-        return low, (lo[c] if c < end else math.inf)
+        xs = self.xs
+        i = bisect_right(self.counts, j)
+        return (xs[i - 1] if i else -math.inf), (xs[i] if i < len(xs) else math.inf)
 
 
 # Bounds the QL iterations for one eigenvalue, as in EISPACK.
@@ -420,7 +401,7 @@ def zeros_with_brackets(sys: ThreeTermSystem, n: int, tol: float) -> list[tuple[
     if not math.isfinite(hi - lo):
         raise FloatOverflow("Gershgorin bracket exceeds the float64 range")
     pairs = [(diag[0], 0.0), *zip(diag[1:], sub2)]
-    certs = _Certificates(n)
+    certs = _Certificates()
     out = None
     # Within four halvings of tol the bisection meets at most 15 distinct
     # midpoints, whatever n; the seeds would cost 2n counts and the solve.

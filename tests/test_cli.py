@@ -497,6 +497,8 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
       "--order", str(2 ** 62)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
       "--order", str(cli.MAX_ORDER + 1)), 2, "ValueError"),
+    (("convergent", "--family", "laguerre", "--alpha", "0",
+      "--n", str(cli.MAX_CONVERGENT_N + 1)), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
@@ -511,6 +513,20 @@ def test_convergent_order_cap(capsys):
     assert err == f"error: ValueError: --order {cli.MAX_ORDER + 1} is above the cap of 4096\n"
     doc = run_json(capsys, *head, str(cli.MAX_ORDER))
     assert len(doc["laurent"]) == cli.MAX_ORDER == 4096
+
+
+def test_convergent_n_cap(capsys, monkeypatch):
+    head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n")
+    code, out, err = run(capsys, *head, str(cli.MAX_CONVERGENT_N + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: --n 513 is above the cap of 512\n"
+    # at the cap the convergent is built; a degree-1 one stands in for it,
+    # as the real one takes seconds
+    built = []
+    real = cli.convergent
+    monkeypatch.setattr(cli, "convergent", lambda sys_, n: built.append(n) or real(sys_, 1))
+    assert run(capsys, *head, str(cli.MAX_CONVERGENT_N))[0] == 0
+    assert built == [cli.MAX_CONVERGENT_N] == [512]
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -759,6 +775,9 @@ def _value_case(draw):
            "--order", "100000000000000000000"], None))
 @example((["convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
            "--order", str(2 ** 62)], None))
+# an n whose convergent alone would take minutes and gigabytes
+@example((["convergent", "--family", "laguerre", "--alpha", "0",
+           "--n", str(cli.MAX_CONVERGENT_N + 1)], None))
 def test_value_fuzz_exits_with_a_documented_code(case):
     argv, doc = case
     out, err = io.StringIO(), io.StringIO()

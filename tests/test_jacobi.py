@@ -406,6 +406,40 @@ def test_seeded_zeros_pass_count(monkeypatch):
         assert len(passes) <= most * zeros_found, tol
 
 
+@pytest.mark.parametrize("m, scale, most", [
+    (10, Rat(1), 42),
+    (7, Rat(10 ** 6, 7), 132),
+    (4, Rat(1, 10 ** 5), 21),
+], ids=["m=10", "m=7", "m=4"])
+def test_wilkinson_zeros_pass_count(monkeypatch, m, scale, most):
+    # The pivot passes at tol 1e-10: two seeds a zero, plus 0, 102 and 3
+    # midpoints.  At m = 7 the zeros reach 1e6, where tol is below their
+    # ulp, so each is bisected to float resolution inside seeds 64 ulp apart.
+    passes = _passes(monkeypatch)
+    zeros_with_brackets(_wilkinson(m, scale), 2 * m + 1, 1e-10)
+    assert len(passes) <= most
+
+
+def _glued_wilkinson(m, copies, glue):
+    """Copies of W_{2m+1}^+ coupled by a2 = glue: each zero of one copy
+    becomes a cluster of ``copies`` zeros about glue apart."""
+    b = [abs(m - k) for _ in range(copies) for k in range(2 * m + 1)]
+    a2 = ([1] * (2 * m) + [glue]) * (copies - 1) + [1] * (2 * m)
+    return ThreeTermSystem.from_values(b, a2), len(b)
+
+
+@pytest.mark.parametrize("tol, most", [(1e-14, 77), (1e-300, 121)])
+def test_clustered_zeros_share_their_midpoint_counts(monkeypatch, tol, most):
+    # The seeds cannot split a cluster 1e-30 wide, so its zeros are split by
+    # midpoint counts, each of which also decides the cluster's other zeros.
+    # Counting each zero's own midpoints took 123 and 243 passes.
+    sys, n = _glued_wilkinson(4, 3, Rat(1, 10 ** 30))
+    passes = _passes(monkeypatch)
+    rows = zeros_with_brackets(sys, n, tol)
+    assert len(passes) <= most
+    assert _hex_rows(rows) == _hex_rows(_reference_zeros_with_brackets(sys, n, tol))
+
+
 # Estimates that place the seed counts badly, or not at all.
 _SEED_STUBS = {
     "none": lambda v: None,
@@ -504,7 +538,7 @@ def test_seed_points_outside_the_bracket_are_not_counted(monkeypatch):
     monkeypatch.setattr(jacobi, "_count_below", lambda pairs, x: counted.append(x) or 0)
     pairs = [(1.0, 0.0), (2.0, 1.0)]
     estimates = [math.nan, math.inf, -math.inf, -1.0, 5.0, 1.0, 4.0]
-    assert jacobi._seed_counts(pairs, estimates, 0.0, 4.0, 1e-10, jacobi._Certificates(2))
+    assert jacobi._seed_counts(pairs, estimates, 0.0, 4.0, 1e-10, jacobi._Certificates())
     assert counted == [1.0 - 1e-10 / 128, 1.0 + 1e-10 / 128, 4.0 - 1e-10 / 128]
 
 
@@ -539,29 +573,6 @@ def test_seeded_zeros_bit_identical_to_reference(case, tol):
         _hex_rows(_reference_zeros_with_brackets(sys, n, tol))
 
 
-class _SortedCertificates:
-    """Reference store: every (x, count) of a call in one list ascending in
-    x, searched by bisection."""
-
-    def __init__(self):
-        self.xs = []
-        self.counts = []
-
-    def add(self, x, count):
-        i = bisect.bisect_right(self.xs, x)
-        counts = self.counts
-        if (i and counts[i - 1] > count) or (i < len(counts) and counts[i] < count):
-            return False
-        self.xs.insert(i, x)
-        counts.insert(i, count)
-        return True
-
-    def bracket(self, j):
-        i = bisect.bisect_right(self.counts, j)
-        return (self.xs[i - 1] if i else -math.inf,
-                self.xs[i] if i < len(self.xs) else math.inf)
-
-
 def _certificate_sequences():
     """(n, [(x, count), ...]): counts of a random staircase at points on a
     coarse grid (so x repeats, with equal and with different counts) and
@@ -580,17 +591,29 @@ def _certificate_sequences():
         yield n, seq
 
 
-def test_count_indexed_certificates_answer_as_the_sorted_store():
+def _brute_force_bracket(kept, j):
+    """(max x' with c' <= j, min x' with c' > j) over the kept (x', c'),
+    +-inf where there is none."""
+    return (max((x for x, c in kept if c <= j), default=-math.inf),
+            min((x for x, c in kept if c > j), default=math.inf))
+
+
+def test_certificates_answer_as_a_brute_force_search():
+    # A record is refused exactly when some kept (x', c') has x' <= x and
+    # c' > c, or x' > x and c' < c: it would break the count's order in x.
     refused = accepted = 0
     for n, seq in _certificate_sequences():
-        store, ref = jacobi._Certificates(n), _SortedCertificates()
+        store, kept = jacobi._Certificates(), []
         for x, count in seq:
-            ok = ref.add(x, count)
+            ok = not any((xk <= x and ck > count) or (xk > x and ck < count)
+                         for xk, ck in kept)
             assert store.add(x, count) == ok, (n, seq)
+            if ok:
+                kept.append((x, count))
             refused += not ok
             accepted += ok
             for j in range(n + 1):
-                assert store.bracket(j) == ref.bracket(j), (n, seq, j)
+                assert store.bracket(j) == _brute_force_bracket(kept, j), (n, seq, j)
     assert refused > 100 and accepted > 1000  # both branches are exercised
 
 
