@@ -2,7 +2,8 @@
 pairwise-swap perturbations, with a verification-first design.
 
 Everything algebraic runs on exact rationals (``fractions.Fraction``);
-float64 appears only in the Sturm bisection used for zeros.
+float64 appears only in the QL solve and the Sturm bisection used for
+zeros, and in the CLI's ``--float`` view of printed values.
 """
 
 from .chains import (

@@ -20,6 +20,8 @@ offsets ``_row`` gives as (i, j, k, l) in
     b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
 
 and b_1 = gamma_r on the minimal branch; ``_gamma_system`` builds each row.
+Every row reads its gammas as integer pairs through ``GammaSeq._pair``,
+so a fault keeps the class, message and index of ``GammaSeq.at``.
 
 ``kernel_identity_check`` decides each of its items by comparing both
 sides at one point x = 2^B past the height of their difference
@@ -28,7 +30,8 @@ sides at one point x = 2^B past the height of their difference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 
@@ -54,9 +57,21 @@ class GammaSeq:
     """gamma_1, gamma_2, ... with gamma_1 >= 0 and gamma_n > 0 for n >= 2.
 
     Positivity is validated on access so closed-form streams are usable.
+    ``_pair`` hands out a value vector's leading entries up to the first
+    that ``at`` refuses from ints stored at construction, others via ``at``.
     """
 
     gamma: CoeffStream
+    _nums: tuple = field(init=False, repr=False)
+    _dens: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        head = []
+        with suppress(NonPositiveGamma):
+            for k in range(1, (self.gamma.stop or 0) + 1):
+                head.append(self.at(k))
+        object.__setattr__(self, "_nums", tuple(v.numerator for v in head))
+        object.__setattr__(self, "_dens", tuple(v.denominator for v in head))
 
     def at(self, k: int):
         # Signs are read off numerators: the exact type keeps the
@@ -70,19 +85,11 @@ class GammaSeq:
         return v
 
     def _pair(self, k: int) -> tuple[int, int]:
-        """``at(k)`` as (numerator, denominator) Python ints."""
+        """``at(k)`` as (numerator, denominator) Python ints, with its errors."""
+        if 0 < k <= len(self._nums):
+            return self._nums[k - 1], self._dens[k - 1]
         v = self.at(k)
         return v.numerator, v.denominator
-
-    def _stored_pairs(self, hi: int):
-        """[None, pair of gamma_1, ..., pair of gamma_hi] when the gamma is a
-        value vector on which ``at(1..hi)`` cannot fail, else None."""
-        nums = self.gamma.nums
-        if nums is None or not 0 < hi <= len(nums):
-            return None
-        if nums[0] < 0 or min(nums[1:hi], default=1) <= 0:  # the rule of ``at``
-            return None
-        return [None, *zip(nums[:hi], self.gamma.dens[:hi])]
 
     def window(self, lo: int, hi: int) -> list:
         return [self.at(k) for k in range(lo, hi + 1)]
@@ -173,9 +180,10 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     gamma_2 = b_1 - gamma_1, then alternately gamma_{2n+1} = a_n^2/gamma_{2n}
     and gamma_{2n+2} = b_{n+1} - gamma_{2n+1}.  PositivityBreak(k) signals
     that the zero-argument ratios are not a chain sequence for this choice
-    of leading parameter.  The data are read lazily, one step at a time,
-    so the error names the first failing index.  A negative N is a ValueError;
-    gamma_1 is an int, a rational or a 'p/q' string.
+    of leading parameter; only an even entry can break, as a_n^2 > 0
+    (``a2_at``) and gamma_{2n} > 0.  The data are read lazily, one step at
+    a time, so the error names the first failing index.  A negative N is a
+    ValueError; gamma_1 is an int, a rational or a 'p/q' string.
     """
     _order(N)
     gamma1 = coerce_exact(gamma1)
@@ -185,8 +193,6 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
     g = [gamma1, b1 - gamma1]
     for n in range(1, N + 1):
         odd = sys.a2_at(n) / g[-1]
-        if not odd > 0:
-            raise PositivityBreak(2 * n + 1, f"gamma_{2*n+1} = {odd} is not positive")
         even = sys.b_at(n + 1) - odd
         if not even > 0:
             raise PositivityBreak(2 * n + 2, f"gamma_{2*n+2} = {even} is not positive")
@@ -225,16 +231,10 @@ class _GammaRow(ThreeTermSystem):
     gamma: GammaSeq
     offsets: tuple
 
-    def _raw_pair_readers(self, n: int):
-        """``_row_pairs`` over one read of the gamma: the stored integers
-        when ``at`` accepts every gamma the order-n block can meet, else
-        ``GammaSeq._pair`` once per gamma, so a fault names the index and
-        error of the rational read."""
-        i, j, k, l, b1 = self.offsets
-        # no entry of the order-n block reads past gamma_hi
-        stored = self.gamma._stored_pairs(max(2 * n + max(i, j), 2 * n - 2 + max(k, l), b1 or 0))
-        return _row_pairs(cache(self.gamma._pair) if stored is None else stored.__getitem__,
-                          *self.offsets)
+    def _raw_pair_readers(self):
+        """``_row_pairs`` over ``GammaSeq._pair``, each gamma read once, so a
+        fault names the index and error of the rational read."""
+        return _row_pairs(cache(self.gamma._pair), *self.offsets)
 
 
 _INDEX_MAPS = {"S": lambda k: k + 1, "W": lambda k: k + 1 if k % 2 else k - 1}

@@ -191,7 +191,20 @@ def cmd_lu(args) -> int:
     return 0
 
 
+# the Laurent window is printed whole and its entries' digits grow with their
+# index, so the output grows at least quadratically with the order
+MAX_ORDER = 4096
+# the convergent alone grows steeply with n: 2.8 s and 156 MB at n = 500, 40 s
+# and 1.3 GB at n = 1000 (Laguerre alpha = 0, Python 3.11, a 2-vCPU VM)
+MAX_CONVERGENT_N = 512
+# the moment walk's integers grow with k: 1.8 s at k = 2048 and 2.9 s at k = 2500
+# (Laguerre alpha = 0, as a process, same VM)
+MAX_MOMENT_K = 2048
+
+
 def cmd_moments(args) -> int:
+    if args.k > MAX_MOMENT_K:
+        raise ValueError(f"--k {args.k} is above the cap of {MAX_MOMENT_K}")
     sys_ = _resolve_system(args)
     value = moments(sys_, args.k)
     if args.output == "json":
@@ -199,14 +212,6 @@ def cmd_moments(args) -> int:
     else:
         sys.stdout.write(format_scalar(value) + "\n")
     return 0
-
-
-# the Laurent window is printed whole and its entries' digits grow with their
-# index, so the output grows at least quadratically with the order
-MAX_ORDER = 4096
-# the convergent alone grows steeply with n: 2.8 s and 156 MB at n = 500, 40 s
-# and 1.3 GB at n = 1000 (Laguerre alpha = 0, Python 3.11, a 2-vCPU VM)
-MAX_CONVERGENT_N = 512
 
 
 def cmd_convergent(args) -> int:

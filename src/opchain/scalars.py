@@ -2,8 +2,9 @@
 
 Every value in this package is an arbitrary-precision rational ``p/q`` in
 gcd-normalised form, so equality is meaningful and no tolerance ever enters
-an algebraic test.  Float64 appears only in the spectra code of ``jacobi``;
-a float handed to the exact code is rejected, never rounded.
+an algebraic test.  Float64 appears only in the spectra code of ``jacobi``
+and in the CLI's ``--float`` view of printed values; a float handed to the
+exact code is rejected, never rounded.
 
 The rational type is the stdlib ``fractions.Fraction``.
 """

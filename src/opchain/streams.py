@@ -7,10 +7,9 @@ value read is on the exact type: a value vector is normalised when the
 stream is built, a rule's value when it is read, and a float in either
 raises InvalidRationalLiteral.
 
-A value vector is held once more as two tuples of Python ints, ``nums``
-and ``dens``, so the integer readers of the recurrence (``_pair``) take
-an entry without touching the rational; a rule's value is split when it
-is read.
+A value vector is held once, as its tuple of exact values.  The integer
+readers of the recurrence (``_pair``) split the value ``self[n]`` gives,
+for a vector and a rule alike.
 """
 
 from __future__ import annotations
@@ -24,19 +23,14 @@ from .scalars import _is_exact, coerce_exact, exact_tuple
 class CoeffStream:
     """A sequence c[1], c[2], ... backed by values or a rule."""
 
-    __slots__ = ("_values", "nums", "dens", "_fn", "stop")
+    __slots__ = ("_values", "_fn", "stop")
 
     def __init__(self, *, values=None, fn=None):
         if (values is None) == (fn is None):
             raise ValueError("exactly one of values/fn required")
-        nums = dens = None
         if values is not None:
             values = exact_tuple(values)
-            nums = tuple(v.numerator for v in values)
-            dens = tuple(v.denominator for v in values)
         self._values = values
-        self.nums = nums
-        self.dens = dens
         self._fn = fn
         self.stop = len(values) if values is not None else None
 
@@ -59,9 +53,7 @@ class CoeffStream:
 
     def _pair(self, n: int) -> tuple[int, int]:
         """c[n] as (numerator, denominator) Python ints; raises as ``self[n]``."""
-        if self.nums is not None and 0 < n <= self.stop:
-            return self.nums[n - 1], self.dens[n - 1]
-        v = self[n]  # a rule's value, or StreamExhausted
+        v = self[n]
         return v.numerator, v.denominator
 
     def window(self, lo: int, hi: int) -> list:

@@ -24,9 +24,9 @@ kernel forms no product with an absent entry of P_{k-2} or with the monic
 leading entry, and the walk computes no row a closed walk cannot reach.
 The kernel and the walk take their entries as (numerator, denominator)
 pairs of Python ints from ``_pair_readers``, which validates a2 over the
-unchecked readers a system supplies (``_raw_pair_readers``): a value
-stream hands out its stored integers, a rule's value is split on read,
-and a gamma row evaluates its pair formulas (``chains._gamma_system``).
+unchecked readers a system supplies (``_raw_pair_readers``): a stream
+splits the exact value it reads, and a gamma row evaluates its pair
+formulas over ``GammaSeq._pair`` (``chains._gamma_system``).
 The Laurent division keeps its past terms over one running denominator,
 so the integers stay at the height of the answer.
 
@@ -86,15 +86,15 @@ class ThreeTermSystem:
         _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
-    def _raw_pair_readers(self, n: int):
-        """Readers (b, a2) of the entries of the order-n block as
-        (numerator, denominator) pairs of Python ints, a2 unchecked."""
+    def _raw_pair_readers(self):
+        """Readers (b, a2) of the entries as (numerator, denominator) pairs
+        of Python ints, a2 unchecked."""
         return self.b._pair, self.a2._pair
 
-    def _pair_readers(self, n: int):
+    def _pair_readers(self):
         """``_raw_pair_readers`` with a2 validated: b(m) as ``b_at(m)`` and
-        a2(m) as ``a2_at(m)``, for m in the order-n block, with the same errors."""
-        b, read = self._raw_pair_readers(n)
+        a2(m) as ``a2_at(m)``, with the same errors."""
+        b, read = self._raw_pair_readers()
 
         def a2(m: int):
             p, q = read(m)
@@ -107,7 +107,7 @@ class ThreeTermSystem:
     def _block_pairs(self, n: int) -> tuple[list, list]:
         """``block(n)`` as (numerator, denominator) pairs, read in its order."""
         _order(n)
-        b, a2 = self._pair_readers(n)
+        b, a2 = self._pair_readers()
         diag = [b(m) for m in range(1, n + 1)]
         return diag, [a2(m) for m in range(1, n)]
 
@@ -202,7 +202,7 @@ def _associated_block(sys: ThreeTermSystem, n: int) -> tuple[list, list]:
     a_1^2 only meets z_0 = 0 but is validated right after b_2: gamma-derived,
     it reads a gamma b_2..b_n never read.
     """
-    b, a2 = sys._pair_readers(n)
+    b, a2 = sys._pair_readers()
     diag = []
     if n >= 2:
         diag.append(b(2))

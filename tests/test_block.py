@@ -399,17 +399,6 @@ def test_associated_sequence_reads_each_gamma_once():
     assert max(reads.values()) == 1
 
 
-def test_stored_pairs_only_where_no_read_can_fail():
-    g = GammaSeq.from_values([0, Rat(1, 2), 3, 4])
-    assert g._stored_pairs(4) == [None, (0, 1), (1, 2), (3, 1), (4, 1)]
-    assert g._stored_pairs(1) == [None, (0, 1)]
-    assert g._stored_pairs(5) is None and g._stored_pairs(0) is None
-    assert GammaSeq.from_values([Rat(-1, 2), 2])._stored_pairs(2) is None
-    assert GammaSeq.from_values([1, 0, 3])._stored_pairs(3) is None
-    assert GammaSeq.from_values([1, 0, 3])._stored_pairs(1) == [None, (1, 1)]
-    assert GammaSeq.from_fn(lambda k: Rat(k))._stored_pairs(3) is None
-
-
 class _CountingValues(CoeffStream):
     """A value stream that counts its entry reads, as rationals or as pairs."""
 
@@ -422,6 +411,44 @@ class _CountingValues(CoeffStream):
     def _pair(self, n):
         self.reads += 1
         return super()._pair(n)
+
+
+def _split_at(g, k):
+    v = g.at(k)
+    return v.numerator, v.denominator
+
+
+@pytest.mark.parametrize("copy", sorted(_COPIES))
+@pytest.mark.parametrize("gamma", sorted(_PARITY_GAMMAS))
+def test_gamma_pair_is_at_split(gamma, copy):
+    # the parts of ``at(k)`` as Python ints, or its fault with class, message and index
+    vals = _PARITY_GAMMAS[gamma]
+    g = GammaSeq(_COPIES[copy](CoeffStream.from_values(vals)))
+    for k in range(len(vals) + 2):
+        got = _outcome(lambda: g._pair(k))
+        assert got == _outcome(lambda: _split_at(g, k)), (gamma, k)
+        if len(got) == 2:
+            assert all(type(v) is int for v in got), (gamma, k)
+
+
+def test_gamma_pairs_are_stored_up_to_the_first_refused_entry():
+    # (values, length of the leading run that ``at`` accepts)
+    cases = [([0, Rat(1, 2), 3, 4], 4), ([Rat(-1, 2), 2], 0), ([1, 0, 3], 1),
+             ([1, 2, Rat(-3, 2), 4, 5], 2), ([], 0)]
+    for vals, head in cases:
+        stream = _CountingValues(values=vals)
+        stream.reads = 0
+        g = GammaSeq(stream)
+        for k in range(len(vals) + 2):
+            want = _outcome(lambda: _split_at(g, k))
+            stream.reads = 0
+            assert _outcome(lambda: g._pair(k)) == want, (vals, k)
+            # a stored pair is handed out without a read of the stream
+            assert (stream.reads == 0) == (0 < k <= head), (vals, k)
+    reads = Counter()
+    g = GammaSeq.from_fn(lambda k: reads.update([k]) or Rat(k))
+    assert [g._pair(k) for k in (1, 2, 1)] == [(1, 1), (2, 1), (1, 1)]
+    assert reads == Counter({1: 2, 2: 1})  # a rule gamma stores nothing
 
 
 @pytest.mark.parametrize("row", sorted(_GAMMA_ROWS))

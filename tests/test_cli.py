@@ -499,6 +499,8 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
       "--order", str(cli.MAX_ORDER + 1)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0",
       "--n", str(cli.MAX_CONVERGENT_N + 1)), 2, "ValueError"),
+    (("moments", "--family", "laguerre", "--alpha", "0",
+      "--k", str(cli.MAX_MOMENT_K + 1)), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
@@ -527,6 +529,25 @@ def test_convergent_n_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "convergent", lambda sys_, n: built.append(n) or real(sys_, 1))
     assert run(capsys, *head, str(cli.MAX_CONVERGENT_N))[0] == 0
     assert built == [cli.MAX_CONVERGENT_N] == [512]
+
+
+def test_moments_k_cap(capsys, monkeypatch):
+    head = ("moments", "--family", "laguerre", "--alpha", "0", "--k")
+    resolved = []
+    real = cli._resolve_system
+    monkeypatch.setattr(cli, "_resolve_system", lambda args: resolved.append(1) or real(args))
+    code, out, err = run(capsys, *head, str(cli.MAX_MOMENT_K + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: --k 2049 is above the cap of 2048\n"
+    assert resolved == []  # refused before the system is built
+    # at the cap the moment is taken; a low-order one stands in for it,
+    # as the real one takes seconds
+    taken = []
+    real_moments = cli.moments
+    monkeypatch.setattr(cli, "moments", lambda sys_, k: taken.append(k) or real_moments(sys_, 2))
+    code, out, err = run(capsys, *head, str(cli.MAX_MOMENT_K))
+    assert (code, out, err) == (0, "2\n", "")
+    assert taken == [cli.MAX_MOMENT_K] == [2048] and resolved == [1]
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -778,6 +799,9 @@ def _value_case(draw):
 # an n whose convergent alone would take minutes and gigabytes
 @example((["convergent", "--family", "laguerre", "--alpha", "0",
            "--n", str(cli.MAX_CONVERGENT_N + 1)], None))
+# a k whose moment walk would not end for minutes
+@example((["moments", "--family", "laguerre", "--alpha", "0",
+           "--k", str(cli.MAX_MOMENT_K + 1)], None))
 def test_value_fuzz_exits_with_a_documented_code(case):
     argv, doc = case
     out, err = io.StringIO(), io.StringIO()

@@ -285,7 +285,7 @@ def test_fractions_over_foreign_integers_are_coerced():
     assert type(rule[1].numerator) is int and rule[1] * 4 == 2 ** 64
     assert rule._pair(3) == (2 ** 62, 3)
     values = CoeffStream.from_values([big])
-    assert type(values[1].numerator) is int and values.nums == (2 ** 62,)
+    assert type(values[1].numerator) is int and values._pair(1) == (2 ** 62, 1)
     # a foreign denominator alone is caught too
     tiny = Fraction(1, _Int64(2 ** 62))
     assert type(tiny.numerator) is int and type(tiny.denominator) is _Int64
@@ -298,8 +298,7 @@ def test_fractions_over_foreign_integers_are_coerced():
     assert type(sub.numerator) is _IntSub
     values, rule = CoeffStream.from_values([sub] * 3), CoeffStream.from_fn(lambda n: sub)
     gammas = (GammaSeq.from_values([sub] * 8), GammaSeq(rule))
-    pairs = [values._pair(2), rule._pair(2), *(g._pair(3) for g in gammas),
-             *zip(values.nums, values.dens)]
+    pairs = [*map(values._pair, (1, 2, 3)), rule._pair(2), *(g._pair(3) for g in gammas)]
     for system in (ThreeTermSystem(values, rule), *map(system_from_gamma, gammas)):
         diag, sub2 = system._block_pairs(3)
         pairs += diag + sub2

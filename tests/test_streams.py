@@ -41,19 +41,20 @@ def test_empty_value_stream():
     assert _exhausted(s, 1) == "index 1 outside [1, 0]"
 
 
-def test_value_stream_holds_its_integers():
+def test_value_stream_pairs_split_its_values():
     s = CoeffStream.from_values([Rat(6, 4), -2, "3/9"])
-    assert (s.nums, s.dens) == ((3, -2, 1), (2, 1, 3))
     assert [s._pair(k) for k in (1, 2, 3)] == [(3, 2), (-2, 1), (1, 3)]
-    assert all(type(v) is int for v in s.nums + s.dens)
+    assert all(s._pair(k) == (s[k].numerator, s[k].denominator) for k in (1, 2, 3))
+    assert all(type(v) is int for k in (1, 2, 3) for v in s._pair(k))
     assert _exhausted(s, 4) == "index 4 outside [1, 3]"
-    with pytest.raises(StreamExhausted, match=r"index 0 outside \[1, 3\]"):
-        s._pair(0)
+    for k in (0, 4):
+        with pytest.raises(StreamExhausted, match=rf"index {k} outside \[1, 3\]"):
+            s._pair(k)
 
 
 def test_rule_values_are_normalised_on_read():
     s = CoeffStream.from_fn(lambda n: n if n % 2 else f"{n}/4")
-    assert s.nums is None
+    assert all(type(v) is int for v in s._pair(2) + s._pair(3))
     assert s[3] == 3 and type(s[3]) is Rat
     assert s[2] == Rat(1, 2) and s._pair(2) == (1, 2)
     with pytest.raises(StreamExhausted, match=r"index 0 outside \[1, None\]"):
