@@ -56,7 +56,6 @@ from .poly import Polynomial
 from .scalars import RAT_BACKEND, Rat, format_scalar, parse_rational
 from .systems import (
     LaurentSeries,
-    SymmetricSystem,
     ThreeTermSystem,
     associated_sequence,
     convergent,

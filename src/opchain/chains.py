@@ -19,9 +19,10 @@ offsets ``_row`` gives as (i, j, k, l) in
 
     b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
 
-and b_1 = gamma_r on the minimal branch; ``_gamma_system`` builds each row.
-Every row reads its gammas as integer pairs through ``GammaSeq._pair``,
-so a fault keeps the class, message and index of ``GammaSeq.at``.
+and b_1 = gamma_r on the minimal branch.  ``_gamma_system`` builds each row
+as two pair rules (``CoeffStream.from_pairs``) over one cache of
+``GammaSeq._pair``: a row reads each gamma once in its lifetime, and a
+fault keeps the class, message and index of ``GammaSeq.at``.
 
 ``kernel_identity_check`` decides each of its items by comparing both
 sides at one point x = 2^B past the height of their difference
@@ -201,7 +202,7 @@ def gamma_from_system(sys: ThreeTermSystem, gamma1, N: int) -> GammaSeq:
 
 
 def _row_pairs(g, i: int, j: int, k: int, l: int, b1: int | None):
-    """The entries of one row as unchecked readers over ``g``, a reader of
+    """The entries of one row as unchecked pair rules over ``g``, a reader of
     gamma (numerator, denominator) pairs: b(m) = g(2m+i) + g(2m+j), or g(b1)
     at m = 1 when ``b1`` is set, and a2(m) = g(2m+k) g(2m+l), each read left
     operand first and reduced with one gcd."""
@@ -223,20 +224,6 @@ def _row_pairs(g, i: int, j: int, k: int, l: int, b1: int | None):
     return b, a2
 
 
-@dataclass(frozen=True, eq=False)
-class _GammaRow(ThreeTermSystem):
-    """A ``_gamma_system`` row: its streams, plus the gamma and offsets
-    (i, j, k, l, b1) that its pair readers read."""
-
-    gamma: GammaSeq
-    offsets: tuple
-
-    def _raw_pair_readers(self):
-        """``_row_pairs`` over ``GammaSeq._pair``, each gamma read once, so a
-        fault names the index and error of the rational read."""
-        return _row_pairs(cache(self.gamma._pair), *self.offsets)
-
-
 _INDEX_MAPS = {"S": lambda k: k + 1, "W": lambda k: k + 1 if k % 2 else k - 1}
 
 
@@ -253,10 +240,10 @@ def _row(word: str, minimal_branch: bool = False) -> tuple:
 def _gamma_system(gamma: GammaSeq, offsets: tuple) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
     for offsets (i, j, k, l, b1); b1 = r replaces b_1 with gamma_r.
-    Its streams are rational views of ``_row_pairs`` over ``GammaSeq._pair``."""
-    diag, sub = _row_pairs(gamma._pair, *offsets)
-    return _GammaRow(CoeffStream.from_fn(lambda m: Rat(*diag(m))),
-                     CoeffStream.from_fn(lambda n: Rat(*sub(n))), gamma, offsets)
+    Its streams are the pair rules of ``_row_pairs`` over one cache of
+    ``GammaSeq._pair`` that lives as long as the row."""
+    diag, sub = _row_pairs(cache(gamma._pair), *offsets)
+    return ThreeTermSystem(CoeffStream.from_pairs(diag), CoeffStream.from_pairs(sub))
 
 
 def system_from_gamma(gamma: GammaSeq, minimal_branch: bool = False) -> ThreeTermSystem:

@@ -30,7 +30,7 @@ from .errors import FloatOverflow, OpchainError
 from .jacobi import lu_factor, truncate, zeros_with_brackets
 from .scalars import Rat, format_scalar, parse_rational
 from .serialize import gamma_from_json, system_from_json, values_to_json
-from .systems import convergent, laurent_expand, moments, monic_sequence
+from .systems import convergent, laurent_expand, moment_height, moments, monic_sequence
 
 FAMILY_NAMES = tuple(families.FAMILIES)
 FAMILY_PARAMS = tuple(dict.fromkeys(row[0] for row in families.FAMILIES.values()))
@@ -191,34 +191,39 @@ def cmd_lu(args) -> int:
     return 0
 
 
-# the Laurent window is printed whole and its entries' digits grow with their
-# index, so the output grows at least quadratically with the order
-MAX_ORDER = 4096
-# the convergent alone grows steeply with n: 2.8 s and 156 MB at n = 500, 40 s
-# and 1.3 GB at n = 1000 (Laguerre alpha = 0, Python 3.11, a 2-vCPU VM)
-MAX_CONVERGENT_N = 512
-# the moment walk's integers grow with k: 1.8 s at k = 2048 and 2.9 s at k = 2500
-# (Laguerre alpha = 0, as a process, same VM)
-MAX_MOMENT_K = 2048
+# Caps on size flags, by (command, flag), checked in this order before the
+# command reads its input.  Measured as a process at the cap (Laguerre
+# alpha = 0, Python 3.11, a 2-vCPU VM); a cap bounds size, not entry height.
+CAPS = {
+    ("convergent", "n"): 512,  # 2.8 s and 156 MB at n = 500, 40 s and 1.3 GB at 1000
+    ("convergent", "order"): 4096,  # the printed window grows at least as order^2
+    ("moments", "k"): 2048,  # 1.8 s, and 2.9 s at k = 2500
+    ("zeros", "n"): 2000,  # 3.4 s and 18 MB, quadratic in n
+    ("lu", "n"): 100_000,  # 1.4 s and 63 MB, 9.2 s and 503 MB at n = 10^6
+    ("family", "n"): 50_000,  # 2.0 s and 118 MB
+    ("perturb", "n"): 400,  # 0.8 s, 142 MB, 30 MB printed; 5.8 s and 754 MB at n = 700
+}
+# moments --k runs when k^3 H^2 is at most this, H from ``moment_height``:
+# about 3.5 s at most along the boundary (as a process, same VM)
+MOMENT_BUDGET = 1 << 43
 
 
 def cmd_moments(args) -> int:
-    if args.k > MAX_MOMENT_K:
-        raise ValueError(f"--k {args.k} is above the cap of {MAX_MOMENT_K}")
     sys_ = _resolve_system(args)
-    value = moments(sys_, args.k)
+    k = args.k
+    H = moment_height(sys_, k)  # raises as moments(sys_, k) would, before the walk
+    if k ** 3 * H ** 2 > MOMENT_BUDGET:
+        raise ValueError(f"--k {k} over entries of {H} bits is above the budget "
+                         f"k^3 H^2 <= 2^{MOMENT_BUDGET.bit_length() - 1}")
+    value = moments(sys_, k)
     if args.output == "json":
-        _emit({"k": args.k, "moment": format_scalar(value)})
+        _emit({"k": k, "moment": format_scalar(value)})
     else:
         sys.stdout.write(format_scalar(value) + "\n")
     return 0
 
 
 def cmd_convergent(args) -> int:
-    if args.n > MAX_CONVERGENT_N:
-        raise ValueError(f"--n {args.n} is above the cap of {MAX_CONVERGENT_N}")
-    if args.order is not None and args.order > MAX_ORDER:
-        raise ValueError(f"--order {args.order} is above the cap of {MAX_ORDER}")
     sys_ = _resolve_system(args)
     num, den = convergent(sys_, args.n)
     order = args.order if args.order is not None else 2 * args.n
@@ -339,6 +344,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be >= 1")
+        for (command, flag), cap in CAPS.items():
+            value = getattr(args, flag) if command == args.command else None
+            if value is not None and value > cap:
+                raise ValueError(f"--{flag} {value} is above the cap of {cap}")
         return args.fn(args)
     except (OpchainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

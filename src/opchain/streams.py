@@ -1,15 +1,14 @@
 """Indexed coefficient streams, read from index 1.
 
-Recurrence data arrives either as a finite vector, whose length is the
-stream's ``stop``, or as a closed-form rule with ``stop = None``.  Reading
-past a finite vector raises StreamExhausted, never silently extends.  Every
-value read is on the exact type: a value vector is normalised when the
-stream is built, a rule's value when it is read, and a float in either
-raises InvalidRationalLiteral.
-
-A value vector is held once, as its tuple of exact values.  The integer
-readers of the recurrence (``_pair``) split the value ``self[n]`` gives,
-for a vector and a rule alike.
+Recurrence data arrives as one of three kinds: a finite vector, whose
+length is the stream's ``stop``, a closed-form rule of values, or a rule
+of reduced (numerator, denominator) pairs; a rule has ``stop = None``.
+Reading past a finite vector, or below index 1, raises StreamExhausted.
+Every value read is on the exact type: a value vector is normalised when
+the stream is built, a value rule's value when it is read, and a float in
+either raises InvalidRationalLiteral.  The integer readers of the
+recurrence (``_pair``) hand out a pair rule's pair and split ``self[n]``
+of the other kinds; ``self[n]`` of a pair rule is ``Rat(*pair)``.
 """
 
 from __future__ import annotations
@@ -17,21 +16,22 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import StreamExhausted
-from .scalars import _is_exact, coerce_exact, exact_tuple
+from .scalars import Rat, _is_exact, coerce_exact, exact_tuple
 
 
 class CoeffStream:
-    """A sequence c[1], c[2], ... backed by values or a rule."""
+    """A sequence c[1], c[2], ... backed by values, a rule, or a pair rule."""
 
-    __slots__ = ("_values", "_fn", "stop")
+    __slots__ = ("_values", "_fn", "_pairs", "stop")
 
-    def __init__(self, *, values=None, fn=None):
-        if (values is None) == (fn is None):
-            raise ValueError("exactly one of values/fn required")
+    def __init__(self, *, values=None, fn=None, pairs=None):
+        if [values, fn, pairs].count(None) != 2:
+            raise ValueError("exactly one of values/fn/pairs required")
         if values is not None:
             values = exact_tuple(values)
         self._values = values
         self._fn = fn
+        self._pairs = pairs
         self.stop = len(values) if values is not None else None
 
     @classmethod
@@ -43,16 +43,26 @@ class CoeffStream:
         """Closed-form stream; fn must be deterministic and side-effect free."""
         return cls(fn=fn)
 
+    @classmethod
+    def from_pairs(cls, rule: Callable[[int], tuple[int, int]]) -> "CoeffStream":
+        """Closed-form stream of reduced (numerator, denominator) pairs of
+        Python ints, with a positive denominator; as ``from_fn`` otherwise."""
+        return cls(pairs=rule)
+
     def __getitem__(self, n: int):
         if n < 1 or (self.stop is not None and n > self.stop):
             raise StreamExhausted(n, f"index {n} outside [1, {self.stop}]")
         if self._values is not None:
             return self._values[n - 1]
+        if self._pairs is not None:
+            return Rat(*self._pairs(n))
         v = self._fn(n)
         return v if _is_exact(v) else coerce_exact(v)
 
     def _pair(self, n: int) -> tuple[int, int]:
         """c[n] as (numerator, denominator) Python ints; raises as ``self[n]``."""
+        if self._pairs is not None and n >= 1:
+            return self._pairs(n)
         v = self[n]
         return v.numerator, v.denominator
 
@@ -61,5 +71,5 @@ class CoeffStream:
         return [self[n] for n in range(lo, hi + 1)]
 
     def __repr__(self):
-        kind = "values" if self._values is not None else "fn"
+        kind = "values" if self._values is not None else "fn" if self._fn is not None else "pairs"
         return f"CoeffStream({kind}, stop={self.stop})"

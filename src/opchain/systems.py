@@ -6,7 +6,8 @@ A monic orthogonal family P_n obeys
 
 with P_{-1} = 0, P_0 = 1.  The numerators of the associated continued
 fraction obey the same recurrence with z_0 = 0, z_1 = 1.  Symmetric
-families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x).  All of them run
+families obey S_n(x) = x S_{n-1}(x) - nu_n S_{n-2}(x), and a symmetric
+family is its stream nu[n] (n >= 1) and nothing more.  All of them run
 through one kernel over a block (diagonal, subdiagonal) of a monic Jacobi
 matrix.
 
@@ -23,10 +24,10 @@ a common denominator, as ``Polynomial`` stores its coefficients.  The
 kernel forms no product with an absent entry of P_{k-2} or with the monic
 leading entry, and the walk computes no row a closed walk cannot reach.
 The kernel and the walk take their entries as (numerator, denominator)
-pairs of Python ints from ``_pair_readers``, which validates a2 over the
-unchecked readers a system supplies (``_raw_pair_readers``): a stream
-splits the exact value it reads, and a gamma row evaluates its pair
-formulas over ``GammaSeq._pair`` (``chains._gamma_system``).
+pairs of Python ints from ``_pair_readers``, which reads ``CoeffStream._pair``
+of b and a2 and validates a2 with the check of ``a2_at``: a value stream
+splits the exact value it reads, and a gamma row's pair rules evaluate
+their formulas over ``GammaSeq._pair`` (``chains._gamma_system``).
 The Laurent division keeps its past terms over one running denominator,
 so the integers stay at the height of the answer.
 
@@ -57,6 +58,13 @@ def _order(n: int) -> int:
     return n
 
 
+def _positive_a2(n: int, p: int, q: int) -> tuple[int, int]:
+    """(p, q), or NonPositiveA2 if a2[n] = p/q is not positive (q > 0)."""
+    if p <= 0:
+        raise NonPositiveA2(n, f"a2[{n}] = {Rat(p, q)} is not positive")
+    return p, q
+
+
 @dataclass(frozen=True, eq=False)
 class ThreeTermSystem:
     """Streams b[n] (n>=1) and a2[n] (n>=1) of a monic three-term recurrence.
@@ -74,8 +82,7 @@ class ThreeTermSystem:
 
     def a2_at(self, n: int):
         v = self.a2[n]
-        if v.numerator <= 0:  # denominators are positive
-            raise NonPositiveA2(n, f"a2[{n}] = {v} is not positive")
+        _positive_a2(n, v.numerator, v.denominator)
         return v
 
     def block(self, n: int) -> tuple[list, list]:
@@ -86,23 +93,12 @@ class ThreeTermSystem:
         _order(n)
         return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
 
-    def _raw_pair_readers(self):
-        """Readers (b, a2) of the entries as (numerator, denominator) pairs
-        of Python ints, a2 unchecked."""
-        return self.b._pair, self.a2._pair
-
     def _pair_readers(self):
-        """``_raw_pair_readers`` with a2 validated: b(m) as ``b_at(m)`` and
-        a2(m) as ``a2_at(m)``, with the same errors."""
-        b, read = self._raw_pair_readers()
-
-        def a2(m: int):
-            p, q = read(m)
-            if p <= 0:  # denominators are positive
-                raise NonPositiveA2(m, f"a2[{m}] = {Rat(p, q)} is not positive")
-            return p, q
-
-        return b, a2
+        """Readers (b, a2) of the entries as (numerator, denominator) pairs
+        of Python ints: b(m) as ``b_at(m)`` and a2(m) as ``a2_at(m)``, with
+        the same errors."""
+        read = self.a2._pair
+        return self.b._pair, lambda m: _positive_a2(m, *read(m))
 
     def _block_pairs(self, n: int) -> tuple[list, list]:
         """``block(n)`` as (numerator, denominator) pairs, read in its order."""
@@ -114,21 +110,6 @@ class ThreeTermSystem:
     @classmethod
     def from_values(cls, b, a2) -> "ThreeTermSystem":
         return cls(CoeffStream.from_values(b), CoeffStream.from_values(a2))
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricSystem:
-    """Stream nu[n] (n>=1) for S_n = x S_{n-1} - nu_n S_{n-2}.
-
-    nu_1 multiplies S_{-1} = 0 and is therefore arbitrary; positivity of the
-    rest is what verification routines check, not a construction invariant.
-    """
-
-    nu: CoeffStream
-
-    @classmethod
-    def from_values(cls, nu) -> "SymmetricSystem":
-        return cls(CoeffStream.from_values(nu))
 
 
 @dataclass(frozen=True)
@@ -222,9 +203,12 @@ def associated_sequence(sys: ThreeTermSystem, n: int) -> list[Polynomial]:
     return [Polynomial.zero(), Polynomial.one()] + _recurrence(*_associated_block(sys, n))
 
 
-def symmetric_sequence(sym: SymmetricSystem, n: int) -> list[Polynomial]:
-    """S_0 .. S_n with S_{-1} = 0, S_0 = 1."""
-    nu = [sym.nu._pair(k) for k in range(1, _order(n) + 1)]
+def symmetric_sequence(nu: CoeffStream, n: int) -> list[Polynomial]:
+    """S_0 .. S_n of S_k = x S_{k-1} - nu_k S_{k-2}, S_{-1} = 0, S_0 = 1.
+
+    nu_1 meets S_{-1} = 0 and is arbitrary; positivity of the rest is what
+    verification routines check, not a precondition."""
+    nu = [nu._pair(k) for k in range(1, _order(n) + 1)]
     return [Polynomial.one()] + _recurrence([(0, 1)] * n, nu[1:])
 
 
@@ -335,6 +319,24 @@ def _relations_hold(relations) -> list[bool]:
 # -- moments ------------------------------------------------------------------
 
 
+def _moment_block(sys: ThreeTermSystem, k: int) -> tuple[int, list, list]:
+    """(L, L*b_1..L*b_size, L*a_1^2..L*a_{size-1}^2 and a 0) for the walk of
+    ``moments(sys, k)``, L the lcm of the block's denominators."""
+    if k < 0:
+        raise ValueError("moment order must be >= 0")
+    diag, sub = sys._block_pairs((k + 1) // 2 + 1)
+    L = lcm(*[q for _, q in diag + sub])
+    return L, [p * (L // q) for p, q in diag], [p * (L // q) for p, q in sub] + [0]
+
+
+def moment_height(sys: ThreeTermSystem, k: int) -> int:
+    """The bits H of L plus the most bits of an entry of L*J, for the walk
+    of ``moments(sys, k)``, with its reads and errors.  The walk's time grows
+    as k^3 at fixed H and faster than linearly in H."""
+    L, diag, sub = _moment_block(sys, k)
+    return L.bit_length() + max(abs(v).bit_length() for v in diag + sub)
+
+
 def moments(sys: ThreeTermSystem, k: int):
     """Normalised moment mu_k / mu_0, exact.
 
@@ -350,13 +352,8 @@ def moments(sys: ThreeTermSystem, k: int):
     further than k - t - 1 below it cannot climb back in the steps left, so
     step t computes rows 0..min(t + 1, k - t - 1, size - 1) of the vector.
     """
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    size = (k + 1) // 2 + 1
-    diag, sub = sys._block_pairs(size)
-    L = lcm(*[q for _, q in diag + sub])
-    diag = [p * (L // q) for p, q in diag]
-    sub = [p * (L // q) for p, q in sub] + [0]
+    L, diag, sub = _moment_block(sys, k)
+    size = len(diag)
     row = [1]
     for t in range(k):
         r = [0, *row, 0, 0]

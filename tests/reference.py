@@ -13,7 +13,6 @@ from opchain import (
     ChainSequence,
     GammaSeq,
     Polynomial,
-    SymmetricSystem,
     ThreeTermSystem,
     gamma_from_system,
     lu_factor,
@@ -22,6 +21,7 @@ from opchain import (
 )
 from opchain.errors import LengthMismatch, OpchainError, ZeroDenominator
 from opchain.scalars import ZERO, Rat, _is_exact, coerce_exact
+from opchain.streams import CoeffStream
 from opchain.systems import _order
 
 
@@ -75,7 +75,7 @@ def substitute_square(p: Polynomial) -> Polynomial:
     return Polynomial._raw(tuple(out), p.den)
 
 
-def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
+def swapped_nu(gamma: GammaSeq, N: int) -> CoeffStream:
     """Symmetric coefficients nu_1..nu_{2N} with adjacent pairs interchanged.
 
     nu_{2j} = gamma_{2j-1} and nu_{2j+1} = gamma_{2j+2}, so the stream
@@ -89,7 +89,7 @@ def swapped_nu(gamma: GammaSeq, N: int) -> SymmetricSystem:
             vals.append(gamma.at(n - 1))
         else:
             vals.append(gamma.at(n + 1))
-    return SymmetricSystem.from_values(vals)
+    return CoeffStream.from_values(vals)
 
 
 def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:

@@ -14,7 +14,6 @@ from opchain import (
     GammaSeq,
     Polynomial,
     Rat,
-    SymmetricSystem,
     ThreeTermSystem,
     associated_sequence,
     chain_at,
@@ -142,7 +141,7 @@ _ORDER_READERS = {
     "block": (lambda n: LAG73.block(n), ([], [])),
     "monic_sequence": (lambda n: monic_sequence(LAG73, n), [Polynomial.one()]),
     "associated_sequence": (lambda n: associated_sequence(LAG73, n), [Polynomial.zero()]),
-    "symmetric_sequence": (lambda n: symmetric_sequence(SymmetricSystem.from_values([1, 2]), n),
+    "symmetric_sequence": (lambda n: symmetric_sequence(CoeffStream.from_values([1, 2]), n),
                            [Polynomial.one()]),
     "truncate": (lambda n: truncate(LAG73, n).diag, ()),
     "zeros_with_brackets": (lambda n: zeros_with_brackets(LAG73, n, 1e-10), []),
@@ -270,7 +269,6 @@ def test_gamma_pairs_match_the_block(row, gamma):
     sys_ = _outcome(lambda: make(g))
     if isinstance(sys_, tuple):  # the constructor itself rejected the gamma
         return
-    assert sys_.offsets == offsets
     _assert_row_matches_reference(sys_, _reference_row(g, offsets), (row, gamma))
 
 
@@ -329,8 +327,8 @@ def _rational_associated(sys_, n):
     return [Polynomial.zero(), Polynomial.one()] + _recurrence(_pairs(diag), _pairs(sub[1:]))
 
 
-def _rational_symmetric(sym, n):
-    return [Polynomial.one()] + _recurrence([(0, 1)] * n, _pairs(sym.nu.window(1, n)[1:]))
+def _rational_symmetric(nu, n):
+    return [Polynomial.one()] + _recurrence([(0, 1)] * n, _pairs(nu.window(1, n)[1:]))
 
 
 def _assert_pair_readers(sys_, label):
@@ -349,10 +347,9 @@ def test_pair_readers_of_every_gamma_row(gamma, copy):
         sys_ = _outcome(lambda: make(g))
         if not isinstance(sys_, tuple):  # the constructor itself rejected the gamma
             _assert_row_matches_reference(sys_, _reference_row(g, offsets), row)
-    sym = SymmetricSystem(g.gamma)
     for n in range(17):
-        want = _outcome(lambda: _rational_symmetric(sym, n))
-        assert _outcome(lambda: symmetric_sequence(sym, n)) == want, n
+        want = _outcome(lambda: _rational_symmetric(g.gamma, n))
+        assert _outcome(lambda: symmetric_sequence(g.gamma, n)) == want, n
 
 
 def _value_systems():
@@ -397,6 +394,23 @@ def test_associated_sequence_reads_each_gamma_once():
     # b_1 = gamma_1 + gamma_2 is never read
     assert sorted(reads) == list(range(2, 81))
     assert max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("row", sorted(_GAMMA_ROWS))
+def test_a_row_reads_each_gamma_once_in_its_lifetime(row):
+    # every reader of one row shares its gamma reads, rational and integer alike
+    vals = list(random_gamma(random.Random(7), 40).gamma.window(1, 40))
+    reads = Counter()
+    sys_ = _GAMMA_ROWS[row][0](GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    reads.clear()  # tilde, hat and u check a gamma at construction, before the row
+    sys_.block(8)
+    sys_._block_pairs(8)
+    for m in range(1, 9):
+        sys_.b_at(m)
+        sys_.a2_at(m)
+    monic_sequence(sys_, 8)
+    associated_sequence(sys_, 8)
+    assert reads and max(reads.values()) == 1, reads
 
 
 class _CountingValues(CoeffStream):

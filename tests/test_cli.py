@@ -496,11 +496,21 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
       "--order", str(2 ** 62)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
-      "--order", str(cli.MAX_ORDER + 1)), 2, "ValueError"),
+      "--order", str(cli.CAPS["convergent", "order"] + 1)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0",
-      "--n", str(cli.MAX_CONVERGENT_N + 1)), 2, "ValueError"),
+      "--n", str(cli.CAPS["convergent", "n"] + 1)), 2, "ValueError"),
     (("moments", "--family", "laguerre", "--alpha", "0",
-      "--k", str(cli.MAX_MOMENT_K + 1)), 2, "ValueError"),
+      "--k", str(cli.CAPS["moments", "k"] + 1)), 2, "ValueError"),
+    (("zeros", "--family", "laguerre", "--alpha", "0",
+      "--n", str(cli.CAPS["zeros", "n"] + 1)), 2, "ValueError"),
+    (("lu", "--family", "laguerre", "--alpha", "0",
+      "--n", str(cli.CAPS["lu", "n"] + 1)), 2, "ValueError"),
+    (("family", "laguerre", "--alpha", "0",
+      "--n", str(cli.CAPS["family", "n"] + 1)), 2, "ValueError"),
+    (("perturb", "--variant", "q", "--gamma", "1,2,3,4",
+      "--n", str(cli.CAPS["perturb", "n"] + 1)), 2, "ValueError"),
+    # short, but of entries too high for a walk of that length
+    (("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
@@ -510,16 +520,16 @@ def test_edge_inputs_rejected(capsys, argv, code, name):
 
 def test_convergent_order_cap(capsys):
     head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n", "1", "--order")
-    code, out, err = run(capsys, *head, str(cli.MAX_ORDER + 1))
+    code, out, err = run(capsys, *head, str(cli.CAPS["convergent", "order"] + 1))
     assert (code, out) == (2, "")
-    assert err == f"error: ValueError: --order {cli.MAX_ORDER + 1} is above the cap of 4096\n"
-    doc = run_json(capsys, *head, str(cli.MAX_ORDER))
-    assert len(doc["laurent"]) == cli.MAX_ORDER == 4096
+    assert err == "error: ValueError: --order 4097 is above the cap of 4096\n"
+    doc = run_json(capsys, *head, str(cli.CAPS["convergent", "order"]))
+    assert len(doc["laurent"]) == cli.CAPS["convergent", "order"] == 4096
 
 
 def test_convergent_n_cap(capsys, monkeypatch):
     head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n")
-    code, out, err = run(capsys, *head, str(cli.MAX_CONVERGENT_N + 1))
+    code, out, err = run(capsys, *head, str(cli.CAPS["convergent", "n"] + 1))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: --n 513 is above the cap of 512\n"
     # at the cap the convergent is built; a degree-1 one stands in for it,
@@ -527,8 +537,8 @@ def test_convergent_n_cap(capsys, monkeypatch):
     built = []
     real = cli.convergent
     monkeypatch.setattr(cli, "convergent", lambda sys_, n: built.append(n) or real(sys_, 1))
-    assert run(capsys, *head, str(cli.MAX_CONVERGENT_N))[0] == 0
-    assert built == [cli.MAX_CONVERGENT_N] == [512]
+    assert run(capsys, *head, str(cli.CAPS["convergent", "n"]))[0] == 0
+    assert built == [cli.CAPS["convergent", "n"]] == [512]
 
 
 def test_moments_k_cap(capsys, monkeypatch):
@@ -536,7 +546,7 @@ def test_moments_k_cap(capsys, monkeypatch):
     resolved = []
     real = cli._resolve_system
     monkeypatch.setattr(cli, "_resolve_system", lambda args: resolved.append(1) or real(args))
-    code, out, err = run(capsys, *head, str(cli.MAX_MOMENT_K + 1))
+    code, out, err = run(capsys, *head, str(cli.CAPS["moments", "k"] + 1))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: --k 2049 is above the cap of 2048\n"
     assert resolved == []  # refused before the system is built
@@ -545,9 +555,71 @@ def test_moments_k_cap(capsys, monkeypatch):
     taken = []
     real_moments = cli.moments
     monkeypatch.setattr(cli, "moments", lambda sys_, k: taken.append(k) or real_moments(sys_, 2))
-    code, out, err = run(capsys, *head, str(cli.MAX_MOMENT_K))
+    code, out, err = run(capsys, *head, str(cli.CAPS["moments", "k"]))
     assert (code, out, err) == (0, "2\n", "")
-    assert taken == [cli.MAX_MOMENT_K] == [2048] and resolved == [1]
+    assert taken == [cli.CAPS["moments", "k"]] == [2048] and resolved == [1]
+
+
+# each entry of the cap table: the argv that ends in its flag
+_CAPPED = {
+    ("convergent", "n"): ("convergent", "--family", "laguerre", "--alpha", "0", "--n"),
+    ("convergent", "order"): ("convergent", "--family", "laguerre", "--alpha", "0",
+                              "--n", "1", "--order"),
+    ("moments", "k"): ("moments", "--family", "laguerre", "--alpha", "0", "--k"),
+    ("zeros", "n"): ("zeros", "--family", "laguerre", "--alpha", "0", "--n"),
+    ("lu", "n"): ("lu", "--family", "laguerre", "--alpha", "0", "--n"),
+    ("family", "n"): ("family", "laguerre", "--alpha", "0", "--n"),
+    ("perturb", "n"): ("perturb", "--variant", "q", "--gamma", "1,2,3,4", "--n"),
+}
+
+
+def test_every_cap_is_exercised():
+    assert list(_CAPPED) == list(cli.CAPS)
+
+
+@pytest.mark.parametrize("key", list(_CAPPED), ids="-".join)
+def test_cap_table(capsys, monkeypatch, key):
+    # above its cap a command is never reached; at the cap it is, stubbed, as
+    # the real one takes seconds
+    command, flag = key
+    cap = cli.CAPS[key]
+    reached = []
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda args: reached.append(getattr(args, flag)) or 0)
+    code, out, err = run(capsys, *_CAPPED[key], str(cap + 1))
+    assert (code, out, reached) == (2, "", [])
+    assert err == f"error: ValueError: --{flag} {cap + 1} is above the cap of {cap}\n"
+    assert run(capsys, *_CAPPED[key], str(cap)) == (0, "", "")
+    assert reached == [cap]
+
+
+def test_convergent_n_is_capped_before_order(capsys):
+    code, out, err = run(capsys, "convergent", "--family", "laguerre", "--alpha", "0",
+                         "--n", "513", "--order", "4097")
+    assert (code, out, err) == (2, "", "error: ValueError: --n 513 is above the cap of 512\n")
+
+
+def test_moments_height_budget(capsys, monkeypatch):
+    head = ("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k")
+    walked = []
+    real = cli.moments
+    monkeypatch.setattr(cli, "moments", lambda sys_, k: walked.append(k) or real(sys_, 2))
+    code, out, err = run(capsys, *head, "400")
+    assert (code, out, walked) == (2, "", [])  # refused before the walk
+    assert err == ("error: ValueError: --k 400 over entries of 1338 bits is above the "
+                   "budget k^3 H^2 <= 2^43\n")
+    # the boundary at this height: k = 170 reaches the walk (stubbed), 171 does not
+    assert run(capsys, *head, "171")[0] == 2 and walked == []
+    assert run(capsys, *head, "170")[0] == 0 and walked == [170]
+    for alpha in ("0", "7/3"):  # low entries walk up to the k cap
+        assert run(capsys, "moments", "--family", "laguerre", "--alpha", alpha,
+                   "--k", "2048")[0] == 0
+    assert walked == [170, 2048, 2048]
+    # mu_2 / mu_0 = (alpha + 1)(alpha + 2) for Laguerre, at 4000 digits, walked for real
+    monkeypatch.setattr(cli, "moments", real)
+    code, out, err = run(capsys, "moments", "--family", "laguerre", "--alpha", "9" * 4000,
+                         "--k", "2")
+    assert (code, err) == (0, "") and out == "1" + "0" * 3999 + "1" + "0" * 4000 + "\n"
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -798,10 +870,19 @@ def _value_case(draw):
            "--order", str(2 ** 62)], None))
 # an n whose convergent alone would take minutes and gigabytes
 @example((["convergent", "--family", "laguerre", "--alpha", "0",
-           "--n", str(cli.MAX_CONVERGENT_N + 1)], None))
+           "--n", str(cli.CAPS["convergent", "n"] + 1)], None))
 # a k whose moment walk would not end for minutes
 @example((["moments", "--family", "laguerre", "--alpha", "0",
-           "--k", str(cli.MAX_MOMENT_K + 1)], None))
+           "--k", str(cli.CAPS["moments", "k"] + 1)], None))
+@example((["moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"], None))
+# sizes whose run would take memory without bound
+@example((["zeros", "--family", "laguerre", "--alpha", "0",
+           "--n", str(cli.CAPS["zeros", "n"] + 1)], None))
+@example((["lu", "--family", "laguerre", "--alpha", "0",
+           "--n", str(cli.CAPS["lu", "n"] + 1)], None))
+@example((["family", "laguerre", "--alpha", "0", "--n", str(cli.CAPS["family", "n"] + 1)], None))
+@example((["perturb", "--variant", "q", "--n", str(cli.CAPS["perturb", "n"] + 1)],
+          {"closed_form": {"name": "laguerre", "params": {"alpha": "0"}}}))
 def test_value_fuzz_exits_with_a_documented_code(case):
     argv, doc = case
     out, err = io.StringIO(), io.StringIO()

@@ -7,7 +7,6 @@ from opchain import (
     GammaSeq,
     Polynomial,
     Rat,
-    SymmetricSystem,
     associated_sequence,
     hat_system,
     kernel_invariance_condition,
@@ -34,6 +33,7 @@ from opchain.errors import (
     OpchainError,
 )
 from opchain.perturb import quasi_holds, quasi_sides
+from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import _bumped, random_gamma
 
@@ -123,17 +123,17 @@ def test_q_family_is_the_base_familys_associated_polynomials():
 # -- the pairwise swap --------------------------------------------------------
 
 def test_swapped_nu_basic():
-    assert swapped_nu(G1234, 2).nu.window(1, 4) == [2, 1, 4, 3]
+    assert swapped_nu(G1234, 2).window(1, 4) == [2, 1, 4, 3]
 
 
 def test_swapped_nu_fixed_point_on_equal_pairs():
     g = GammaSeq.from_values([1, 1, 2, 2, 3, 3])
-    assert swapped_nu(g, 3).nu.window(1, 6) == [1, 1, 2, 2, 3, 3]
+    assert swapped_nu(g, 3).window(1, 6) == [1, 1, 2, 2, 3, 3]
 
 
 def test_swapped_nu_rationals():
     g = GammaSeq.from_values([1, Rat(3, 2), 2, Rat(5, 2), 3, Rat(7, 2)])
-    assert swapped_nu(g, 3).nu.window(1, 6) == [Rat(3, 2), 1, Rat(5, 2), 2, Rat(7, 2), 3]
+    assert swapped_nu(g, 3).window(1, 6) == [Rat(3, 2), 1, Rat(5, 2), 2, Rat(7, 2), 3]
 
 
 # -- tilde family -----------------------------------------------------------------
@@ -446,7 +446,7 @@ def test_swap_split_disabled_lands_on_unperturbed():
     rng = random.Random(29)
     gamma = GammaSeq.from_values([0] + random_gamma(rng, 34).window(2, 34))
     N = 10
-    S = symmetric_sequence(SymmetricSystem.from_values(gamma.window(1, 2 * N + 2)), 2 * N + 1)
+    S = symmetric_sequence(CoeffStream.from_values(gamma.window(1, 2 * N + 2)), 2 * N + 1)
     P = monic_sequence(system_from_gamma(gamma, minimal_branch=True), N)
     K = monic_sequence(kernel_system(gamma), N)
     for n in range(N + 1):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from opchain import (
@@ -79,3 +81,36 @@ def _float_rule(k):
 def test_a_float_from_a_rule_is_rejected(read):
     with pytest.raises(InvalidRationalLiteral, match="float 0.5 is not exact"):
         read()
+
+
+def test_pair_rule_stream():
+    pairs = {1: (3, 2), 2: (-2, 1), 3: (0, 1)}
+    s = CoeffStream.from_pairs(pairs.__getitem__)
+    assert s.stop is None
+    for k, pair in pairs.items():
+        assert s._pair(k) is pair  # the rule's pair, handed out as it is
+        assert s[k] == Rat(*pair) and type(s[k]) is Rat
+    assert s.window(1, 3) == [Rat(3, 2), -2, 0]
+
+
+@pytest.mark.parametrize("stream", [
+    CoeffStream.from_values([1, 2]),
+    CoeffStream.from_fn(lambda n: n),
+    CoeffStream.from_pairs(lambda n: (n, 1)),
+])
+def test_index_below_one_is_exhausted_for_every_kind(stream):
+    for k in (0, -1):
+        want = f"index {k} outside [1, {stream.stop}]"
+        assert _exhausted(stream, k) == want
+        with pytest.raises(StreamExhausted, match=re.escape(want)) as info:
+            stream._pair(k)
+        assert info.value.index == k
+
+
+@pytest.mark.parametrize("backings", [
+    {}, {"values": [1], "fn": abs}, {"values": [1], "pairs": abs},
+    {"fn": abs, "pairs": abs}, {"values": [1], "fn": abs, "pairs": abs},
+])
+def test_stream_takes_exactly_one_backing(backings):
+    with pytest.raises(ValueError, match="exactly one of values/fn/pairs required"):
+        CoeffStream(**backings)

@@ -9,7 +9,6 @@ from opchain import (
     GammaSeq,
     Polynomial,
     Rat,
-    SymmetricSystem,
     associated_sequence,
     ThreeTermSystem,
     convergent,
@@ -25,6 +24,7 @@ from opchain import (
 )
 from opchain.errors import DegreeViolation, NonPositiveGamma, OpchainError, StreamExhausted
 from opchain.streams import CoeffStream
+from opchain.systems import moment_height
 from opchain.verify import random_gamma
 
 from reference import even_part, odd_part, swapped_nu
@@ -89,16 +89,16 @@ def test_associated_monic_one_degree_down():
 # -- symmetric recurrence ------------------------------------------------------------
 
 def test_symmetric_swapped_worked_case():
-    sym = SymmetricSystem.from_values([2, 1, 4, 3])
-    assert symmetric_sequence(sym, 2)[2] == P(-1, 0, 1)
-    assert symmetric_sequence(sym, 3)[3] == P(0, -5, 0, 1)
-    assert symmetric_sequence(sym, 4)[4] == P(3, 0, -8, 0, 1)
+    nu = CoeffStream.from_values([2, 1, 4, 3])
+    assert symmetric_sequence(nu, 2)[2] == P(-1, 0, 1)
+    assert symmetric_sequence(nu, 3)[3] == P(0, -5, 0, 1)
+    assert symmetric_sequence(nu, 4)[4] == P(3, 0, -8, 0, 1)
 
 
 def test_symmetric_first_coefficient_inert():
     # nu_1 multiplies S_{-1} = 0
-    assert symmetric_sequence(SymmetricSystem.from_values([99]), 1)[1] == P(0, 1)
-    assert symmetric_sequence(SymmetricSystem.from_values([99]), 0)[0] == P(1)
+    assert symmetric_sequence(CoeffStream.from_values([99]), 1)[1] == P(0, 1)
+    assert symmetric_sequence(CoeffStream.from_values([99]), 0)[0] == P(1)
 
 
 def test_symmetric_split_with_zero_leading_gamma():
@@ -106,7 +106,7 @@ def test_symmetric_split_with_zero_leading_gamma():
     rng = random.Random(11)
     for _ in range(5):
         gamma = GammaSeq.from_values([0] + random_gamma(rng, 26).window(2, 26))
-        S = symmetric_sequence(SymmetricSystem(gamma.gamma), 11)
+        S = symmetric_sequence(gamma.gamma, 11)
         Pseq = monic_sequence(system_from_gamma(gamma), 5)
         K = monic_sequence(kernel_system(gamma), 5)
         for n in range(6):
@@ -385,6 +385,26 @@ def test_band_walk_matches_the_full_walk(label, sys):
         assert type(got) is tuple or type(got) is Rat, (label, k)
 
 
+@pytest.mark.parametrize("label, sys", _MOMENT_SYSTEMS, ids=[label for label, _ in _MOMENT_SYSTEMS])
+def test_moment_height_reads_as_the_walk(label, sys):
+    # the same reads and the same first fault as ``moments``, at every order
+    for k in range(-1, 42):
+        got = _outcome(lambda: moment_height(sys, k))
+        want = _outcome(lambda: moments(sys, k))
+        assert type(got) is int if type(want) is Rat else got == want, (label, k)
+
+
+def test_moment_height_is_that_of_the_walks_integers():
+    # Laguerre alpha = 0 at k = 4 reads b = 1, 3, 5 and a2 = 1, 4: L = 1
+    assert moment_height(LAG0, 4) == 1 + 3
+    # L = lcm(2, 3, 5) = 30, L*J holds 15, 10 and 6
+    assert moment_height(ThreeTermSystem.from_values(["1/2", "1/3"], ["1/5"]), 2) == 5 + 4
+    # distinct denominators make L, and so the walk, tall where no entry is
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    sys = ThreeTermSystem.from_values([Rat(1, p) for p in primes], [1] * 10)
+    assert moment_height(sys, 20) > math.prod(primes).bit_length()
+
+
 def _ref_laurent(num, den, order):
     """num/den at infinity by long division, x^-1 first (den monic, deg num <
     deg den): shift the remainder by x, take its x^deg(den) coefficient as the
@@ -413,7 +433,7 @@ def _compare_deep_with_reference(seed):
     refs = {
         "monic": (monic_sequence(sys, n), _ref_recurrence(b, lag, 1, n, [zero, one])[1:]),
         "associated": (associated_sequence(sys, n), _ref_recurrence(b, lag, 2, n, [zero, one])),
-        "symmetric": (symmetric_sequence(SymmetricSystem(gamma.gamma), n),
+        "symmetric": (symmetric_sequence(gamma.gamma, n),
                       _ref_recurrence([Fraction(0)] * (n + 1), nu, 1, n, [zero, one])[1:]),
     }
     for name, (got, want) in refs.items():
@@ -509,7 +529,7 @@ def _kernel_blocks():
         yield (f"kernel row n={n}", *kernel_system(gamma)._block_pairs(n))
         for v in ("tilde", "hat", "q", "u"):
             yield (f"{v} n={n}", *getattr(perturb, f"{v}_system")(gamma)._block_pairs(n))
-        nu = swapped_nu(gamma, n).nu
+        nu = swapped_nu(gamma, n)
         yield f"swapped nu n={n}", [(0, 1)] * n, [nu._pair(k) for k in range(2, n + 1)]
         diag = [pair(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.5 else (0, 1)
                 for _ in range(n)]
