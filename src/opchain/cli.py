@@ -5,7 +5,8 @@ the verification suites, and the numeric endpoints (zeros, LU, moments,
 convergents).  Everything is exact; only ``zeros`` works in float64, and
 ``--float`` only formats exact output as floats.  Output is canonical JSON
 (sorted keys) or CSV so identical invocations are byte-identical.  Every
-call builds the help of all commands and the arguments of only the named one.
+call builds the help line of all commands, and the arguments and ``-h`` of
+only the named one.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation (each
 error class carries its code), 3 numerical breakdown, which includes an
@@ -30,7 +31,14 @@ from .errors import FloatOverflow, OpchainError
 from .jacobi import lu_factor, truncate, zeros_with_brackets
 from .scalars import Rat, format_scalar, parse_rational
 from .serialize import gamma_from_json, system_from_json, values_to_json
-from .systems import convergent, laurent_expand, moment_height, moments, monic_sequence
+from .systems import (
+    block_heights,
+    convergent,
+    laurent_expand,
+    moment_height,
+    moments,
+    monic_sequence,
+)
 
 FAMILY_NAMES = tuple(families.FAMILIES)
 FAMILY_PARAMS = tuple(dict.fromkeys(row[0] for row in families.FAMILIES.values()))
@@ -104,6 +112,7 @@ def cmd_family(args) -> int:
         gamma1 = Rat(families.FAMILIES[args.family][2])
     else:
         gamma1 = parse_rational(args.gamma1)
+    _check_block_budget("family", sys_, n)
     # recovery to depth N consumes b[1..N+1] and a2[1..N]; finite families
     # (finite streams) therefore cap the emitted gamma window, at depth 0
     # for a family with no recurrence data, whose b_1 read then names the gap
@@ -186,6 +195,7 @@ def cmd_zeros(args) -> int:
 def cmd_lu(args) -> int:
     sys_ = _resolve_system(args)
     gamma1 = parse_rational(args.gamma1 or "0")
+    _check_block_budget("lu", sys_, args.n)
     f = lu_factor(truncate(sys_, args.n), gamma1)
     _emit(f.to_json())
     return 0
@@ -193,7 +203,8 @@ def cmd_lu(args) -> int:
 
 # Caps on size flags, by (command, flag), checked in this order before the
 # command reads its input.  Measured as a process at the cap (Laguerre
-# alpha = 0, Python 3.11, a 2-vCPU VM); a cap bounds size, not entry height.
+# alpha = 0 where a system is read, Python 3.11, a 2-vCPU VM); a cap bounds
+# size, not entry height.
 CAPS = {
     ("convergent", "n"): 512,  # 2.8 s and 156 MB at n = 500, 40 s and 1.3 GB at 1000
     ("convergent", "order"): 4096,  # the printed window grows at least as order^2
@@ -202,10 +213,32 @@ CAPS = {
     ("lu", "n"): 100_000,  # 1.4 s and 63 MB, 9.2 s and 503 MB at n = 10^6
     ("family", "n"): 50_000,  # 2.0 s and 118 MB
     ("perturb", "n"): 400,  # 0.8 s, 142 MB, 30 MB printed; 5.8 s and 754 MB at n = 700
+    # verify --suite all, the dearest suite; both at the cap 3.5 s and 33 MB
+    ("verify", "n"): 100,  # 2.0 s and 22 MB; 5.2 s at n = 140, 48 s at 240
+    ("verify", "samples"): 100,  # 0.3 s; 2.6 s and 57 MB at 1000, 4.8 s and 97 MB at 2000
 }
 # moments --k runs when k^3 H^2 is at most this, H from ``moment_height``:
 # about 3.5 s at most along the boundary (as a process, same VM)
 MOMENT_BUDGET = 1 << 43
+# family and lu run an order-n block when n^2 H^3 is at most their budget
+# for each entry height H of ``block_heights``.  Along the boundary, from
+# alpha = 0 to the tallest literal, a 4300-digit p over a 4300-digit q
+# (H = 28588, n = 222 and 1256), a run as a process took at most 3.6 s and
+# 269 MB (same VM)
+BLOCK_BUDGETS = {
+    "family": 1 << 60,  # 3.6 s and 100 MB at alpha = 4300 nines, n = 628
+    "lu": 1 << 65,  # 3.2 s and 183 MB at a 300-digit p over a 299-digit q, n = 67002
+}
+
+
+def _check_block_budget(command, sys_, n):
+    """ValueError, before the work, if an entry of the order-n block is too
+    tall for ``BLOCK_BUDGETS[command]``; the block is read up to that entry."""
+    budget = BLOCK_BUDGETS[command]
+    H = next((h for h in block_heights(sys_, n) if n * n * h ** 3 > budget), None)
+    if H is not None:
+        raise ValueError(f"--n {n} over entries of {H} bits is above the budget "
+                         f"n^2 H^3 <= 2^{budget.bit_length() - 1}")
 
 
 def cmd_moments(args) -> int:
@@ -325,11 +358,13 @@ _COMMANDS = {
 def build_parser(command) -> argparse.ArgumentParser:
     """The parser with every subcommand and its help line, and the
     arguments of ``command`` alone: argparse hands a subcommand's parser
-    only the tokens after its name, so the others need none."""
+    only the tokens after its name, so the others are bare parsers, without
+    even ``-h``: only their help lines are read, by ``opchain -h`` and the
+    invalid-choice error."""
     ap = argparse.ArgumentParser(prog="opchain")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, add_help=name == command)
         if name == command:
             add_args(p)
     return ap

@@ -337,6 +337,18 @@ def moment_height(sys: ThreeTermSystem, k: int) -> int:
     return L.bit_length() + max(abs(v).bit_length() for v in diag + sub)
 
 
+def block_heights(sys: ThreeTermSystem, n: int):
+    """The bits of numerator plus denominator of each entry of ``block(n)``,
+    lazily and from the top: a_{n-1}^2 down to a_1^2, then b_n down to b_1,
+    as the entries of a closed form grow with the index.  Each stream is
+    read from its ``stop`` at most and a2 unchecked, so no read raises the
+    block's errors; the block raises them when it is read."""
+    for stream, hi in ((sys.a2, n - 1), (sys.b, n)):
+        for m in range(hi if stream.stop is None else min(hi, stream.stop), 0, -1):
+            p, q = stream._pair(m)
+            yield abs(p).bit_length() + q.bit_length()
+
+
 def moments(sys: ThreeTermSystem, k: int):
     """Normalised moment mu_k / mu_0, exact.
 

@@ -509,8 +509,12 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
       "--n", str(cli.CAPS["family", "n"] + 1)), 2, "ValueError"),
     (("perturb", "--variant", "q", "--gamma", "1,2,3,4",
       "--n", str(cli.CAPS["perturb", "n"] + 1)), 2, "ValueError"),
+    (("verify", "--n", str(cli.CAPS["verify", "n"] + 1)), 2, "ValueError"),
+    (("verify", "--samples", str(cli.CAPS["verify", "samples"] + 1)), 2, "ValueError"),
     # short, but of entries too high for a walk of that length
     (("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"), 2, "ValueError"),
+    (("family", "laguerre", "--alpha", "9" * 4300, "--n", "10000"), 2, "ValueError"),
+    (("lu", "--family", "laguerre", "--alpha", "9" * 4300, "--n", "10000"), 2, "ValueError"),
 ])
 def test_edge_inputs_rejected(capsys, argv, code, name):
     got, out, err = run(capsys, *argv)
@@ -570,6 +574,8 @@ _CAPPED = {
     ("lu", "n"): ("lu", "--family", "laguerre", "--alpha", "0", "--n"),
     ("family", "n"): ("family", "laguerre", "--alpha", "0", "--n"),
     ("perturb", "n"): ("perturb", "--variant", "q", "--gamma", "1,2,3,4", "--n"),
+    ("verify", "n"): ("verify", "--suite", "all", "--n"),
+    ("verify", "samples"): ("verify", "--suite", "all", "--samples"),
 }
 
 
@@ -620,6 +626,51 @@ def test_moments_height_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "moments", "--family", "laguerre", "--alpha", "9" * 4000,
                          "--k", "2")
     assert (code, err) == (0, "") and out == "1" + "0" * 3999 + "1" + "0" * 4000 + "\n"
+
+
+class _Reached(Exception):
+    """Raised by a stubbed command body: the input got past its checks."""
+
+
+_TALL = "9" * 4300  # the tallest integer literal ``parse_rational`` accepts
+
+
+@pytest.mark.parametrize("command, head, work, n, bits", [
+    ("family", ("family", "laguerre", "--alpha"), "gamma_from_system", 628, 14295),
+    ("lu", ("lu", "--family", "laguerre", "--alpha"), "truncate", 3552, 14298),
+], ids=["family", "lu"])
+def test_block_height_budget(capsys, monkeypatch, command, head, work, n, bits):
+    # over the budget a command is refused before its work; at the boundary,
+    # and for low entries at the --n cap, the work (stubbed) is reached
+    reached = []
+
+    def stub(sys_, *rest):
+        reached.append(rest[-1])
+        raise _Reached
+
+    monkeypatch.setattr(cli, work, stub)
+    code, out, err = run(capsys, *head, _TALL, "--n", str(n + 1))
+    assert (code, out, reached) == (2, "", [])
+    budget = cli.BLOCK_BUDGETS[command].bit_length() - 1
+    assert err == (f"error: ValueError: --n {n + 1} over entries of {bits} bits is above "
+                   f"the budget n^2 H^3 <= 2^{budget}\n")
+    assert run(capsys, *head, _TALL, "--n", str(10 ** 4))[0] == 2 and reached == []
+    cap = cli.CAPS[command, "n"]
+    for alpha, size in ((_TALL, n), ("0", cap), ("7/3", cap)):
+        with pytest.raises(_Reached):
+            cli.main([*head, alpha, "--n", str(size)])
+    # the gamma recovery reads depth n; the truncation, order n
+    assert reached == [n, cap, cap]
+
+
+def test_block_height_budget_keeps_earlier_messages(capsys):
+    # the budget is checked after the arguments are read and before the
+    # block, whose errors stay those of the work
+    assert run(capsys, "lu", "--family", "laguerre", "--alpha", _TALL, "--n", "5000",
+               "--gamma1", "x") == (2, "", "error: InvalidRationalLiteral: not a rational "
+                                            "literal: 'x'\n")
+    code, out, err = run(capsys, "family", "routh_romanovski", "--p", "5", "--n", "100")
+    assert (code, out, err) == (2, "", "error: StreamExhausted: index 3 outside [1, 2]\n")
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -769,6 +820,20 @@ def test_lazy_parse_matches_full_parse_fuzz(argv):
     _assert_lazy_parse_matches_full(argv)
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_only_subparsers_are_bare(command):
+    # each -h action costs a help formatter; only the named command parses
+    (sub,) = [a for a in cli.build_parser(command)._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, parser in sub.choices.items():
+        if name == command:
+            assert parser._actions[0].option_strings == ["-h", "--help"]
+            assert len(parser._actions) > 1
+        else:
+            assert parser._actions == [], name
+
+
 # sha256 of the help text at COLUMNS=80, as the full parser printed it
 _HELP_SHA256 = {
     "": "eefe52067fcf286382780d2191814048d11aecb9482265526a8c6a75ecac7cef",
@@ -883,6 +948,12 @@ def _value_case(draw):
 @example((["family", "laguerre", "--alpha", "0", "--n", str(cli.CAPS["family", "n"] + 1)], None))
 @example((["perturb", "--variant", "q", "--n", str(cli.CAPS["perturb", "n"] + 1)],
           {"closed_form": {"name": "laguerre", "params": {"alpha": "0"}}}))
+@example((["verify", "--n", str(cli.CAPS["verify", "n"] + 1)], None))
+@example((["verify", "--samples", str(cli.CAPS["verify", "samples"] + 1)], None))
+# entries too tall for that size
+@example((["family", "laguerre", "--alpha", "9" * 4300, "--n", "10000"], None))
+@example((["lu", "--n", "10000"],
+          {"closed_form": {"name": "laguerre", "params": {"alpha": "9" * 4300}}}))
 def test_value_fuzz_exits_with_a_documented_code(case):
     argv, doc = case
     out, err = io.StringIO(), io.StringIO()

@@ -24,7 +24,7 @@ from opchain import (
 )
 from opchain.errors import DegreeViolation, NonPositiveGamma, OpchainError, StreamExhausted
 from opchain.streams import CoeffStream
-from opchain.systems import moment_height
+from opchain.systems import block_heights, moment_height
 from opchain.verify import random_gamma
 
 from reference import even_part, odd_part, swapped_nu
@@ -403,6 +403,28 @@ def test_moment_height_is_that_of_the_walks_integers():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     sys = ThreeTermSystem.from_values([Rat(1, p) for p in primes], [1] * 10)
     assert moment_height(sys, 20) > math.prod(primes).bit_length()
+
+
+def test_block_heights_are_the_blocks_from_the_top():
+    sys = ThreeTermSystem.from_values(["1/2", "-3", "5/7"], ["4", "1/9"])
+    # a_2^2 = 1/9, a_1^2 = 4, then b_3 = 5/7, b_2 = -3, b_1 = 1/2
+    assert list(block_heights(sys, 3)) == [1 + 4, 3 + 1, 3 + 3, 2 + 1, 1 + 2]
+    b, a2 = sys.block(3)
+    assert sorted(block_heights(sys, 3)) == sorted(
+        v.numerator.bit_length() + v.denominator.bit_length() for v in a2 + b)
+    assert list(block_heights(sys, 0)) == list(block_heights(sys, -1)) == []
+
+
+def test_block_heights_raise_none_of_the_blocks_errors():
+    # past a finite stream, and over an a2 that is not positive, the block
+    # raises; the heights read what there is
+    sys = ThreeTermSystem.from_values(["1", "2"], ["-1"])
+    with pytest.raises(OpchainError):
+        sys.block(5)
+    assert list(block_heights(sys, 5)) == [1 + 1, 2 + 1, 1 + 1]
+    # a closed form is read from its top entry, the tallest, and no further
+    # than the consumer takes
+    assert next(block_heights(LAG0, 10 ** 9)) == ((10 ** 9 - 1) ** 2).bit_length() + 1
 
 
 def _ref_laurent(num, den, order):
