@@ -112,7 +112,7 @@ def cmd_family(args) -> int:
         gamma1 = Rat(families.FAMILIES[args.family][2])
     else:
         gamma1 = parse_rational(args.gamma1)
-    _check_block_budget("family", sys_, n)
+    _check_limits(args, sys_)
     # recovery to depth N consumes b[1..N+1] and a2[1..N]; finite families
     # (finite streams) therefore cap the emitted gamma window, at depth 0
     # for a family with no recurrence data, whose b_1 read then names the gap
@@ -158,6 +158,7 @@ def cmd_perturb(args) -> int:
     gamma = _resolve_gamma(args, n)
     sys_ = _PERTURB_VARIANTS[args.variant](gamma)
     b, a2 = sys_.block(n)
+    _check_limits(args, sys_)  # after the block, whose reads raise the gamma errors
     polys = monic_sequence(sys_, n)
     doc = {
         "variant": args.variant,
@@ -195,59 +196,87 @@ def cmd_zeros(args) -> int:
 def cmd_lu(args) -> int:
     sys_ = _resolve_system(args)
     gamma1 = parse_rational(args.gamma1 or "0")
-    _check_block_budget("lu", sys_, args.n)
+    _check_limits(args, sys_)
     f = lu_factor(truncate(sys_, args.n), gamma1)
     _emit(f.to_json())
     return 0
 
 
-# Caps on size flags, by (command, flag), checked in this order before the
-# command reads its input.  Measured as a process at the cap (Laguerre
-# alpha = 0 where a system is read, Python 3.11, a 2-vCPU VM); a cap bounds
-# size, not entry height.
-CAPS = {
-    ("convergent", "n"): 512,  # 2.8 s and 156 MB at n = 500, 40 s and 1.3 GB at 1000
-    ("convergent", "order"): 4096,  # the printed window grows at least as order^2
-    ("moments", "k"): 2048,  # 1.8 s, and 2.9 s at k = 2500
-    ("zeros", "n"): 2000,  # 3.4 s and 18 MB, quadratic in n
-    ("lu", "n"): 100_000,  # 1.4 s and 63 MB, 9.2 s and 503 MB at n = 10^6
-    ("family", "n"): 50_000,  # 2.0 s and 118 MB
-    ("perturb", "n"): 400,  # 0.8 s, 142 MB, 30 MB printed; 5.8 s and 754 MB at n = 700
+def _block_heights(sys_, args):
+    return block_heights(sys_, args.n)
+
+
+def _moment_heights(sys_, args):
+    yield moment_height(sys_, args.k)  # raises as moments(sys_, k) would, before the walk
+
+
+# The limits on size flags, by (command, flag): each row is (cap, budget).
+# ``main`` checks every cap, in this order, before the command reads its input;
+# a command that reads a system then checks the budgets (a, b, e, heights) of
+# its rows before the work: it runs when size^a H^b <= 2^e for each height H
+# that ``heights(sys_, args)`` reads.  Measured as a process (Python 3.11, a
+# 2-vCPU VM): at the cap on Laguerre alpha = 0 where a system is read, and
+# along each budget's boundary, its largest accepted size from alpha = 0 up
+# to the tallest literals.  A cap bounds size, not entry height.
+LIMITS = {
+    # at the default order 2n: 3.1 s and 167 MB at the cap, 2.8 s and 156 MB
+    # at n = 500, 40 s and 1.3 GB at 1000; about n^3.5 at a fixed height.
+    # Along the boundary (n = 512 at alpha = 0, 3 at 4300 nines, 2 at a
+    # 4300-digit p over a 4300-digit q) at most 4.9 s and 167 MB, at
+    # alpha = 7/3, n = 479
+    ("convergent", "n"): (512, (4, 3, 49, _block_heights)),
+    # the printed expansion grows at least as order^2.  H is from --n's block,
+    # so the default order 2n meets this budget when n meets the one above.
+    # Along the boundary (order 4096 at alpha = 0, n = 1; 1070 at n = 512; 4
+    # at a 4300-digit p over a 4300-digit q) at most 4.0 s and 167 MB
+    ("convergent", "order"): (4096, (4, 3, 53, _block_heights)),
+    # 1.8 s at the cap, 2.9 s at k = 2500.  H is that of the walk's integers
+    # (``moment_height``); along the boundary at most 3.5 s
+    ("moments", "k"): (2048, (3, 2, 43, _moment_heights)),
+    ("zeros", "n"): (2000, None),  # 3.4 s and 18 MB, quadratic in n
+    # lu and family read an order-n block.  Along their boundaries, up to the
+    # tallest literal, a 4300-digit p over a 4300-digit q (H = 28588, n = 1256
+    # and 222), a run took at most 3.6 s and 269 MB.
+    # lu: 1.4 s and 63 MB at the cap, 9.2 s and 503 MB at n = 10^6; 3.2 s and
+    # 183 MB at a 300-digit p over a 299-digit q, n = 67002
+    ("lu", "n"): (100_000, (2, 3, 65, _block_heights)),
+    # 2.0 s and 118 MB at the cap; 3.6 s and 100 MB at 4300 nines, n = 628
+    ("family", "n"): (50_000, (2, 3, 60, _block_heights)),
+    # 0.8 s, 142 MB and 30 MB printed at the cap, 5.8 s and 754 MB at n = 700.
+    # H is from the order-n block of the perturbed system.  Along the boundary
+    # (n = 400 on 3-digit integer gammas, 5 on 4300-digit ones, 3 on 4300-digit
+    # p over 4300-digit q) at most 3.7 s and 369 MB, on random 2- and 3-digit
+    # p/q gammas, whose denominators compound
+    ("perturb", "n"): (400, (5, 3, 57, _block_heights)),
     # verify --suite all, the dearest suite; both at the cap 3.5 s and 33 MB
-    ("verify", "n"): 100,  # 2.0 s and 22 MB; 5.2 s at n = 140, 48 s at 240
-    ("verify", "samples"): 100,  # 0.3 s; 2.6 s and 57 MB at 1000, 4.8 s and 97 MB at 2000
-}
-# moments --k runs when k^3 H^2 is at most this, H from ``moment_height``:
-# about 3.5 s at most along the boundary (as a process, same VM)
-MOMENT_BUDGET = 1 << 43
-# family and lu run an order-n block when n^2 H^3 is at most their budget
-# for each entry height H of ``block_heights``.  Along the boundary, from
-# alpha = 0 to the tallest literal, a 4300-digit p over a 4300-digit q
-# (H = 28588, n = 222 and 1256), a run as a process took at most 3.6 s and
-# 269 MB (same VM)
-BLOCK_BUDGETS = {
-    "family": 1 << 60,  # 3.6 s and 100 MB at alpha = 4300 nines, n = 628
-    "lu": 1 << 65,  # 3.2 s and 183 MB at a 300-digit p over a 299-digit q, n = 67002
+    ("verify", "n"): (100, None),  # 2.0 s and 22 MB; 5.2 s at n = 140, 48 s at 240
+    ("verify", "samples"): (100, None),  # 0.3 s; 2.6 s and 57 MB at 1000, 4.8 s and 97 MB at 2000
 }
 
 
-def _check_block_budget(command, sys_, n):
-    """ValueError, before the work, if an entry of the order-n block is too
-    tall for ``BLOCK_BUDGETS[command]``; the block is read up to that entry."""
-    budget = BLOCK_BUDGETS[command]
-    H = next((h for h in block_heights(sys_, n) if n * n * h ** 3 > budget), None)
-    if H is not None:
-        raise ValueError(f"--n {n} over entries of {H} bits is above the budget "
-                         f"n^2 H^3 <= 2^{budget.bit_length() - 1}")
+def _check_limits(args, sys_=None):
+    """ValueError if a size flag of the command is above its cap in ``LIMITS``
+    or, given the system ``sys_`` the command reads, over its budget; a
+    budget's heights are read up to the first one too tall."""
+    for (command, flag), (cap, budget) in LIMITS.items():
+        size = getattr(args, flag) if command == args.command else None
+        if size is None:
+            continue
+        if sys_ is None:
+            if size > cap:
+                raise ValueError(f"--{flag} {size} is above the cap of {cap}")
+        elif budget is not None:
+            a, b, e, heights = budget
+            H = next((h for h in heights(sys_, args) if size ** a * h ** b > 1 << e), None)
+            if H is not None:
+                raise ValueError(f"--{flag} {size} over entries of {H} bits is above the "
+                                 f"budget {flag}^{a} H^{b} <= 2^{e}")
 
 
 def cmd_moments(args) -> int:
     sys_ = _resolve_system(args)
     k = args.k
-    H = moment_height(sys_, k)  # raises as moments(sys_, k) would, before the walk
-    if k ** 3 * H ** 2 > MOMENT_BUDGET:
-        raise ValueError(f"--k {k} over entries of {H} bits is above the budget "
-                         f"k^3 H^2 <= 2^{MOMENT_BUDGET.bit_length() - 1}")
+    _check_limits(args, sys_)
     value = moments(sys_, k)
     if args.output == "json":
         _emit({"k": k, "moment": format_scalar(value)})
@@ -258,6 +287,7 @@ def cmd_moments(args) -> int:
 
 def cmd_convergent(args) -> int:
     sys_ = _resolve_system(args)
+    _check_limits(args, sys_)
     num, den = convergent(sys_, args.n)
     order = args.order if args.order is not None else 2 * args.n
     series = laurent_expand(num, den, order)
@@ -379,10 +409,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be >= 1")
-        for (command, flag), cap in CAPS.items():
-            value = getattr(args, flag) if command == args.command else None
-            if value is not None and value > cap:
-                raise ValueError(f"--{flag} {value} is above the cap of {cap}")
+        _check_limits(args)
         return args.fn(args)
     except (OpchainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -496,21 +496,21 @@ def test_error_class_exit_code(cls, capsys, monkeypatch):
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
       "--order", str(2 ** 62)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0", "--n", "2",
-      "--order", str(cli.CAPS["convergent", "order"] + 1)), 2, "ValueError"),
+      "--order", str(cli.LIMITS["convergent", "order"][0] + 1)), 2, "ValueError"),
     (("convergent", "--family", "laguerre", "--alpha", "0",
-      "--n", str(cli.CAPS["convergent", "n"] + 1)), 2, "ValueError"),
+      "--n", str(cli.LIMITS["convergent", "n"][0] + 1)), 2, "ValueError"),
     (("moments", "--family", "laguerre", "--alpha", "0",
-      "--k", str(cli.CAPS["moments", "k"] + 1)), 2, "ValueError"),
+      "--k", str(cli.LIMITS["moments", "k"][0] + 1)), 2, "ValueError"),
     (("zeros", "--family", "laguerre", "--alpha", "0",
-      "--n", str(cli.CAPS["zeros", "n"] + 1)), 2, "ValueError"),
+      "--n", str(cli.LIMITS["zeros", "n"][0] + 1)), 2, "ValueError"),
     (("lu", "--family", "laguerre", "--alpha", "0",
-      "--n", str(cli.CAPS["lu", "n"] + 1)), 2, "ValueError"),
+      "--n", str(cli.LIMITS["lu", "n"][0] + 1)), 2, "ValueError"),
     (("family", "laguerre", "--alpha", "0",
-      "--n", str(cli.CAPS["family", "n"] + 1)), 2, "ValueError"),
+      "--n", str(cli.LIMITS["family", "n"][0] + 1)), 2, "ValueError"),
     (("perturb", "--variant", "q", "--gamma", "1,2,3,4",
-      "--n", str(cli.CAPS["perturb", "n"] + 1)), 2, "ValueError"),
-    (("verify", "--n", str(cli.CAPS["verify", "n"] + 1)), 2, "ValueError"),
-    (("verify", "--samples", str(cli.CAPS["verify", "samples"] + 1)), 2, "ValueError"),
+      "--n", str(cli.LIMITS["perturb", "n"][0] + 1)), 2, "ValueError"),
+    (("verify", "--n", str(cli.LIMITS["verify", "n"][0] + 1)), 2, "ValueError"),
+    (("verify", "--samples", str(cli.LIMITS["verify", "samples"][0] + 1)), 2, "ValueError"),
     # short, but of entries too high for a walk of that length
     (("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"), 2, "ValueError"),
     (("family", "laguerre", "--alpha", "9" * 4300, "--n", "10000"), 2, "ValueError"),
@@ -524,16 +524,16 @@ def test_edge_inputs_rejected(capsys, argv, code, name):
 
 def test_convergent_order_cap(capsys):
     head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n", "1", "--order")
-    code, out, err = run(capsys, *head, str(cli.CAPS["convergent", "order"] + 1))
+    code, out, err = run(capsys, *head, str(cli.LIMITS["convergent", "order"][0] + 1))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: --order 4097 is above the cap of 4096\n"
-    doc = run_json(capsys, *head, str(cli.CAPS["convergent", "order"]))
-    assert len(doc["laurent"]) == cli.CAPS["convergent", "order"] == 4096
+    doc = run_json(capsys, *head, str(cli.LIMITS["convergent", "order"][0]))
+    assert len(doc["laurent"]) == cli.LIMITS["convergent", "order"][0] == 4096
 
 
 def test_convergent_n_cap(capsys, monkeypatch):
     head = ("convergent", "--family", "laguerre", "--alpha", "0", "--n")
-    code, out, err = run(capsys, *head, str(cli.CAPS["convergent", "n"] + 1))
+    code, out, err = run(capsys, *head, str(cli.LIMITS["convergent", "n"][0] + 1))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: --n 513 is above the cap of 512\n"
     # at the cap the convergent is built; a degree-1 one stands in for it,
@@ -541,8 +541,8 @@ def test_convergent_n_cap(capsys, monkeypatch):
     built = []
     real = cli.convergent
     monkeypatch.setattr(cli, "convergent", lambda sys_, n: built.append(n) or real(sys_, 1))
-    assert run(capsys, *head, str(cli.CAPS["convergent", "n"]))[0] == 0
-    assert built == [cli.CAPS["convergent", "n"]] == [512]
+    assert run(capsys, *head, str(cli.LIMITS["convergent", "n"][0]))[0] == 0
+    assert built == [cli.LIMITS["convergent", "n"][0]] == [512]
 
 
 def test_moments_k_cap(capsys, monkeypatch):
@@ -550,7 +550,7 @@ def test_moments_k_cap(capsys, monkeypatch):
     resolved = []
     real = cli._resolve_system
     monkeypatch.setattr(cli, "_resolve_system", lambda args: resolved.append(1) or real(args))
-    code, out, err = run(capsys, *head, str(cli.CAPS["moments", "k"] + 1))
+    code, out, err = run(capsys, *head, str(cli.LIMITS["moments", "k"][0] + 1))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: --k 2049 is above the cap of 2048\n"
     assert resolved == []  # refused before the system is built
@@ -559,9 +559,9 @@ def test_moments_k_cap(capsys, monkeypatch):
     taken = []
     real_moments = cli.moments
     monkeypatch.setattr(cli, "moments", lambda sys_, k: taken.append(k) or real_moments(sys_, 2))
-    code, out, err = run(capsys, *head, str(cli.CAPS["moments", "k"]))
+    code, out, err = run(capsys, *head, str(cli.LIMITS["moments", "k"][0]))
     assert (code, out, err) == (0, "2\n", "")
-    assert taken == [cli.CAPS["moments", "k"]] == [2048] and resolved == [1]
+    assert taken == [cli.LIMITS["moments", "k"][0]] == [2048] and resolved == [1]
 
 
 # each entry of the cap table: the argv that ends in its flag
@@ -580,7 +580,8 @@ _CAPPED = {
 
 
 def test_every_cap_is_exercised():
-    assert list(_CAPPED) == list(cli.CAPS)
+    assert list(_CAPPED) == list(cli.LIMITS)
+    assert list(_BUDGETED) == [key for key, (_, budget) in cli.LIMITS.items() if budget]
 
 
 @pytest.mark.parametrize("key", list(_CAPPED), ids="-".join)
@@ -588,7 +589,7 @@ def test_cap_table(capsys, monkeypatch, key):
     # above its cap a command is never reached; at the cap it is, stubbed, as
     # the real one takes seconds
     command, flag = key
-    cap = cli.CAPS[key]
+    cap = cli.LIMITS[key][0]
     reached = []
     monkeypatch.setattr(cli, f"cmd_{command}",
                         lambda args: reached.append(getattr(args, flag)) or 0)
@@ -635,42 +636,88 @@ class _Reached(Exception):
 _TALL = "9" * 4300  # the tallest integer literal ``parse_rational`` accepts
 
 
-@pytest.mark.parametrize("command, head, work, n, bits", [
-    ("family", ("family", "laguerre", "--alpha"), "gamma_from_system", 628, 14295),
-    ("lu", ("lu", "--family", "laguerre", "--alpha"), "truncate", 3552, 14298),
-], ids=["family", "lu"])
-def test_block_height_budget(capsys, monkeypatch, command, head, work, n, bits):
+_TALL_GAMMA = ",".join(["9" * 1000] * 202)  # 1000-digit gammas, to order 100
+_LOW_GAMMA = ",".join(map(str, range(1, 803)))  # gamma_k = k, to order 400
+
+# each budget row of the limits table: the argv that ends in its flag on tall
+# entries, the work its command reaches past the budget (stubbed, as the real
+# one takes seconds; it is handed the size last), the boundary size there,
+# the height and budget its refusal names, the runaway input that the row
+# refuses, and argvs of low entries that end in the flag and run up to its cap
+_BUDGETED = {
+    ("convergent", "n"): (
+        ("convergent", "--family", "laguerre", "--alpha", _TALL, "--n"), "convergent",
+        3, 14287, "n^4 H^3 <= 2^49",
+        ("convergent", "--family", "laguerre", "--alpha", "9" * 1000, "--n", "64"),
+        [("convergent", "--family", "laguerre", "--alpha", "0", "--n")]),
+    ("convergent", "order"): (
+        ("convergent", "--family", "laguerre", "--alpha", _TALL, "--n", "1", "--order"),
+        "laurent_expand", 7, 14286, "order^4 H^3 <= 2^53",
+        ("convergent", "--family", "laguerre", "--alpha", "0", "--n", "512", "--order", "4096"),
+        [("convergent", "--family", "laguerre", "--alpha", "0", "--n", "1", "--order")]),
+    ("moments", "k"): (
+        ("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k"), "moments",
+        170, 1337, "k^3 H^2 <= 2^43",
+        ("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"),
+        [("moments", "--family", "laguerre", "--alpha", alpha, "--k") for alpha in ("0", "7/3")]),
+    ("lu", "n"): (
+        ("lu", "--family", "laguerre", "--alpha", _TALL, "--n"), "truncate",
+        3552, 14298, "n^2 H^3 <= 2^65",
+        ("lu", "--family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4)),
+        [("lu", "--family", "laguerre", "--alpha", alpha, "--n") for alpha in ("0", "7/3")]),
+    ("family", "n"): (
+        ("family", "laguerre", "--alpha", _TALL, "--n"), "gamma_from_system",
+        628, 14295, "n^2 H^3 <= 2^60",
+        ("family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4)),
+        [("family", "laguerre", "--alpha", alpha, "--n") for alpha in ("0", "7/3")]),
+    ("perturb", "n"): (
+        ("perturb", "--variant", "tilde", "--gamma", _TALL_GAMMA, "--n"), "monic_sequence",
+        13, 6645, "n^5 H^3 <= 2^57",
+        ("perturb", "--variant", "tilde", "--gamma", _TALL_GAMMA, "--n", "100"),
+        [("perturb", "--variant", "tilde", "--gamma", _LOW_GAMMA, "--n")]),
+}
+
+
+@pytest.mark.parametrize("key", list(_BUDGETED), ids="-".join)
+def test_block_height_budget(capsys, monkeypatch, key):
     # over the budget a command is refused before its work; at the boundary,
-    # and for low entries at the --n cap, the work (stubbed) is reached
+    # and for low entries at the cap, the work (stubbed) is reached
+    head, work, size, bits, budget, runaway, low = _BUDGETED[key]
+    flag = key[1]
     reached = []
 
-    def stub(sys_, *rest):
-        reached.append(rest[-1])
+    def stub(*args):
+        reached.append(args[-1])
         raise _Reached
 
     monkeypatch.setattr(cli, work, stub)
-    code, out, err = run(capsys, *head, _TALL, "--n", str(n + 1))
+    code, out, err = run(capsys, *head, str(size + 1))
     assert (code, out, reached) == (2, "", [])
-    budget = cli.BLOCK_BUDGETS[command].bit_length() - 1
-    assert err == (f"error: ValueError: --n {n + 1} over entries of {bits} bits is above "
-                   f"the budget n^2 H^3 <= 2^{budget}\n")
-    assert run(capsys, *head, _TALL, "--n", str(10 ** 4))[0] == 2 and reached == []
-    cap = cli.CAPS[command, "n"]
-    for alpha, size in ((_TALL, n), ("0", cap), ("7/3", cap)):
+    assert err == (f"error: ValueError: --{flag} {size + 1} over entries of {bits} bits is "
+                   f"above the budget {budget}\n")
+    assert run(capsys, *runaway)[0] == 2 and reached == []
+    cap = cli.LIMITS[key][0]
+    for argv in [(*head, str(size)), *((*h, str(cap)) for h in low)]:
         with pytest.raises(_Reached):
-            cli.main([*head, alpha, "--n", str(size)])
-    # the gamma recovery reads depth n; the truncation, order n
-    assert reached == [n, cap, cap]
+            cli.main(list(argv))
+    assert reached == [size] + [cap] * len(low)
 
 
 def test_block_height_budget_keeps_earlier_messages(capsys):
     # the budget is checked after the arguments are read and before the
-    # block, whose errors stay those of the work
+    # block, whose errors stay those of the work; perturb checks it after
+    # the block, whose reads raise the gamma errors
     assert run(capsys, "lu", "--family", "laguerre", "--alpha", _TALL, "--n", "5000",
                "--gamma1", "x") == (2, "", "error: InvalidRationalLiteral: not a rational "
                                             "literal: 'x'\n")
     code, out, err = run(capsys, "family", "routh_romanovski", "--p", "5", "--n", "100")
     assert (code, out, err) == (2, "", "error: StreamExhausted: index 3 outside [1, 2]\n")
+    code, out, err = run(capsys, "convergent", "--family", "routh_romanovski", "--p", "5",
+                         "--n", "100")
+    assert (code, out, err) == (2, "", "error: StreamExhausted: index 3 outside [1, 2]\n")
+    bad3 = ",".join(["9" * 1000] * 2 + ["-3"] + ["9" * 1000] * 199)
+    code, out, err = run(capsys, "perturb", "--variant", "tilde", "--gamma", bad3, "--n", "100")
+    assert (code, out, err) == (2, "", "error: NonPositiveGamma: gamma_3 = -3 is not positive\n")
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -935,21 +982,22 @@ def _value_case(draw):
            "--order", str(2 ** 62)], None))
 # an n whose convergent alone would take minutes and gigabytes
 @example((["convergent", "--family", "laguerre", "--alpha", "0",
-           "--n", str(cli.CAPS["convergent", "n"] + 1)], None))
+           "--n", str(cli.LIMITS["convergent", "n"][0] + 1)], None))
 # a k whose moment walk would not end for minutes
 @example((["moments", "--family", "laguerre", "--alpha", "0",
-           "--k", str(cli.CAPS["moments", "k"] + 1)], None))
+           "--k", str(cli.LIMITS["moments", "k"][0] + 1)], None))
 @example((["moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"], None))
 # sizes whose run would take memory without bound
 @example((["zeros", "--family", "laguerre", "--alpha", "0",
-           "--n", str(cli.CAPS["zeros", "n"] + 1)], None))
+           "--n", str(cli.LIMITS["zeros", "n"][0] + 1)], None))
 @example((["lu", "--family", "laguerre", "--alpha", "0",
-           "--n", str(cli.CAPS["lu", "n"] + 1)], None))
-@example((["family", "laguerre", "--alpha", "0", "--n", str(cli.CAPS["family", "n"] + 1)], None))
-@example((["perturb", "--variant", "q", "--n", str(cli.CAPS["perturb", "n"] + 1)],
+           "--n", str(cli.LIMITS["lu", "n"][0] + 1)], None))
+@example((["family", "laguerre", "--alpha", "0",
+           "--n", str(cli.LIMITS["family", "n"][0] + 1)], None))
+@example((["perturb", "--variant", "q", "--n", str(cli.LIMITS["perturb", "n"][0] + 1)],
           {"closed_form": {"name": "laguerre", "params": {"alpha": "0"}}}))
-@example((["verify", "--n", str(cli.CAPS["verify", "n"] + 1)], None))
-@example((["verify", "--samples", str(cli.CAPS["verify", "samples"] + 1)], None))
+@example((["verify", "--n", str(cli.LIMITS["verify", "n"][0] + 1)], None))
+@example((["verify", "--samples", str(cli.LIMITS["verify", "samples"][0] + 1)], None))
 # entries too tall for that size
 @example((["family", "laguerre", "--alpha", "9" * 4300, "--n", "10000"], None))
 @example((["lu", "--n", "10000"],
