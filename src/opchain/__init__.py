@@ -25,13 +25,11 @@ from .chains import (
 )
 from .families import (
     LSequence,
-    RRParams,
     e_family_system,
     gamma_phi2_from_l,
     l_from_gamma,
     laguerre_gamma,
     laguerre_system,
-    monicize_step,
     rr_system,
 )
 from .jacobi import (

@@ -75,12 +75,6 @@ class PoleAtB(IndexedError):
     exit_code = 3
 
 
-class ZeroDenominator(IndexedError):
-    """A denominator in a closed-form or polynomial ratio vanished."""
-
-    exit_code = 3
-
-
 # -- perturbed families -----------------------------------------------------
 
 class Gamma1Zero(OpchainError):
@@ -119,10 +113,6 @@ class LengthMismatch(OpchainError):
 
 class AlphaOutOfRange(OpchainError):
     """Family parameter alpha outside its orthogonality domain (alpha > -1)."""
-
-
-class DegreeBeyondFamily(OpchainError):
-    """Requested degree is outside a finite family's validity window."""
 
 
 class NonPositiveInput(OpchainError):

@@ -1,21 +1,26 @@
 """Closed-form families: Laguerre, its shifted companion, a finite
 inverse-Laguerre class, and the Christoffel-pair coefficient relations.
 
+The finite class, ``routh_romanovski``, is orthogonal for the weight
+x^(-p) e^(-1/x) on (0, inf), with moments mu_k/mu_0 = 1/((p-2)...(p-k-1)):
+
+    b_{n+1} = p/((p-2n)(p-2n-2)),  a_n^2 = n(p-n)/((p-2n)^2((p-2n)^2-1)).
+
+It serves the steps n < n_max <= 4096: n_max is the first step at which a
+factor p-2n, p-2n-1, p-2n-2 or p-n-1 vanishes or a_n^2 <= 0, and 4096 if
+none below it does.
+
 All parameters are exact rationals, so family identities (gamma recovery,
 kernel shifts, complementary systems) are testable with zero tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .chains import GammaSeq
-from .errors import (
-    AlphaOutOfRange,
-    DegreeBeyondFamily,
-    NonPositiveInput,
-    ZeroDenominator,
-)
+from .errors import AlphaOutOfRange, NonPositiveInput
 from .scalars import Rat, coerce_exact, exact_tuple, parse_rational
 from .streams import CoeffStream
 from .systems import ThreeTermSystem
@@ -86,72 +91,41 @@ def laguerre_gamma(alpha, gamma1: int) -> GammaSeq:
 # -- finite inverse-Laguerre class ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RRParams:
-    """Parameter p of the finite family; n_max is the largest degree whose
-    monic recurrence data exists (no vanishing denominator, positive a_n^2).
+def _rr_ends(p, n: int) -> bool:
+    """Whether step n ends the finite family: a factor p - 2n, p - 2n - 1,
+    p - 2n - 2 or p - n - 1 vanishes or, for n >= 1, a_n^2 <= 0."""
+    if 0 in (p - 2 * n, p - 2 * n - 1, p - 2 * n - 2, p - n - 1):
+        return True
+    return n >= 1 and not (p - n) * ((p - 2 * n) ** 2 - 1) > 0
 
-    The scan that finds n_max keeps the monic data it computes: b_1..b_{n_max}
-    and a_1^2..a_{n_max-1}^2, and ``stop_error``, the error of step n_max
-    (None when the scan hits its cap of 4096 steps).
+
+def _rr_window(p) -> int:
+    """n_max: the first step n <= 4095 that ends the family, else 4096.
+
+    ``_rr_ends`` can change only at n = 1 and at the roots r of its factors,
+    so the first step that ends the family is 0, 1, floor(r) or floor(r) + 1.
     """
-
-    p: object
-    n_max: int = field(init=False)
-    b: tuple = field(init=False, repr=False, compare=False)
-    a2: tuple = field(init=False, repr=False, compare=False)
-    stop_error: Exception | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        p = coerce_exact(self.p)
-        b, a2 = [], []
-        A_prev = stop_error = None
-        for n in range(4096):
-            try:
-                A, B, C = _rr_raw(p, n)
-            except ZeroDenominator as exc:
-                stop_error = exc
-                break
-            if n >= 1:
-                bn, a2n = monicize_step(A, B, C, A_prev)
-                if not a2n > 0:
-                    stop_error = DegreeBeyondFamily(f"a_{n}^2 = {a2n} is not positive")
-                    break
-                a2.append(a2n)
-            else:
-                bn = -B / A
-            b.append(bn)
-            A_prev = A
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_max", len(b))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "a2", tuple(a2))
-        object.__setattr__(self, "stop_error", stop_error)
+    roots = (p / 2 - 1, (p - 1) / 2, p / 2, (p + 1) / 2, p - 1, p)
+    steps = {0, 1, *(math.floor(r) + d for r in roots for d in (0, 1))}
+    return min((n for n in steps if 0 <= n < 4096 and _rr_ends(p, n)), default=4096)
 
 
-def _rr_raw(p, n: int):
-    """Raw recurrence pieces (A_n, B_n, C_n) of the non-monic form
-    N_{n+1} = (A_n x + B_n) N_n - C_n N_{n-1}."""
-    d2n, d2n1, d2n2, dn1 = p - 2 * n, p - (2 * n + 1), p - (2 * n + 2), p - (n + 1)
-    if 0 in (d2n, d2n1, d2n2, dn1):
-        raise ZeroDenominator(n, f"vanishing factor at step n = {n}")
-    A = d2n2 * d2n1 / dn1
-    B = -p * d2n1 / (dn1 * d2n)
-    C = n * d2n2 / (dn1 * d2n)
-    return A, B, C
+def rr_system(p) -> ThreeTermSystem:
+    """The finite class of the module docstring at parameter p: lazy rules
+    that stop at b_{n_max} and a_{n_max-1}^2, evaluated only where read."""
+    p = coerce_exact(p)
+    n_max = _rr_window(p)
+    P, Q = p.numerator, p.denominator
 
+    def a2(n):
+        d = P - 2 * n * Q
+        return Rat(n * (P - n * Q) * Q ** 3, d * d * (d * d - Q * Q))
 
-def monicize_step(A_n, B_n, C_n, A_prev):
-    """Monic recurrence data from one step of (A_n x + B_n) N_n - C_n N_{n-1}:
-    b_{n+1} = -B_n/A_n and a_n^2 = C_n/(A_n A_{n-1})."""
-    if A_n == 0 or A_prev == 0:
-        raise ZeroDenominator(0, "leading coefficient vanishes")
-    return -B_n / A_n, C_n / (A_n * A_prev)
-
-
-def rr_system(params: RRParams) -> ThreeTermSystem:
-    """Finite-stream system serving degrees up to n_max."""
-    return ThreeTermSystem.from_values(params.b, params.a2)
+    return ThreeTermSystem(
+        CoeffStream.from_fn(lambda n: Rat(P * Q, (P - 2 * (n - 1) * Q) * (P - 2 * n * Q)),
+                            stop=n_max),
+        CoeffStream.from_fn(a2, stop=max(n_max - 1, 0)),
+    )
 
 
 #: Closed-form families by name: (parameter, constructor, default gamma_1).
@@ -159,7 +133,7 @@ FAMILIES = {
     "laguerre": ("alpha", laguerre_system, 0),
     "e_family": ("alpha", e_family_system, 0),
     "laguerre_assoc1": ("alpha", e_family_system, 1),
-    "routh_romanovski": ("p", lambda p: rr_system(RRParams(p)), 0),
+    "routh_romanovski": ("p", rr_system, 0),
 }
 
 

@@ -1,9 +1,10 @@
 """Indexed coefficient streams, read from index 1.
 
 Recurrence data arrives as one of three kinds: a finite vector, whose
-length is the stream's ``stop``, a closed-form rule of values, or a rule
-of reduced (numerator, denominator) pairs; a rule has ``stop = None``.
-Reading past a finite vector, or below index 1, raises StreamExhausted.
+length is the stream's ``stop``, a closed-form rule of values, which may be
+given a ``stop``, or a rule of reduced (numerator, denominator) pairs,
+which has ``stop = None``.  Reading past a ``stop``, or below index 1,
+raises StreamExhausted.
 Every value read is on the exact type: a value vector is normalised when
 the stream is built, a value rule's value when it is read, and a float in
 either raises InvalidRationalLiteral.  The integer readers of the
@@ -39,9 +40,12 @@ class CoeffStream:
         return cls(values=values)
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], object]) -> "CoeffStream":
-        """Closed-form stream; fn must be deterministic and side-effect free."""
-        return cls(fn=fn)
+    def from_fn(cls, fn: Callable[[int], object], stop: int | None = None) -> "CoeffStream":
+        """Closed-form stream, ending at index ``stop`` if one is given; fn
+        must be deterministic and side-effect free."""
+        stream = cls(fn=fn)
+        stream.stop = stop
+        return stream
 
     @classmethod
     def from_pairs(cls, rule: Callable[[int], tuple[int, int]]) -> "CoeffStream":

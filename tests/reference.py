@@ -19,7 +19,7 @@ from opchain import (
     monic_sequence,
     truncate,
 )
-from opchain.errors import LengthMismatch, OpchainError, ZeroDenominator
+from opchain.errors import IndexedError, LengthMismatch, OpchainError
 from opchain.scalars import ZERO, Rat, _is_exact, coerce_exact
 from opchain.streams import CoeffStream
 from opchain.systems import _order
@@ -31,6 +31,14 @@ class NonEvenPolynomial(OpchainError):
 
 class NonOddPolynomial(OpchainError):
     """Polynomial has a nonzero even-degree coefficient."""
+
+
+class ZeroDenominator(IndexedError):
+    """A denominator of a raw recurrence step or of a polynomial ratio vanished."""
+
+
+class DegreeBeyondFamily(OpchainError):
+    """A step outside a finite family's validity window."""
 
 
 def evaluate(p: Polynomial, x):
@@ -90,6 +98,39 @@ def swapped_nu(gamma: GammaSeq, N: int) -> CoeffStream:
         else:
             vals.append(gamma.at(n + 1))
     return CoeffStream.from_values(vals)
+
+
+def rr_raw(p, n: int):
+    """Raw recurrence pieces (A_n, B_n, C_n) of ``families.rr_system`` in the
+    non-monic form N_{n+1} = (A_n x + B_n) N_n - C_n N_{n-1}."""
+    d2n, d2n1, d2n2, dn1 = p - 2 * n, p - (2 * n + 1), p - (2 * n + 2), p - (n + 1)
+    if 0 in (d2n, d2n1, d2n2, dn1):
+        raise ZeroDenominator(n, f"vanishing factor at step n = {n}")
+    A = d2n2 * d2n1 / dn1
+    B = -p * d2n1 / (dn1 * d2n)
+    C = n * d2n2 / (dn1 * d2n)
+    return A, B, C
+
+
+def monicize_step(A_n, B_n, C_n, A_prev):
+    """Monic recurrence data from one step of (A_n x + B_n) N_n - C_n N_{n-1}:
+    b_{n+1} = -B_n/A_n and a_n^2 = C_n/(A_n A_{n-1})."""
+    if A_n == 0 or A_prev == 0:
+        raise ZeroDenominator(0, "leading coefficient vanishes")
+    return -B_n / A_n, C_n / (A_n * A_prev)
+
+
+def rr_raw_step(p, n: int):
+    """(b_{n+1}, a_n^2) of ``families.rr_system`` at step n >= 0 by the raw
+    route (a_0^2 = 0), or the error that ends the family there: a vanishing
+    factor, or a_n^2 <= 0."""
+    A, B, C = rr_raw(p, n)
+    if n == 0:
+        return -B / A, ZERO
+    b, a2 = monicize_step(A, B, C, rr_raw(p, n - 1)[0])
+    if not a2 > 0:
+        raise DegreeBeyondFamily(f"a_{n}^2 = {a2} is not positive")
+    return b, a2
 
 
 def chain_at_via_polynomials(sys: ThreeTermSystem, t, N: int) -> ChainSequence:

@@ -37,13 +37,20 @@ from opchain import (
     truncate,
     ul_product,
     zeros,
-    RRParams,
 )
-from opchain.errors import Gamma1Zero, NotAChainSequence, ZeroDenominator
+from opchain.errors import Gamma1Zero, NotAChainSequence, StreamExhausted
 from opchain.perturb import quasi_sides
 from opchain.verify import random_gamma, run_suite
 
-from reference import darboux_pivot_check, even_part, interlace_check, odd_part, swapped_nu
+from reference import (
+    ZeroDenominator,
+    darboux_pivot_check,
+    even_part,
+    interlace_check,
+    odd_part,
+    rr_raw_step,
+    swapped_nu,
+)
 
 ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
 
@@ -165,7 +172,7 @@ def test_criterion_7_lu_darboux():
             (laguerre_system(Rat(7, 3)), 25),
             (e_family_system(Rat(0)), 25),
             (e_family_system(Rat(1, 2)), 25),
-            (rr_system(RRParams(10)), 3),
+            (rr_system(10), 3),
         ]
         for sys, n in cases:
             J = truncate(sys, n)
@@ -226,8 +233,13 @@ def test_criterion_10_negative_controls():
             from opchain import ChainSequence
             minimal_parameters(ChainSequence.from_values([Rat(2)]), 1)
         assert exc.value.index == 1
-        err = RRParams(10).stop_error
-        assert isinstance(err, ZeroDenominator) and err.index == 4
+        with pytest.raises(ZeroDenominator) as exc:
+            rr_raw_step(Rat(10), 4)
+        assert exc.value.index == 4
+        from opchain import rr_system
+        with pytest.raises(StreamExhausted) as exc:
+            rr_system(10).b_at(5)
+        assert exc.value.index == 5
         for suite in ("theorem33", "gccs", "kernel_invariance", "quasi_orth",
                       "lu", "laguerre", "moments"):
             reports = run_suite(suite, seed=1, samples=3, corrupt=True)

@@ -450,8 +450,8 @@ def test_zero_identity_report_is_not_ok():
 # -- exit codes -------------------------------------------------------------------
 
 # the numerical-breakdown classes; every other library error is a bad input
-_EXIT_3 = {"PivotBreakdown", "ZeroDenominator", "PositivityBreak", "NotAChainSequence",
-           "PoleAtB", "NonPositiveA2", "FloatOverflow"}
+_EXIT_3 = {"PivotBreakdown", "PositivityBreak", "NotAChainSequence", "PoleAtB",
+           "NonPositiveA2", "FloatOverflow"}
 _ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
                   if issubclass(c, errors.OpchainError)]
 
@@ -739,9 +739,7 @@ _RATIONALS = st.one_of(
     st.sampled_from(["0", "-1", "-1/2", "1/0", "1.5", "x"]),
     st.from_regex(r"-?[1-9][0-9]{0,399}(/[1-9][0-9]{0,399})?", fullmatch=True),
 )
-# routh_romanovski scans its validity window eagerly, up to 4096 steps, which
-# takes most of a second for a huge p; its p is drawn from small values only
-_RR_P = st.one_of(st.sampled_from(["10", "7/2", "1", "0", "-3"]), _INTS)
+_RR_P = st.one_of(st.sampled_from(["10", "7/2", "1", "0", "-3"]), _INTS, _RATIONALS)
 
 
 def _opt(flag, values):

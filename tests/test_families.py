@@ -3,7 +3,6 @@ import pytest
 from opchain import (
     LSequence,
     Polynomial,
-    RRParams,
     Rat,
     chain_at,
     e_family_system,
@@ -14,21 +13,28 @@ from opchain import (
     laguerre_gamma,
     laguerre_system,
     minimal_parameters,
+    moments,
     monic_sequence,
-    monicize_step,
     rr_system,
     systems_agree,
 )
 from opchain.errors import (
     AlphaOutOfRange,
-    DegreeBeyondFamily,
     InvalidRationalLiteral,
     NonPositiveInput,
     StreamExhausted,
-    ZeroDenominator,
 )
-from opchain.families import _rr_raw
+from opchain.families import closed_form
+from opchain.streams import CoeffStream
 from opchain.systems import _pairs
+
+from reference import (
+    DegreeBeyondFamily,
+    ZeroDenominator,
+    monicize_step,
+    rr_raw,
+    rr_raw_step,
+)
 
 
 def P(*coeffs):
@@ -121,25 +127,30 @@ def test_companion_streams():
 # -- finite inverse-Laguerre class ---------------------------------------------------
 
 def test_rr_window_p10():
-    params = RRParams(10)
-    assert params.n_max == 4
+    sys = rr_system(10)
+    assert (sys.b.stop, sys.a2.stop) == (4, 3)
 
 
 def test_rr_first_monic_coefficient():
-    params = RRParams(10)
-    assert params.b[0] == Rat(1, 8)  # p/((p-0)(p-2)) = 10/80
-    assert _direct_monicize(params, 0) == (params.b[0], 0)  # a_0^2 multiplies P_{-1}
+    sys = rr_system(10)
+    assert sys.b_at(1) == Rat(1, 8)  # p/((p-0)(p-2)) = 10/80
+    assert rr_raw_step(Rat(10), 0) == (sys.b_at(1), 0)  # a_0^2 multiplies P_{-1}
 
 
 def test_rr_zero_denominator_at_boundary():
-    err = RRParams(10).stop_error  # p - (2n+2) = 0 at step 4
-    assert (type(err), str(err), err.index) == (
-        ZeroDenominator, "vanishing factor at step n = 4", 4)
+    # p - (2n+2) = 0 at step 4: the raw route refuses there, and the streams
+    # end at b_4 and a_3^2
+    with pytest.raises(ZeroDenominator, match="^vanishing factor at step n = 4$") as exc:
+        rr_raw_step(Rat(10), 4)
+    assert exc.value.index == 4
+    sys = rr_system(10)
+    assert (sys.b.stop, sys.a2.stop) == (4, 3)
 
 
 def test_rr_beyond_window():
-    sys = rr_system(RRParams(10))
-    assert sys.block(4) == (list(RRParams(10).b), list(RRParams(10).a2))
+    sys = rr_system(10)
+    steps = [rr_raw_step(Rat(10), n) for n in range(4)]
+    assert sys.block(4) == ([b for b, _ in steps], [a2 for _, a2 in steps[1:]])
     with pytest.raises(StreamExhausted, match=r"index 5 outside \[1, 4\]"):
         sys.b_at(5)
     with pytest.raises(StreamExhausted, match=r"index 4 outside \[1, 3\]"):
@@ -155,76 +166,108 @@ def test_monicize_step_already_monic_family():
 def test_rr_monic_polynomials_match_raw_recurrence():
     # raw route: N_{m+1} = (A_m x + B_m) N_m - C_m N_{m-1}; monic route must
     # equal N_m / (A_0 ... A_{m-1}) exactly
-    params = RRParams(10)
     x = Polynomial.x()
     prev, cur = Polynomial.zero(), Polynomial.one()
     lead = Rat(1)
-    monic = monic_sequence(rr_system(params), 4)
+    monic = monic_sequence(rr_system(10), 4)
     for m in range(4):
-        A, B, C = _rr_raw(params.p, m)
+        A, B, C = rr_raw(Rat(10), m)
         nxt = (x.scale(A) + Polynomial([B])) * cur - prev.scale(C)
         prev, cur = cur, nxt
         lead = lead * A
         assert monic[m + 1] == cur.scale(1 / lead)
 
 
-def _direct_monicize(params, n):
-    """Step n >= 0 recomputed from the raw pieces at n and n-1, without the scan:
-    (b_{n+1}, a_n^2), or the error that ends the family at step n."""
-    A, B, C = _rr_raw(params.p, n)
-    if n == 0:
-        return -B / A, Rat(0)
-    b, a2 = monicize_step(A, B, C, _rr_raw(params.p, n - 1)[0])
-    if not a2 > 0:
-        raise DegreeBeyondFamily(f"a_{n}^2 = {a2} is not positive")
-    return b, a2
-
-
-def _outcome(fn, *args):
+def _outcome(p, n):
+    """``rr_raw_step(p, n)``, or its error as (type, message, index)."""
     try:
-        return fn(*args)
+        return rr_raw_step(p, n)
     except (DegreeBeyondFamily, ZeroDenominator) as exc:
         return type(exc), str(exc), getattr(exc, "index", None)
 
 
+def _stream_step(sys, n):
+    """(b_{n+1}, a_n^2) read from the streams, a_0^2 = 0."""
+    return sys.b_at(n + 1), sys.a2_at(n) if n else 0
+
+
 def test_rr_scan_matches_direct_route():
-    # the scan keeps b_1..b_{n_max}, a_1^2..a_{n_max-1}^2 and the error of step
-    # n_max; each equals what step n gives when recomputed on its own
+    # the closed forms serve b_1..b_{n_max} and a_1^2..a_{n_max-1}^2: each
+    # step below n_max equals the raw route's, which refuses at exactly
+    # n_max, for a vanishing factor or for a_n^2 <= 0
     ps = sorted({Rat(num, den) for den in (1, 2, 3, 4, 5, 7) for num in range(-30, 61)})
     assert len(ps) == 391
-    stops = set()
-    for p in ps:
-        params = RRParams(p)
-        assert (len(params.b), len(params.a2)) == (params.n_max, max(params.n_max - 1, 0))
-        for n in range(params.n_max):
-            want = (params.b[n], params.a2[n - 1] if n else 0)
-            assert _outcome(_direct_monicize, params, n) == want, (p, n)
-        err = params.stop_error
-        stops.add(type(err))
-        assert _outcome(_direct_monicize, params, params.n_max) == (
-            type(err), str(err), getattr(err, "index", None)), p
+    # p = 8189..8195 stop around the cap of 4096, and p = 8189/2..8195/2 at
+    # half of it
+    edges = [Rat(k, d) for d in (2, 1) for k in range(8189, 8196)]
+    stops, n_maxes = set(), []
+    for p in ps + edges:
+        sys = rr_system(p)
+        n_max = sys.b.stop
+        assert sys.a2.stop == max(n_max - 1, 0)
+        n_maxes.append(n_max)
+        for n in range(n_max):
+            assert _outcome(p, n) == _stream_step(sys, n), (p, n)
+        if n_max < 4096:
+            stop = _outcome(p, n_max)
+            assert stop[0] in (DegreeBeyondFamily, ZeroDenominator), (p, stop)
+            stops.add(stop[0])
     assert stops == {ZeroDenominator, DegreeBeyondFamily}
-
-
-def test_rr_stop_reason_is_not_compared():
-    assert RRParams(10) == RRParams(10)
-    assert repr(RRParams(10)).endswith(", n_max=4)")
+    assert n_maxes[-14:] == [2047, 2047, 2048, 2047, 2048, 2048, 2049,
+                             4094, 4094, 4095, 4095, 4096, 4096, 4096]
 
 
 def test_rr_scan_cap_agrees_with_system():
-    params = RRParams(10**5)
-    assert params.n_max == 4096 and params.stop_error is None
-    sys = rr_system(params)
-    assert (params.b[4095], params.a2[4094]) == (sys.b_at(4096), sys.a2_at(4095))
-    assert _direct_monicize(params, 4095) == (sys.b_at(4096), sys.a2_at(4095))
+    # no step below the cap of 4096 ends these families, so the streams stop
+    # at the cap; the raw route is read at steps 1, 2 and 4095 of the tall p
+    for p, steps in ((Rat(10**5), range(4096)), (Rat(int("9" * 4300)), (0, 1, 2, 4095))):
+        sys = rr_system(p)
+        assert (sys.b.stop, sys.a2.stop) == (4096, 4095)
+        for n in steps:
+            assert _outcome(p, n) == _stream_step(sys, n), (n,)
+        with pytest.raises(StreamExhausted):
+            sys.b_at(4097)
+        with pytest.raises(StreamExhausted):
+            sys.a2_at(4096)
+
+
+@pytest.mark.parametrize("p", ["30", "61/2", "100/3", "41"])
+def test_rr_moments_closed_form(p):
+    # the weight x^(-p) e^(-1/x) on (0, inf) has mu_k/mu_0 = Gamma(p-k-1)/Gamma(p-1)
+    # = 1/((p-2)(p-3)...(p-k-1)); the walk of moments(sys, k) reads the block
+    # of size (k+1)//2 + 1, served for every k <= 2 n_max - 2
+    sys = closed_form("routh_romanovski", p)
+    p = Rat(p)
+    want = Rat(1)
+    for k in range(2 * sys.b.stop - 1):
+        assert moments(sys, k) == want, k
+        want /= p - k - 2
+    assert k >= 26
     with pytest.raises(StreamExhausted):
-        sys.b_at(4097)
+        moments(sys, k + 1)
+
+
+def test_rr_rules_evaluate_only_what_is_read(monkeypatch):
+    # the window comes from the roots of the factors, not from a scan of the
+    # entries: an order-2 block of a 4300-digit p evaluates b_1, b_2 and a_1^2
+    reads, from_fn = [], CoeffStream.from_fn
+
+    def spy(fn, stop=None):
+        seen = []
+        reads.append(seen)
+        return from_fn(lambda n: seen.append(n) or fn(n), stop)
+
+    monkeypatch.setattr(CoeffStream, "from_fn", spy)
+    sys = closed_form("routh_romanovski", "9" * 4300)
+    assert (sys.b.stop, sys.a2.stop, reads) == (4096, 4095, [[], []])
+    sys.block(2)
+    assert reads == [[1, 2], [1]]
 
 
 def test_rr_subdiagonal_positive_inside_window():
-    params = RRParams(10)
-    assert len(params.a2) == 3
-    assert all(a2 > 0 for a2 in params.a2)
+    sys = rr_system(10)
+    assert sys.a2.stop == 3
+    assert all(sys.a2[n] > 0 for n in range(1, 4))
 
 
 # -- Christoffel-pair relations -------------------------------------------------------
