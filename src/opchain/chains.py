@@ -20,9 +20,9 @@ offsets ``_row`` gives as (i, j, k, l) in
     b_m = gamma_{2m+i} + gamma_{2m+j},     a_n^2 = gamma_{2n+k} gamma_{2n+l},
 
 and b_1 = gamma_r on the minimal branch.  ``_gamma_system`` builds each row
-as two pair rules (``CoeffStream.from_pairs``) over one cache of
-``GammaSeq._pair``: a row reads each gamma once in its lifetime, and a
-fault keeps the class, message and index of ``GammaSeq.at``.
+as two pair rules (``CoeffStream.from_pairs``) over the gamma's one cache
+``GammaSeq._pair``: every row shares it, and a fault, which is not cached,
+keeps the class, message and index of ``GammaSeq.at`` on every read.
 
 ``kernel_identity_check`` decides each of its items by comparing both
 sides at one point x = 2^B past the height of their difference
@@ -31,9 +31,8 @@ sides at one point x = 2^B past the height of their difference
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from math import gcd
 
 from .errors import (
@@ -53,44 +52,41 @@ from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _ste
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
 
+def _checked(gamma: CoeffStream, k: int):
+    """gamma[k], or NonPositiveGamma(k) if gamma_1 < 0 or gamma_k <= 0 for k >= 2, read
+    off the numerator: the exact type keeps denominators positive."""
+    v = gamma[k]
+    if k == 1:
+        if v.numerator < 0:
+            raise NonPositiveGamma(1, f"gamma_1 = {v} is negative")
+    elif v.numerator <= 0:
+        raise NonPositiveGamma(k, f"gamma_{k} = {v} is not positive")
+    return v
+
+
+def _checked_pair(gamma: CoeffStream, k: int) -> tuple[int, int]:
+    v = _checked(gamma, k)
+    return v.numerator, v.denominator
+
+
 @dataclass(frozen=True, eq=False)
 class GammaSeq:
     """gamma_1, gamma_2, ... with gamma_1 >= 0 and gamma_n > 0 for n >= 2.
 
     Positivity is validated on access so closed-form streams are usable.
-    ``_pair`` hands out a value vector's leading entries up to the first
-    that ``at`` refuses from ints stored at construction, others via ``at``.
+    ``_pair(k)`` is ``at(k)`` as (numerator, denominator) Python ints from
+    one cache built over the stream, not ``self``, so no reference cycle
+    forms; a fault is not cached, so it is raised again on each read.
     """
 
     gamma: CoeffStream
-    _nums: tuple = field(init=False, repr=False)
-    _dens: tuple = field(init=False, repr=False)
+    _pair: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        head = []
-        with suppress(NonPositiveGamma):
-            for k in range(1, (self.gamma.stop or 0) + 1):
-                head.append(self.at(k))
-        object.__setattr__(self, "_nums", tuple(v.numerator for v in head))
-        object.__setattr__(self, "_dens", tuple(v.denominator for v in head))
+        object.__setattr__(self, "_pair", cache(partial(_checked_pair, self.gamma)))
 
     def at(self, k: int):
-        # Signs are read off numerators: the exact type keeps the
-        # denominator positive, and a numerator test skips a rational compare.
-        v = self.gamma[k]
-        if k == 1:
-            if v.numerator < 0:
-                raise NonPositiveGamma(1, f"gamma_1 = {v} is negative")
-        elif v.numerator <= 0:
-            raise NonPositiveGamma(k, f"gamma_{k} = {v} is not positive")
-        return v
-
-    def _pair(self, k: int) -> tuple[int, int]:
-        """``at(k)`` as (numerator, denominator) Python ints, with its errors."""
-        if 0 < k <= len(self._nums):
-            return self._nums[k - 1], self._dens[k - 1]
-        v = self.at(k)
-        return v.numerator, v.denominator
+        return _checked(self.gamma, k)
 
     def window(self, lo: int, hi: int) -> list:
         return [self.at(k) for k in range(lo, hi + 1)]
@@ -240,9 +236,9 @@ def _row(word: str, minimal_branch: bool = False) -> tuple:
 def _gamma_system(gamma: GammaSeq, offsets: tuple) -> ThreeTermSystem:
     """The system b_m = gamma_{2m+i} + gamma_{2m+j}, a_n^2 = gamma_{2n+k} gamma_{2n+l}
     for offsets (i, j, k, l, b1); b1 = r replaces b_1 with gamma_r.
-    Its streams are the pair rules of ``_row_pairs`` over one cache of
-    ``GammaSeq._pair`` that lives as long as the row."""
-    diag, sub = _row_pairs(cache(gamma._pair), *offsets)
+    Its streams are the pair rules of ``_row_pairs`` over the gamma's cache
+    ``GammaSeq._pair``, which every row of the gamma shares."""
+    diag, sub = _row_pairs(gamma._pair, *offsets)
     return ThreeTermSystem(CoeffStream.from_pairs(diag), CoeffStream.from_pairs(sub))
 
 

@@ -207,7 +207,7 @@ def _block_heights(sys_, args):
 
 
 def _moment_heights(sys_, args):
-    yield moment_height(sys_, args.k)  # raises as moments(sys_, k) would, before the walk
+    return moment_height(sys_, args.k)
 
 
 # The limits on size flags, by (command, flag): each row is (cap, budget).
@@ -231,7 +231,7 @@ LIMITS = {
     # at a 4300-digit p over a 4300-digit q) at most 4.0 s and 167 MB
     ("convergent", "order"): (4096, (4, 3, 53, _block_heights)),
     # 1.8 s at the cap, 2.9 s at k = 2500.  H is that of the walk's integers
-    # (``moment_height``); along the boundary at most 3.5 s
+    # (``moment_height``), whose lcm bits come first; along the boundary at most 3.5 s
     ("moments", "k"): (2048, (3, 2, 43, _moment_heights)),
     ("zeros", "n"): (2000, None),  # 3.4 s and 18 MB, quadratic in n
     # lu and family read an order-n block.  Along their boundaries, up to the

@@ -46,7 +46,7 @@ def tilde_system(gamma: GammaSeq) -> ThreeTermSystem:
     gamma_1 = 0 is a hard error: the construction's hypothesis fails and the
     leading polynomial x - gamma_1 would degenerate to x.
     """
-    if gamma.at(1) == 0:
+    if gamma._pair(1)[0] == 0:
         raise Gamma1Zero("tilde construction requires gamma_1 > 0")
     return _gamma_system(gamma, _row("W", minimal_branch=True))
 
@@ -58,7 +58,7 @@ def hat_system(gamma: GammaSeq) -> ThreeTermSystem:
     gamma_1 = 0 is DegenerateFavard: the first subdiagonal entry
     a_1^2 = gamma_1 gamma_4 would vanish.
     """
-    if gamma.at(1) == 0:
+    if gamma._pair(1)[0] == 0:
         raise DegenerateFavard("hat system has a_1^2 = gamma_1*gamma_4 = 0")
     return _gamma_system(gamma, _row("W"))
 
@@ -95,7 +95,7 @@ def u_system(gamma: GammaSeq) -> ThreeTermSystem:
     A gamma_3 or gamma_4 that is not positive raises NonPositiveGamma here,
     at construction: then a_1^2 <= 0 and the recurrence defines no
     orthogonal family."""
-    gamma.at(3), gamma.at(4)
+    gamma._pair(3), gamma._pair(4)
     return _gamma_system(gamma, _row("S", minimal_branch=True))
 
 

@@ -319,22 +319,24 @@ def _relations_hold(relations) -> list[bool]:
 # -- moments ------------------------------------------------------------------
 
 
-def _moment_block(sys: ThreeTermSystem, k: int) -> tuple[int, list, list]:
-    """(L, L*b_1..L*b_size, L*a_1^2..L*a_{size-1}^2 and a 0) for the walk of
-    ``moments(sys, k)``, L the lcm of the block's denominators."""
+def _moment_block(sys: ThreeTermSystem, k: int) -> tuple[list, list]:
+    """The pairs of b_1..b_size and a_1^2..a_{size-1}^2 that ``moments(sys, k)`` walks."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    diag, sub = sys._block_pairs((k + 1) // 2 + 1)
-    L = lcm(*[q for _, q in diag + sub])
-    return L, [p * (L // q) for p, q in diag], [p * (L // q) for p, q in sub] + [0]
+    return sys._block_pairs((k + 1) // 2 + 1)
 
 
-def moment_height(sys: ThreeTermSystem, k: int) -> int:
-    """The bits H of L plus the most bits of an entry of L*J, for the walk
-    of ``moments(sys, k)``, with its reads and errors.  The walk's time grows
-    as k^3 at fixed H and faster than linearly in H."""
-    L, diag, sub = _moment_block(sys, k)
-    return L.bit_length() + max(abs(v).bit_length() for v in diag + sub)
+def moment_height(sys: ThreeTermSystem, k: int):
+    """Yields, once the block of ``moments(sys, k)`` is read with its errors, the
+    bits of the lcm of its first j denominators (b, then a2) for each j, then H:
+    the bits of L, the lcm of all, plus the most bits of an entry of L*J.  None
+    exceeds H.  The walk's time grows as k^3 at fixed H, faster than linearly in H."""
+    entries = [pair for part in _moment_block(sys, k) for pair in part]
+    L = 1
+    for _, q in entries:
+        L = lcm(L, q)
+        yield L.bit_length()
+    yield L.bit_length() + max(abs(p * (L // q)).bit_length() for p, q in entries)
 
 
 def block_heights(sys: ThreeTermSystem, n: int):
@@ -364,7 +366,9 @@ def moments(sys: ThreeTermSystem, k: int):
     further than k - t - 1 below it cannot climb back in the steps left, so
     step t computes rows 0..min(t + 1, k - t - 1, size - 1) of the vector.
     """
-    L, diag, sub = _moment_block(sys, k)
+    diag, sub = _moment_block(sys, k)
+    L = lcm(*[q for _, q in diag + sub])
+    diag, sub = [p * (L // q) for p, q in diag], [p * (L // q) for p, q in sub] + [0]
     size = len(diag)
     row = [1]
     for t in range(k):

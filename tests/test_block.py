@@ -5,7 +5,9 @@ readers shared ``ThreeTermSystem.block``; a single fault in the window is
 reported the same way by every reader.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -296,9 +298,10 @@ def test_q_system_reads_each_gamma_once():
 
 # -- every integer-pair reader, on value-backed and rule-backed streams ------------
 #
-# A value stream hands out its stored integers and a rule's value is split on
-# read; either way a reader's pairs must be ``_pairs`` of the rationals the
-# streams give, and a fault must be the one the rational read meets first.
+# A value stream splits its stored rational on read, as a rule splits the
+# value it gives; either way a reader's pairs must be ``_pairs`` of the
+# rationals the streams give, and a fault must be the one the rational read
+# meets first.
 
 
 def _rule_copy(stream: CoeffStream) -> CoeffStream:
@@ -401,8 +404,8 @@ def test_a_row_reads_each_gamma_once_in_its_lifetime(row):
     # every reader of one row shares its gamma reads, rational and integer alike
     vals = list(random_gamma(random.Random(7), 40).gamma.window(1, 40))
     reads = Counter()
+    # tilde, hat and u check a gamma at construction, through the same pairs
     sys_ = _GAMMA_ROWS[row][0](GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
-    reads.clear()  # tilde, hat and u check a gamma at construction, before the row
     sys_.block(8)
     sys_._block_pairs(8)
     for m in range(1, 9):
@@ -445,37 +448,102 @@ def test_gamma_pair_is_at_split(gamma, copy):
             assert all(type(v) is int for v in got), (gamma, k)
 
 
-def test_gamma_pairs_are_stored_up_to_the_first_refused_entry():
-    # (values, length of the leading run that ``at`` accepts)
-    cases = [([0, Rat(1, 2), 3, 4], 4), ([Rat(-1, 2), 2], 0), ([1, 0, 3], 1),
-             ([1, 2, Rat(-3, 2), 4, 5], 2), ([], 0)]
-    for vals, head in cases:
+_STORE_CASES = [[0, Rat(1, 2), 3, 4], [Rat(-1, 2), 2], [1, 0, 3], [1, 2, Rat(-3, 2), 4, 5], []]
+
+
+def test_gamma_pairs_are_stored_as_they_are_accepted():
+    # nothing is read at construction, and each accepted entry is read from
+    # the stream once, whatever precedes it
+    for vals in _STORE_CASES:
+        stream = _CountingValues(values=vals)
+        stream.reads = 0
+        g = GammaSeq(stream)
+        assert stream.reads == 0, vals
+        for k in range(len(vals) + 2):
+            want = _outcome(lambda: _split_at(g, k))
+            if len(want) == 2:
+                stream.reads = 0
+                assert [g._pair(k), g._pair(k)] == [want, want], (vals, k)
+                assert stream.reads == 1, (vals, k)
+    reads = Counter()
+    g = GammaSeq.from_fn(lambda k: reads.update([k]) or Rat(k))
+    assert [g._pair(k) for k in (1, 2, 1)] == [(1, 1), (2, 1), (1, 1)]
+    assert reads == Counter({1: 1, 2: 1})
+
+
+def test_a_refused_gamma_index_raises_on_every_read():
+    # a fault is not stored: every read meets it in the stream again, with the
+    # class, message and index of ``at``, and so does every read of a row
+    for vals in _STORE_CASES:
         stream = _CountingValues(values=vals)
         stream.reads = 0
         g = GammaSeq(stream)
         for k in range(len(vals) + 2):
             want = _outcome(lambda: _split_at(g, k))
-            stream.reads = 0
-            assert _outcome(lambda: g._pair(k)) == want, (vals, k)
-            # a stored pair is handed out without a read of the stream
-            assert (stream.reads == 0) == (0 < k <= head), (vals, k)
+            if len(want) == 3:
+                for _ in range(3):
+                    stream.reads = 0
+                    assert _outcome(lambda: g._pair(k)) == want, (vals, k)
+                    assert stream.reads == 1, (vals, k)
+    g = GammaSeq.from_values(_PARITY_GAMMAS["bad5"])
+    sys_ = system_from_gamma(g)
+    want = _outcome(lambda: g.at(5))
+    assert [_outcome(lambda: sys_.block(4)) for _ in range(3)] == [want] * 3
+    assert [_outcome(lambda: kernel_system(g).block(4)) for _ in range(3)] == [want] * 3
+
+
+def _read_every_row_and_check(g):
+    """Read all of ``_GAMMA_ROWS`` and both gamma checks of ``g`` to order 8."""
+    for make, _ in _GAMMA_ROWS.values():
+        sys_ = make(g)
+        sys_.block(8)
+        sys_._block_pairs(8)
+        monic_sequence(sys_, 8)
+        associated_sequence(sys_, 8)
+    assert swap_split_check(g, 8).ok and kernel_identity_check(g, 8).ok
+
+
+def test_every_row_and_check_of_a_gamma_share_its_pairs():
+    # across all the rows of one gamma and the split and kernel checks, each
+    # entry is read from the stream at most once
+    vals = list(random_gamma(random.Random(8), 40).gamma.window(1, 40))
     reads = Counter()
-    g = GammaSeq.from_fn(lambda k: reads.update([k]) or Rat(k))
-    assert [g._pair(k) for k in (1, 2, 1)] == [(1, 1), (2, 1), (1, 1)]
-    assert reads == Counter({1: 2, 2: 1})  # a rule gamma stores nothing
+    _read_every_row_and_check(GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    assert sorted(reads) == list(range(1, 19)) and max(reads.values()) == 1, reads
+
+
+def test_a_dropped_gamma_is_freed_without_the_collector():
+    # the pair cache makes no reference cycle through the gamma, so reference
+    # counting frees a gamma, and its rows, once the last reference goes
+    vals = list(random_gamma(random.Random(9), 40).gamma.window(1, 40))
+    gc.disable()
+    try:
+        for make in (GammaSeq.from_values, lambda v: GammaSeq.from_fn(lambda k: v[k - 1])):
+            g = make(vals)
+            _read_every_row_and_check(g)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("row", sorted(_GAMMA_ROWS))
 def test_rows_index_an_admissible_stored_gamma(row):
-    # a value gamma with no fault is read from its integer tuples, not entry by entry
-    # (bad16 has gamma_16 = 0, inside the window every row's order-8 block spans)
+    # once a gamma's pairs are stored, by any reader, a row reads its block
+    # from them and not from the stream; a refused entry is not stored, so
+    # each read of the block reads it again (bad16 has gamma_16 = 0, inside
+    # the window every row's order-8 block spans)
     make, offsets = _GAMMA_ROWS[row]
-    for gamma, direct in (("random0", True), ("bad16", False)):
+    for gamma, rereads in (("random0", 0), ("bad16", 1)):
         stream = _CountingValues(values=_PARITY_GAMMAS[gamma])
         stream.reads = 0
         g = GammaSeq(stream)
-        sys_ = make(g)
         want = _outcome(lambda: tuple(_pairs(w) for w in _reference_row(g, offsets).block(8)))
+        for k in range(1, 25):
+            _outcome(lambda: g._pair(k))
         stream.reads = 0
-        assert _outcome(lambda: sys_._block_pairs(8)) == want
-        assert (stream.reads == 0) == direct, gamma
+        sys_ = make(g)
+        for _ in range(2):
+            assert _outcome(lambda: sys_._block_pairs(8)) == want
+        assert stream.reads == 2 * rereads, gamma

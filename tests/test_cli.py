@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 from unittest import mock
@@ -642,38 +643,40 @@ _LOW_GAMMA = ",".join(map(str, range(1, 803)))  # gamma_k = k, to order 400
 # each budget row of the limits table: the argv that ends in its flag on tall
 # entries, the work its command reaches past the budget (stubbed, as the real
 # one takes seconds; it is handed the size last), the boundary size there,
-# the height and budget its refusal names, the runaway input that the row
+# the height and budget its refusal names, the runaway inputs that the row
 # refuses, and argvs of low entries that end in the flag and run up to its cap
 _BUDGETED = {
     ("convergent", "n"): (
         ("convergent", "--family", "laguerre", "--alpha", _TALL, "--n"), "convergent",
         3, 14287, "n^4 H^3 <= 2^49",
-        ("convergent", "--family", "laguerre", "--alpha", "9" * 1000, "--n", "64"),
+        [("convergent", "--family", "laguerre", "--alpha", "9" * 1000, "--n", "64")],
         [("convergent", "--family", "laguerre", "--alpha", "0", "--n")]),
     ("convergent", "order"): (
         ("convergent", "--family", "laguerre", "--alpha", _TALL, "--n", "1", "--order"),
         "laurent_expand", 7, 14286, "order^4 H^3 <= 2^53",
-        ("convergent", "--family", "laguerre", "--alpha", "0", "--n", "512", "--order", "4096"),
+        [("convergent", "--family", "laguerre", "--alpha", "0", "--n", "512", "--order", "4096")],
         [("convergent", "--family", "laguerre", "--alpha", "0", "--n", "1", "--order")]),
     ("moments", "k"): (
         ("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k"), "moments",
         170, 1337, "k^3 H^2 <= 2^43",
-        ("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"),
+        [("moments", "--family", "laguerre", "--alpha", "9" * 400, "--k", "400"),
+         # a tall routh_romanovski p, whose whole block's H runs to millions of bits
+         ("moments", "--family", "routh_romanovski", "--p", _TALL, "--k", "160")],
         [("moments", "--family", "laguerre", "--alpha", alpha, "--k") for alpha in ("0", "7/3")]),
     ("lu", "n"): (
         ("lu", "--family", "laguerre", "--alpha", _TALL, "--n"), "truncate",
         3552, 14298, "n^2 H^3 <= 2^65",
-        ("lu", "--family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4)),
+        [("lu", "--family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4))],
         [("lu", "--family", "laguerre", "--alpha", alpha, "--n") for alpha in ("0", "7/3")]),
     ("family", "n"): (
         ("family", "laguerre", "--alpha", _TALL, "--n"), "gamma_from_system",
         628, 14295, "n^2 H^3 <= 2^60",
-        ("family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4)),
+        [("family", "laguerre", "--alpha", _TALL, "--n", str(10 ** 4))],
         [("family", "laguerre", "--alpha", alpha, "--n") for alpha in ("0", "7/3")]),
     ("perturb", "n"): (
         ("perturb", "--variant", "tilde", "--gamma", _TALL_GAMMA, "--n"), "monic_sequence",
         13, 6645, "n^5 H^3 <= 2^57",
-        ("perturb", "--variant", "tilde", "--gamma", _TALL_GAMMA, "--n", "100"),
+        [("perturb", "--variant", "tilde", "--gamma", _TALL_GAMMA, "--n", "100")],
         [("perturb", "--variant", "tilde", "--gamma", _LOW_GAMMA, "--n")]),
 }
 
@@ -682,7 +685,7 @@ _BUDGETED = {
 def test_block_height_budget(capsys, monkeypatch, key):
     # over the budget a command is refused before its work; at the boundary,
     # and for low entries at the cap, the work (stubbed) is reached
-    head, work, size, bits, budget, runaway, low = _BUDGETED[key]
+    head, work, size, bits, budget, runaways, low = _BUDGETED[key]
     flag = key[1]
     reached = []
 
@@ -695,7 +698,11 @@ def test_block_height_budget(capsys, monkeypatch, key):
     assert (code, out, reached) == (2, "", [])
     assert err == (f"error: ValueError: --{flag} {size + 1} over entries of {bits} bits is "
                    f"above the budget {budget}\n")
-    assert run(capsys, *runaway)[0] == 2 and reached == []
+    for runaway in runaways:
+        # refused at the first height over the budget, which is near that of one entry
+        code, out, err = run(capsys, *runaway)
+        assert (code, out, reached) == (2, "", [])
+        assert int(re.search(r"over entries of (\d+) bits", err)[1]) < 20_000, err
     cap = cli.LIMITS[key][0]
     for argv in [(*head, str(size)), *((*h, str(cap)) for h in low)]:
         with pytest.raises(_Reached):

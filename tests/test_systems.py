@@ -385,24 +385,49 @@ def test_band_walk_matches_the_full_walk(label, sys):
         assert type(got) is tuple or type(got) is Rat, (label, k)
 
 
+def _whole_block_height(sys, k):
+    """H of the walk of ``moments(sys, k)``, from the whole block at once: the
+    bits of L, the lcm of its denominators, plus those of the tallest entry of L*J."""
+    size = (k + 1) // 2 + 1
+    entries = [pair for part in sys._block_pairs(size) for pair in part]
+    L = math.lcm(*[q for _, q in entries])
+    return L.bit_length() + max(abs(p * (L // q)).bit_length() for p, q in entries)
+
+
 @pytest.mark.parametrize("label, sys", _MOMENT_SYSTEMS, ids=[label for label, _ in _MOMENT_SYSTEMS])
 def test_moment_height_reads_as_the_walk(label, sys):
-    # the same reads and the same first fault as ``moments``, at every order
+    # the same reads and the same first fault as ``moments``, at every order;
+    # the last height is the whole block's H, and none before it exceeds it
     for k in range(-1, 42):
-        got = _outcome(lambda: moment_height(sys, k))
+        got = _outcome(lambda: list(moment_height(sys, k)))
         want = _outcome(lambda: moments(sys, k))
-        assert type(got) is int if type(want) is Rat else got == want, (label, k)
+        if type(want) is not Rat:
+            assert got == want, (label, k)
+            continue
+        assert all(type(h) is int for h in got), (label, k)
+        assert got[-1] == _whole_block_height(sys, k), (label, k)
+        assert max(got) == got[-1], (label, k)
 
 
 def test_moment_height_is_that_of_the_walks_integers():
     # Laguerre alpha = 0 at k = 4 reads b = 1, 3, 5 and a2 = 1, 4: L = 1
-    assert moment_height(LAG0, 4) == 1 + 3
-    # L = lcm(2, 3, 5) = 30, L*J holds 15, 10 and 6
-    assert moment_height(ThreeTermSystem.from_values(["1/2", "1/3"], ["1/5"]), 2) == 5 + 4
+    assert list(moment_height(LAG0, 4)) == [1] * 5 + [1 + 3]
+    # L = lcm(2, 3, 5) = 30, L*J holds 15, 10 and 6; the lcms run 2, 6, 30
+    heights = moment_height(ThreeTermSystem.from_values(["1/2", "1/3"], ["1/5"]), 2)
+    assert list(heights) == [2, 3, 5, 5 + 4]
     # distinct denominators make L, and so the walk, tall where no entry is
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     sys = ThreeTermSystem.from_values([Rat(1, p) for p in primes], [1] * 10)
-    assert moment_height(sys, 20) > math.prod(primes).bit_length()
+    assert list(moment_height(sys, 20))[-1] > math.prod(primes).bit_length()
+
+
+def test_moment_height_reads_the_block_before_its_first_height():
+    # a fault anywhere in the block comes before any height, as in ``moments``
+    sys = ThreeTermSystem.from_values(["1/2", "1/3", "1/5"], ["1/7", "-1"])
+    heights = moment_height(sys, 4)
+    with pytest.raises(OpchainError) as exc:
+        next(heights)
+    assert _outcome(lambda: moments(sys, 4)) == (type(exc.value).__name__, str(exc.value), 2)
 
 
 def test_block_heights_are_the_blocks_from_the_top():
