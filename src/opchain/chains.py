@@ -21,8 +21,8 @@ offsets ``_row`` gives as (i, j, k, l) in
 
 and b_1 = gamma_r on the minimal branch.  ``_gamma_system`` builds each row
 as two pair rules (``CoeffStream.from_pairs``) over the gamma's one cache
-``GammaSeq._pair``: every row shares it, and a fault, which is not cached,
-keeps the class, message and index of ``GammaSeq.at`` on every read.
+``GammaSeq._pair``, which ``GammaSeq.at`` reads too: all of them share it, and
+a fault, which is not cached, keeps its class, message and index on every read.
 
 ``kernel_identity_check`` decides each of its items by comparing both
 sides at one point x = 2^B past the height of their difference
@@ -46,27 +46,22 @@ from .errors import (
     PositivityBreak,
 )
 from .scalars import ZERO, Rat, coerce_exact, exact_tuple, format_scalar
-from .streams import CoeffStream
+from .streams import CoeffStream, _split
 from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps
 
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
 
-def _checked(gamma: CoeffStream, k: int):
-    """gamma[k], or NonPositiveGamma(k) if gamma_1 < 0 or gamma_k <= 0 for k >= 2, read
-    off the numerator: the exact type keeps denominators positive."""
-    v = gamma[k]
-    if k == 1:
-        if v.numerator < 0:
-            raise NonPositiveGamma(1, f"gamma_1 = {v} is negative")
-    elif v.numerator <= 0:
-        raise NonPositiveGamma(k, f"gamma_{k} = {v} is not positive")
-    return v
-
-
 def _checked_pair(gamma: CoeffStream, k: int) -> tuple[int, int]:
-    v = _checked(gamma, k)
-    return v.numerator, v.denominator
+    """gamma_k as its pair, or NonPositiveGamma(k) if gamma_1 < 0 or gamma_k <= 0
+    for k >= 2, read off the numerator: streams keep denominators positive."""
+    p, q = gamma._pair(k)
+    if k == 1:
+        if p < 0:
+            raise NonPositiveGamma(1, f"gamma_1 = {Rat(p, q)} is negative")
+    elif p <= 0:
+        raise NonPositiveGamma(k, f"gamma_{k} = {Rat(p, q)} is not positive")
+    return p, q
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +69,10 @@ class GammaSeq:
     """gamma_1, gamma_2, ... with gamma_1 >= 0 and gamma_n > 0 for n >= 2.
 
     Positivity is validated on access so closed-form streams are usable.
-    ``_pair(k)`` is ``at(k)`` as (numerator, denominator) Python ints from
-    one cache built over the stream, not ``self``, so no reference cycle
-    forms; a fault is not cached, so it is raised again on each read.
+    ``_pair(k)`` is gamma_k as (numerator, denominator) Python ints from one
+    cache built over the stream, not ``self``, so no reference cycle forms;
+    a fault is not cached, so it is raised again on each read.  ``at(k)`` is
+    ``Rat(*_pair(k))``, so every read of gamma_k goes through that cache.
     """
 
     gamma: CoeffStream
@@ -86,7 +82,7 @@ class GammaSeq:
         object.__setattr__(self, "_pair", cache(partial(_checked_pair, self.gamma)))
 
     def at(self, k: int):
-        return _checked(self.gamma, k)
+        return Rat(*self._pair(k))
 
     def window(self, lo: int, hi: int) -> list:
         return [self.at(k) for k in range(lo, hi + 1)]
@@ -97,7 +93,7 @@ class GammaSeq:
 
     @classmethod
     def from_fn(cls, fn) -> "GammaSeq":
-        return cls(CoeffStream.from_fn(fn))
+        return cls(CoeffStream(pairs=_split(fn)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ It serves the steps n < n_max <= 4096: n_max is the first step at which a
 factor p-2n, p-2n-1, p-2n-2 or p-n-1 vanishes or a_n^2 <= 0, and 4096 if
 none below it does.
 
-All parameters are exact rationals, so family identities (gamma recovery,
+Each closed form is a pair rule (``CoeffStream.from_pairs``) of reduced pairs built
+from the integers of its exact parameter, so family identities (gamma recovery,
 kernel shifts, complementary systems) are testable with zero tolerance.
 """
 
@@ -29,8 +30,9 @@ from .systems import ThreeTermSystem
 def _alpha_pair(alpha):
     """Numerator and denominator of an exact alpha > -1.
 
-    The closed forms build each entry as one rational from these integers,
-    e.g. b_n = 2n + alpha - 1 = ((2n - 1) q + p) / q for alpha = p/q.
+    The closed forms build each entry as one pair from these integers,
+    e.g. b_n = 2n + alpha - 1 = ((2n - 1) q + p) / q for alpha = p/q; a pair
+    (k q + p, q) with k an integer is reduced, since gcd(k q + p, q) = gcd(p, q).
     """
     alpha = coerce_exact(alpha)
     if not alpha > -1:
@@ -38,13 +40,19 @@ def _alpha_pair(alpha):
     return alpha.numerator, alpha.denominator
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den as a reduced pair with a positive denominator, as ``Rat`` keeps it."""
+    c = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // c, den // c
+
+
 def laguerre_system(alpha) -> ThreeTermSystem:
     """Monic generalized Laguerre recurrence: b_n = 2n + alpha - 1,
     a_n^2 = n(n + alpha), valid for alpha > -1."""
     p, q = _alpha_pair(alpha)
     return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: Rat((2 * n - 1) * q + p, q)),
-        CoeffStream.from_fn(lambda n: Rat(n * (n * q + p), q)),
+        CoeffStream.from_pairs(lambda n: ((2 * n - 1) * q + p, q)),
+        CoeffStream.from_pairs(lambda n: _reduced(n * (n * q + p), q)),
     )
 
 
@@ -57,8 +65,8 @@ def e_family_system(alpha) -> ThreeTermSystem:
     """
     p, q = _alpha_pair(alpha)
     return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: Rat(2 * n * q + p, q)),
-        CoeffStream.from_fn(lambda n: Rat((n + 1) * (n * q + p), q)),
+        CoeffStream.from_pairs(lambda n: (2 * n * q + p, q)),
+        CoeffStream.from_pairs(lambda n: _reduced((n + 1) * (n * q + p), q)),
     )
 
 
@@ -76,16 +84,9 @@ def laguerre_gamma(alpha, gamma1: int) -> GammaSeq:
     p, q = _alpha_pair(alpha)
     if gamma1 not in (0, 1):
         raise ValueError("gamma1 must be 0 or 1")
-    shift = gamma1  # odd entries: n (+1 on the shifted branch)
-
-    def fn(k: int):
-        if k == 1:
-            return Rat(gamma1)
-        if k % 2 == 0:
-            return Rat(k // 2 * q + p, q)
-        return Rat((k - 1) // 2 + shift)
-
-    return GammaSeq.from_fn(fn)
+    # gamma_{2n+1} = n + gamma1 holds at n = 0 as well
+    return GammaSeq(CoeffStream.from_pairs(
+        lambda k: ((k - 1) // 2 + gamma1, 1) if k % 2 else (k // 2 * q + p, q)))
 
 
 # -- finite inverse-Laguerre class ------------------------------------------------
@@ -111,21 +112,21 @@ def _rr_window(p) -> int:
 
 
 def rr_system(p) -> ThreeTermSystem:
-    """The finite class of the module docstring at parameter p: lazy rules
-    that stop at b_{n_max} and a_{n_max-1}^2, evaluated only where read."""
+    """The finite class of the module docstring at parameter p: lazy pair
+    rules that stop at b_{n_max} and a_{n_max-1}^2, evaluated only where read."""
     p = coerce_exact(p)
     n_max = _rr_window(p)
     P, Q = p.numerator, p.denominator
 
+    def b(n):
+        return _reduced(P * Q, (P - 2 * (n - 1) * Q) * (P - 2 * n * Q))
+
     def a2(n):
         d = P - 2 * n * Q
-        return Rat(n * (P - n * Q) * Q ** 3, d * d * (d * d - Q * Q))
+        return _reduced(n * (P - n * Q) * Q ** 3, d * d * (d * d - Q * Q))
 
-    return ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: Rat(P * Q, (P - 2 * (n - 1) * Q) * (P - 2 * n * Q)),
-                            stop=n_max),
-        CoeffStream.from_fn(a2, stop=max(n_max - 1, 0)),
-    )
+    return ThreeTermSystem(CoeffStream.from_pairs(b, stop=n_max),
+                           CoeffStream.from_pairs(a2, stop=max(n_max - 1, 0)))
 
 
 #: Closed-form families by name: (parameter, constructor, default gamma_1).

@@ -32,6 +32,7 @@ from .chains import (
 from .families import FAMILIES, closed_form, laguerre_gamma, laguerre_system
 from .jacobi import lu_factor, truncate, ul_product
 from .scalars import Rat, format_scalar
+from .streams import CoeffStream
 from .systems import (
     associated_sequence,
     laurent_expand,
@@ -272,7 +273,8 @@ def suite_moments(seed=0, samples=0, n=8, corrupt=False) -> SuiteReport:
     """Convergent expansions match the walked moments; factorial oracle."""
     rep = SuiteReport("moments", seed, samples)
     systems = [_family(*row) for row in _MOMENT_SYSTEMS]
-    systems.append(("gamma 1,2,3,...", system_from_gamma(GammaSeq.from_fn(lambda k: Rat(k)))))
+    naturals = GammaSeq(CoeffStream.from_pairs(lambda k: (k, 1)))
+    systems.append(("gamma 1,2,3,...", system_from_gamma(naturals)))
     for name, sys in systems:
         mus = [moments(sys, k) for k in range(2 * n)]
         nums, dens = associated_sequence(sys, n), monic_sequence(sys, n)

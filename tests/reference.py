@@ -100,6 +100,40 @@ def swapped_nu(gamma: GammaSeq, N: int) -> CoeffStream:
     return CoeffStream.from_values(vals)
 
 
+def closed_form_values(name: str, value):
+    """Value rules (b, a2) of the ``families`` closed form ``name`` at its
+    exact parameter: each entry one rational built from the parameter's
+    integers.  The library serves the same entries as reduced pairs."""
+    p, q = value.numerator, value.denominator
+    if name == "laguerre":
+        return lambda n: Rat((2 * n - 1) * q + p, q), lambda n: Rat(n * (n * q + p), q)
+    if name == "e_family":
+        return lambda n: Rat(2 * n * q + p, q), lambda n: Rat((n + 1) * (n * q + p), q)
+    if name == "routh_romanovski":
+
+        def a2(n):
+            d = p - 2 * n * q
+            return Rat(n * (p - n * q) * q ** 3, d * d * (d * d - q * q))
+
+        return lambda n: Rat(p * q, (p - 2 * (n - 1) * q) * (p - 2 * n * q)), a2
+    raise KeyError(name)
+
+
+def laguerre_gamma_values(alpha, gamma1: int):
+    """Value rule of ``families.laguerre_gamma(alpha, gamma1)``: gamma_1,
+    then gamma_{2n} = n + alpha and gamma_{2n+1} = n + gamma1."""
+    p, q = alpha.numerator, alpha.denominator
+
+    def fn(k: int):
+        if k == 1:
+            return Rat(gamma1)
+        if k % 2 == 0:
+            return Rat(k // 2 * q + p, q)
+        return Rat((k - 1) // 2 + gamma1)
+
+    return fn
+
+
 def rr_raw(p, n: int):
     """Raw recurrence pieces (A_n, B_n, C_n) of ``families.rr_system`` in the
     non-monic form N_{n+1} = (A_n x + B_n) N_n - C_n N_{n-1}."""

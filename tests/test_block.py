@@ -9,6 +9,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
@@ -41,11 +42,12 @@ from opchain import (
     wall_sppcs_test,
     zeros_with_brackets,
     cli,
+    verify,
 )
 from opchain.chains import WallVerdict
 from opchain.chains import _gamma_system
 from opchain.errors import StreamExhausted
-from opchain.perturb import quasi_holds
+from opchain.perturb import quasi_holds, quasi_sides
 from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
@@ -453,17 +455,17 @@ _STORE_CASES = [[0, Rat(1, 2), 3, 4], [Rat(-1, 2), 2], [1, 0, 3], [1, 2, Rat(-3,
 
 def test_gamma_pairs_are_stored_as_they_are_accepted():
     # nothing is read at construction, and each accepted entry is read from
-    # the stream once, whatever precedes it
+    # the stream once, whatever precedes it, by ``at`` and ``_pair`` together
     for vals in _STORE_CASES:
         stream = _CountingValues(values=vals)
         stream.reads = 0
         g = GammaSeq(stream)
         assert stream.reads == 0, vals
         for k in range(len(vals) + 2):
+            stream.reads = 0
             want = _outcome(lambda: _split_at(g, k))
             if len(want) == 2:
-                stream.reads = 0
-                assert [g._pair(k), g._pair(k)] == [want, want], (vals, k)
+                assert [g._pair(k), g._pair(k), _split_at(g, k)] == [want] * 3, (vals, k)
                 assert stream.reads == 1, (vals, k)
     reads = Counter()
     g = GammaSeq.from_fn(lambda k: reads.update([k]) or Rat(k))
@@ -493,7 +495,8 @@ def test_a_refused_gamma_index_raises_on_every_read():
 
 
 def _read_every_row_and_check(g):
-    """Read all of ``_GAMMA_ROWS`` and both gamma checks of ``g`` to order 8."""
+    """Read all of ``_GAMMA_ROWS``, both gamma checks and every reader of
+    ``GammaSeq.at`` of ``g`` to order 8; the gccs suite runs on ``g`` alone."""
     for make, _ in _GAMMA_ROWS.values():
         sys_ = make(g)
         sys_.block(8)
@@ -501,15 +504,21 @@ def _read_every_row_and_check(g):
         monic_sequence(sys_, 8)
         associated_sequence(sys_, 8)
     assert swap_split_check(g, 8).ok and kernel_identity_check(g, 8).ok
+    lhs, rhs = quasi_sides(g, g, 8)
+    assert lhs == rhs and all(quasi_holds(g, g, 8))
+    kernel_invariance_condition(g, 8)
+    parameters_from_gamma(g, 8)
+    with patch.object(verify, "random_gamma", lambda rng, length: g):
+        assert verify.suite_gccs(samples=1, n=8).ok  # with its closed-form line
 
 
 def test_every_row_and_check_of_a_gamma_share_its_pairs():
-    # across all the rows of one gamma and the split and kernel checks, each
-    # entry is read from the stream at most once
+    # across all the rows of one gamma, the split and kernel checks and the
+    # readers of ``at``, each entry is read from the stream at most once
     vals = list(random_gamma(random.Random(8), 40).gamma.window(1, 40))
     reads = Counter()
     _read_every_row_and_check(GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
-    assert sorted(reads) == list(range(1, 19)) and max(reads.values()) == 1, reads
+    assert sorted(reads) == list(range(1, 21)) and max(reads.values()) == 1, reads
 
 
 def test_a_dropped_gamma_is_freed_without_the_collector():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from opchain import (
@@ -24,13 +26,15 @@ from opchain.errors import (
     NonPositiveInput,
     StreamExhausted,
 )
-from opchain.families import closed_form
+from opchain.families import FAMILIES, closed_form
 from opchain.streams import CoeffStream
 from opchain.systems import _pairs
 
 from reference import (
     DegreeBeyondFamily,
     ZeroDenominator,
+    closed_form_values,
+    laguerre_gamma_values,
     monicize_step,
     rr_raw,
     rr_raw_step,
@@ -82,9 +86,10 @@ def test_laguerre_gamma_matches_recovery():
 
 # alpha > -1 of each sign, an integer, a fraction, and one of 400 digits
 _ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3), Rat(int("7" * 400), 3**41))
+_ALPHA_IDS = ["-1/2", "0", "1", "7/3", "400 digits"]
 
 
-@pytest.mark.parametrize("alpha", _ALPHAS, ids=["-1/2", "0", "1", "7/3", "400 digits"])
+@pytest.mark.parametrize("alpha", _ALPHAS, ids=_ALPHA_IDS)
 def test_closed_forms_equal_the_rational_formulas(alpha):
     # each entry is one rational built from alpha's integers; it must be the
     # value, and the type, of the rational formula it stands for
@@ -105,6 +110,32 @@ def test_closed_forms_equal_the_rational_formulas(alpha):
                                 for k in range(2, 121)]
         assert got == want
         assert all(type(v) is Rat for v in got)
+
+
+def _assert_reduced_pairs_of(stream, fn, upto):
+    """stream's entries 1..upto are reduced pairs, with a positive
+    denominator, of the reference values fn(n), and read as them."""
+    for n in range(1, upto + 1):
+        num, den = pair = stream._pair(n)
+        assert type(num) is int and type(den) is int and den > 0, n
+        assert gcd(num, den) == 1 and Rat(*pair) == fn(n) == stream[n], n
+
+
+@pytest.mark.parametrize("name, value", [
+    *(pytest.param(name, alpha, id=f"{name} {i}")
+      for name in ("laguerre", "e_family") for alpha, i in zip(_ALPHAS, _ALPHA_IDS)),
+    *(pytest.param("routh_romanovski", Rat(p), id=f"routh_romanovski {i}")
+      for p, i in (("5", "5"), ("7/2", "7/2"), ("10", "10"), ("9" * 4300, "4300 nines"))),
+])
+def test_closed_forms_are_reduced_pairs_of_the_reference_values(name, value):
+    # up to n = 60, or to the end of a finite family's window
+    sys_ = FAMILIES[name][1](value)
+    for stream, fn in zip((sys_.b, sys_.a2), closed_form_values(name, value)):
+        _assert_reduced_pairs_of(stream, fn, min(60, stream.stop or 60))
+    if name == "laguerre":
+        for gamma1 in (0, 1):
+            _assert_reduced_pairs_of(laguerre_gamma(value, gamma1).gamma,
+                                     laguerre_gamma_values(value, gamma1), 120)
 
 
 def test_kernel_shift_identity():
@@ -250,14 +281,14 @@ def test_rr_moments_closed_form(p):
 def test_rr_rules_evaluate_only_what_is_read(monkeypatch):
     # the window comes from the roots of the factors, not from a scan of the
     # entries: an order-2 block of a 4300-digit p evaluates b_1, b_2 and a_1^2
-    reads, from_fn = [], CoeffStream.from_fn
+    reads, from_pairs = [], CoeffStream.from_pairs
 
-    def spy(fn, stop=None):
+    def spy(rule, stop=None):
         seen = []
         reads.append(seen)
-        return from_fn(lambda n: seen.append(n) or fn(n), stop)
+        return from_pairs(lambda n: seen.append(n) or rule(n), stop)
 
-    monkeypatch.setattr(CoeffStream, "from_fn", spy)
+    monkeypatch.setattr(CoeffStream, "from_pairs", spy)
     sys = closed_form("routh_romanovski", "9" * 4300)
     assert (sys.b.stop, sys.a2.stop, reads) == (4096, 4095, [[], []])
     sys.block(2)

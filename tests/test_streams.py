@@ -108,9 +108,34 @@ def test_index_below_one_is_exhausted_for_every_kind(stream):
 
 
 @pytest.mark.parametrize("backings", [
-    {}, {"values": [1], "fn": abs}, {"values": [1], "pairs": abs},
-    {"fn": abs, "pairs": abs}, {"values": [1], "fn": abs, "pairs": abs},
+    {}, {"values": None}, {"pairs": None, "stop": 3},
+    {"values": [1], "pairs": abs}, {"values": [], "pairs": abs},
 ])
 def test_stream_takes_exactly_one_backing(backings):
-    with pytest.raises(ValueError, match="exactly one of values/fn/pairs required"):
+    with pytest.raises(ValueError, match="exactly one of values/pairs required"):
         CoeffStream(**backings)
+
+
+def _fault(read):
+    """The fault of ``read()`` as (class name, message, index)."""
+    with pytest.raises((InvalidRationalLiteral, StreamExhausted)) as info:
+        read()
+    return type(info.value).__name__, str(info.value), getattr(info.value, "index", None)
+
+
+def test_a_value_rule_is_a_pair_rule_over_its_split_values():
+    # ``from_fn`` is the pair rule of the split values: the rule is called only
+    # inside [1, stop], and each read keeps the stop and float messages
+    calls = []
+    s = CoeffStream.from_fn(lambda n: calls.append(n) or Rat(n, 6), stop=4)
+    assert s.stop == 4 and repr(s) == "CoeffStream(pairs, stop=4)"
+    assert [s._pair(k) for k in range(1, 5)] == [(1, 6), (1, 3), (1, 2), (2, 3)]
+    assert s.window(1, 4) == [Rat(k, 6) for k in range(1, 5)]
+    for k in (0, 5):
+        want = ("StreamExhausted", f"index {k} outside [1, 4]", k)
+        assert _fault(lambda: s[k]) == _fault(lambda: s._pair(k)) == want
+    assert calls == [1, 2, 3, 4] * 2
+    f = CoeffStream.from_fn(_float_rule, stop=1)
+    for read in (lambda: f[1], lambda: f._pair(1)):
+        assert _fault(read) == ("InvalidRationalLiteral", "float 0.5 is not exact", None)
+    assert _fault(lambda: f[2]) == ("StreamExhausted", "index 2 outside [1, 1]", 2)
