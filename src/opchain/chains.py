@@ -46,22 +46,24 @@ from .errors import (
     PositivityBreak,
 )
 from .scalars import ZERO, Rat, coerce_exact, exact_tuple, format_scalar
-from .streams import CoeffStream, _split
+from .streams import CoeffStream
 from .systems import ThreeTermSystem, _Evaluation, _order, _relations_hold, _steps
 
 INFINITY = None  # open right endpoint sentinel for (a, oo) interval checks
 
 
 def _checked_pair(gamma: CoeffStream, k: int) -> tuple[int, int]:
-    """gamma_k as its pair, or NonPositiveGamma(k) if gamma_1 < 0 or gamma_k <= 0
-    for k >= 2, read off the numerator: streams keep denominators positive."""
-    p, q = gamma._pair(k)
+    """gamma_k as the stream's own pair, or NonPositiveGamma(k) if gamma_1 < 0
+    or gamma_k <= 0 for k >= 2, read off the numerator: streams keep
+    denominators positive."""
+    pair = gamma._pair(k)
+    p = pair[0]
     if k == 1:
         if p < 0:
-            raise NonPositiveGamma(1, f"gamma_1 = {Rat(p, q)} is negative")
+            raise NonPositiveGamma(1, f"gamma_1 = {Rat(*pair)} is negative")
     elif p <= 0:
-        raise NonPositiveGamma(k, f"gamma_{k} = {Rat(p, q)} is not positive")
-    return p, q
+        raise NonPositiveGamma(k, f"gamma_{k} = {Rat(*pair)} is not positive")
+    return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +71,12 @@ class GammaSeq:
     """gamma_1, gamma_2, ... with gamma_1 >= 0 and gamma_n > 0 for n >= 2.
 
     Positivity is validated on access so closed-form streams are usable.
-    ``_pair(k)`` is gamma_k as (numerator, denominator) Python ints from one
-    cache built over the stream, not ``self``, so no reference cycle forms;
-    a fault is not cached, so it is raised again on each read.  ``at(k)`` is
-    ``Rat(*_pair(k))``, so every read of gamma_k goes through that cache.
+    ``_pair(k)`` is the stream's own (numerator, denominator) pair of
+    gamma_k, from one cache built over the stream, not ``self``, so no
+    reference cycle forms and a value gamma's cache shares the pairs of its
+    vector; a fault is not cached, so it is raised again on each read.
+    ``at(k)`` is ``Rat(*_pair(k))``, so every read of gamma_k goes through
+    that cache.
     """
 
     gamma: CoeffStream
@@ -90,10 +94,6 @@ class GammaSeq:
     @classmethod
     def from_values(cls, values) -> "GammaSeq":
         return cls(CoeffStream.from_values(values))
-
-    @classmethod
-    def from_fn(cls, fn) -> "GammaSeq":
-        return cls(CoeffStream(pairs=_split(fn)))
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,6 @@ class ChainSequence:
 
     def at(self, n: int):
         return self.d[n]
-
-    def window(self, lo: int, hi: int) -> list:
-        return [self.d[n] for n in range(lo, hi + 1)]
 
     @classmethod
     def from_values(cls, values, parameters=None) -> "ChainSequence":

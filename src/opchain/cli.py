@@ -134,7 +134,7 @@ def cmd_family(args) -> int:
         "b": _fmt(b, args.float),
         "a2": _fmt(a2, args.float),
         "gamma": _fmt(gamma.window(1, gamma_upto), args.float),
-        "chain_d": _fmt(chain.window(1, n - 1), args.float),
+        "chain_d": _fmt(chain.d.window(1, n - 1), args.float),
         "minimal_m": _fmt(m.g, args.float),
         "complementary_k": _fmt(comp.parameters.g, args.float),
     }

@@ -10,9 +10,11 @@ It serves the steps n < n_max <= 4096: n_max is the first step at which a
 factor p-2n, p-2n-1, p-2n-2 or p-n-1 vanishes or a_n^2 <= 0, and 4096 if
 none below it does.
 
-Each closed form is a pair rule (``CoeffStream.from_pairs``) of reduced pairs built
-from the integers of its exact parameter, so family identities (gamma recovery,
-kernel shifts, complementary systems) are testable with zero tolerance.
+Each closed form is a stream in the one entry format of ``streams``: a rule of
+reduced pairs (``CoeffStream.from_pairs``) built from the integers of its exact
+parameter, read by the recurrence as it is and as ``Rat(*pair)`` as a value, so
+family identities (gamma recovery, kernel shifts, complementary systems) are
+testable with zero tolerance.
 """
 
 from __future__ import annotations

@@ -11,23 +11,23 @@ family is its stream nu[n] (n >= 1) and nothing more.  All of them run
 through one kernel over a block (diagonal, subdiagonal) of a monic Jacobi
 matrix.
 
-``ThreeTermSystem.block(n)`` reads the order-n block: b_1..b_n first, then
-the validated a_1^2..a_{n-1}^2.  The truncated matrix and the chain
-sequence at t are read off it; the polynomials, the moments and the spectra
-read the same block as integer pairs (``_block_pairs``), in the same order
-and with the same errors, for every system.  Moments come from a walk over that block and the
-continued-fraction convergents are expanded at infinity, so every quantity
-here is exact and needs no measure.
+A system's entries are read as (numerator, denominator) pairs of Python
+ints through ``_pair_readers``, which reads ``CoeffStream._pair`` of b and
+a2 and checks each a2 with ``_positive_a2``.  ``_block_pairs(n)`` reads the
+order-n block through them: b_1..b_n first, then a_1^2..a_{n-1}^2.  The
+polynomials, the moments and the spectra read that block; ``block(n)``,
+off which the truncated matrix and the chain sequence at t are read, is
+its values, and ``b_at``/``a2_at`` are the value of one entry, so every
+read of a system has one order and one set of errors.  A gamma row's
+pair rules evaluate their formulas over ``GammaSeq._pair``
+(``chains._gamma_system``).  Moments come from a walk over the block and
+the continued-fraction convergents are expanded at infinity, so every
+quantity here is exact and needs no measure.
 
 The kernel, the moment walk and the Laurent division run on integers over
 a common denominator, as ``Polynomial`` stores its coefficients.  The
 kernel forms no product with an absent entry of P_{k-2} or with the monic
 leading entry, and the walk computes no row a closed walk cannot reach.
-The kernel and the walk take their entries as (numerator, denominator)
-pairs of Python ints from ``_pair_readers``, which reads ``CoeffStream._pair``
-of b and a2 and validates a2 with the check of ``a2_at``: a value stream
-splits the exact value it reads, and a gamma row's pair rules evaluate
-their formulas over ``GammaSeq._pair`` (``chains._gamma_system``).
 The Laurent division keeps its past terms over one running denominator,
 so the integers stay at the height of the answer.
 
@@ -69,8 +69,8 @@ def _positive_a2(n: int, p: int, q: int) -> tuple[int, int]:
 class ThreeTermSystem:
     """Streams b[n] (n>=1) and a2[n] (n>=1) of a monic three-term recurrence.
 
-    Reads of a2 through ``a2_at``, and so every ``block``, raise
-    NonPositiveA2 on an entry <= 0: such a recurrence defines no
+    Every checked read of a2 (``a2_at``, ``block`` and the pair readers)
+    raises NonPositiveA2 on an entry <= 0: such a recurrence defines no
     positive-definite orthogonal family.
     """
 
@@ -81,17 +81,16 @@ class ThreeTermSystem:
         return self.b[n]
 
     def a2_at(self, n: int):
-        v = self.a2[n]
-        _positive_a2(n, v.numerator, v.denominator)
-        return v
+        return Rat(*_positive_a2(n, *self.a2._pair(n)))
 
     def block(self, n: int) -> tuple[list, list]:
-        """Order-n monic Jacobi block: (b_1..b_n, then validated a_1^2..a_{n-1}^2).
+        """Order-n monic Jacobi block: (b_1..b_n, then validated a_1^2..a_{n-1}^2),
+        the values of ``_block_pairs(n)``.
 
         n = 0 is the empty block; a negative n raises ValueError.
         """
-        _order(n)
-        return self.b.window(1, n), [self.a2_at(k) for k in range(1, n)]
+        diag, sub = self._block_pairs(n)
+        return [Rat(*pair) for pair in diag], [Rat(*pair) for pair in sub]
 
     def _pair_readers(self):
         """Readers (b, a2) of the entries as (numerator, denominator) pairs
@@ -101,7 +100,8 @@ class ThreeTermSystem:
         return self.b._pair, lambda m: _positive_a2(m, *read(m))
 
     def _block_pairs(self, n: int) -> tuple[list, list]:
-        """``block(n)`` as (numerator, denominator) pairs, read in its order."""
+        """The order-n block as (numerator, denominator) pairs: b_1..b_n, then
+        a_1^2..a_{n-1}^2, read in that order through ``_pair_readers``."""
         _order(n)
         b, a2 = self._pair_readers()
         diag = [b(m) for m in range(1, n + 1)]
@@ -124,8 +124,9 @@ class LaurentSeries:
 
 
 def systems_agree(s: ThreeTermSystem, t: ThreeTermSystem, n: int) -> bool:
-    """Coefficientwise equality of b[1..n] and a2[1..n-1] (exact)."""
-    return s.block(n) == t.block(n)
+    """Coefficientwise equality of b[1..n] and a2[1..n-1] (exact): reduced
+    pairs with positive denominators are equal exactly when their values are."""
+    return s._block_pairs(n) == t._block_pairs(n)
 
 
 # -- polynomial evaluation ---------------------------------------------------
@@ -319,24 +320,36 @@ def _relations_hold(relations) -> list[bool]:
 # -- moments ------------------------------------------------------------------
 
 
-def _moment_block(sys: ThreeTermSystem, k: int) -> tuple[list, list]:
-    """The pairs of b_1..b_size and a_1^2..a_{size-1}^2 that ``moments(sys, k)`` walks."""
+def _moment_size(k: int) -> int:
+    """The order ceil(k/2)+1 of the block ``moments(sys, k)`` walks; k >= 0."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    return sys._block_pairs((k + 1) // 2 + 1)
+    return (k + 1) // 2 + 1
+
+
+def _held(stream: CoeffStream, hi: int) -> range:
+    """The indices 1..hi that ``stream`` holds: up to its ``stop``, if it has one."""
+    return range(1, (hi if stream.stop is None else min(hi, stream.stop)) + 1)
 
 
 def moment_height(sys: ThreeTermSystem, k: int):
-    """Yields, once the block of ``moments(sys, k)`` is read with its errors, the
-    bits of the lcm of its first j denominators (b, then a2) for each j, then H:
-    the bits of L, the lcm of all, plus the most bits of an entry of L*J.  None
-    exceeds H.  The walk's time grows as k^3 at fixed H, faster than linearly in H."""
-    entries = [pair for part in _moment_block(sys, k) for pair in part]
-    L = 1
-    for _, q in entries:
-        L = lcm(L, q)
-        yield L.bit_length()
-    yield L.bit_length() + max(abs(p * (L // q)).bit_length() for p, q in entries)
+    """Yields the bits of the lcm of the first j denominators of the block of
+    ``moments(sys, k)`` (b, then a2) for each j, then H: the bits of L, the
+    lcm of all, plus the most bits of an entry of L*J.  None exceeds H.  As in
+    ``block_heights``, each stream is read up to its ``stop`` and a2
+    unchecked, so no read raises the block's errors and a budget can refuse a
+    block at its first tall entry; ``moments`` raises them when it reads the
+    block.  A negative k raises ValueError first.  The walk's time grows as
+    k^3 at fixed H, faster than linearly in H."""
+    size = _moment_size(k)
+    entries, L = [], 1
+    for stream, hi in ((sys.b, size), (sys.a2, size - 1)):
+        for m in _held(stream, hi):
+            p, q = stream._pair(m)
+            entries.append((p, q))
+            L = lcm(L, q)
+            yield L.bit_length()
+    yield L.bit_length() + max((abs(p * (L // q)).bit_length() for p, q in entries), default=0)
 
 
 def block_heights(sys: ThreeTermSystem, n: int):
@@ -346,7 +359,7 @@ def block_heights(sys: ThreeTermSystem, n: int):
     read from its ``stop`` at most and a2 unchecked, so no read raises the
     block's errors; the block raises them when it is read."""
     for stream, hi in ((sys.a2, n - 1), (sys.b, n)):
-        for m in range(hi if stream.stop is None else min(hi, stream.stop), 0, -1):
+        for m in reversed(_held(stream, hi)):
             p, q = stream._pair(m)
             yield abs(p).bit_length() + q.bit_length()
 
@@ -366,7 +379,7 @@ def moments(sys: ThreeTermSystem, k: int):
     further than k - t - 1 below it cannot climb back in the steps left, so
     step t computes rows 0..min(t + 1, k - t - 1, size - 1) of the vector.
     """
-    diag, sub = _moment_block(sys, k)
+    diag, sub = sys._block_pairs(_moment_size(k))
     L = lcm(*[q for _, q in diag + sub])
     diag, sub = [p * (L // q) for p, q in diag], [p * (L // q) for p, q in sub] + [0]
     size = len(diag)

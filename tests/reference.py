@@ -83,6 +83,18 @@ def substitute_square(p: Polynomial) -> Polynomial:
     return Polynomial._raw(tuple(out), p.den)
 
 
+def value_rule(fn, stop: int | None = None) -> CoeffStream:
+    """The stream of the values fn(1), fn(2), ..., ending at ``stop`` if one
+    is given: each value is put on the exact type as it is read and handed
+    on as its pair, so a float raises InvalidRationalLiteral at that read."""
+    return CoeffStream(lambda n: coerce_exact(fn(n)).as_integer_ratio(), stop)
+
+
+def value_gamma(fn) -> GammaSeq:
+    """The gamma sequence of the values fn(1), fn(2), ..., as ``value_rule``."""
+    return GammaSeq(value_rule(fn))
+
+
 def swapped_nu(gamma: GammaSeq, N: int) -> CoeffStream:
     """Symmetric coefficients nu_1..nu_{2N} with adjacent pairs interchanged.
 

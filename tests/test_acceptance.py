@@ -50,6 +50,7 @@ from reference import (
     odd_part,
     rr_raw_step,
     swapped_nu,
+    value_gamma,
 )
 
 ALPHAS = (Rat(-1, 2), Rat(0), Rat(1), Rat(7, 3))
@@ -210,7 +211,7 @@ def test_criterion_9_moments_and_convergents():
         systems = [
             laguerre_system(0),
             laguerre_system(1),
-            system_from_gamma(GammaSeq.from_fn(lambda k: Rat(k))),
+            system_from_gamma(value_gamma(lambda k: Rat(k))),
             system_from_gamma(seeded_gammas(505, 1, 40)[0]),
         ]
         for sys in systems:

@@ -52,7 +52,7 @@ from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import random_gamma
 
-from reference import chain_at_via_polynomials
+from reference import chain_at_via_polynomials, value_gamma, value_rule
 
 LAG73 = laguerre_system(Rat(7, 3))
 
@@ -68,7 +68,7 @@ def test_block_reads_diag_then_validated_sub():
 def test_block_reads_b_before_a2():
     reads = []
     sys_ = ThreeTermSystem(*(
-        CoeffStream.from_fn(lambda k, tag=tag: reads.append((tag, k)) or Rat(k))
+        value_rule(lambda k, tag=tag: reads.append((tag, k)) or Rat(k))
         for tag in ("b", "a2")))
     sys_.block(3)
     assert reads == [("b", 1), ("b", 2), ("b", 3), ("a2", 1), ("a2", 2)]
@@ -92,8 +92,24 @@ def test_readers_agree_with_the_block():
     assert z[2:] == _recurrence(_pairs(diag[1:]), _pairs(sub[1:]))
     t = Rat(-1, 2)
     want = [s / ((t - u) * (t - v)) for s, u, v in zip(sub, diag, diag[1:])]
-    assert chain_at(LAG73, t, 5).window(1, 5) == want
+    assert chain_at(LAG73, t, 5).d.window(1, 5) == want
     assert systems_agree(LAG73, laguerre_system(Rat(7, 3)), 6)
+    # the values are those of the pair readers, read in the same order and
+    # with the same faults: of a full value system, an a2 <= 0 and a short b
+    for b, a2 in (([Rat(k, 3) - 1 for k in range(1, 7)], [Rat(k, 5) for k in range(1, 6)]),
+                  ([1, 2, 3, 4, 5, 6], [1, 2, 0, 4, 5]), ([1, 2, 3], [1, 1, 1, 1, 1])):
+        log = []
+        sys_ = ThreeTermSystem(_LoggedPairs.of(b, "b", log), _LoggedPairs.of(a2, "a2", log))
+        for n in range(7):
+            reads = {}
+            for name, read in (
+                    ("block", lambda: tuple(_pairs(part) for part in sys_.block(n))),
+                    ("pairs", lambda: sys_._block_pairs(n)),
+                    ("at", lambda: (_pairs([sys_.b_at(m) for m in range(1, n + 1)]),
+                                    _pairs([sys_.a2_at(m) for m in range(1, n)])))):
+                log.clear()
+                reads[name] = (_outcome(read), list(log))
+            assert reads["block"] == reads["pairs"] == reads["at"], (b, a2, n)
 
 
 # (class, message, index) of the first fault, one fault per system
@@ -149,9 +165,9 @@ _ORDER_READERS = {
                            [Polynomial.one()]),
     "truncate": (lambda n: truncate(LAG73, n).diag, ()),
     "zeros_with_brackets": (lambda n: zeros_with_brackets(LAG73, n, 1e-10), []),
-    "chain_at": (lambda n: chain_at(LAG73, Rat(-1, 2), n).window(1, n), []),
+    "chain_at": (lambda n: chain_at(LAG73, Rat(-1, 2), n).d.window(1, n), []),
     "chain_at_via_polynomials": (
-        lambda n: chain_at_via_polynomials(LAG73, Rat(-1, 2), n).window(1, n), []),
+        lambda n: chain_at_via_polynomials(LAG73, Rat(-1, 2), n).d.window(1, n), []),
     "systems_agree": (lambda n: systems_agree(LAG73, LAG73, n), True),
     "moments": (lambda n: moments(LAG73, n), 1),
     # chains-layer readers of a window N
@@ -200,8 +216,8 @@ def _reference_row(gamma: GammaSeq, offsets) -> ThreeTermSystem:
         return gamma.at(2 * m + i) + gamma.at(2 * m + j)
 
     return ThreeTermSystem(
-        CoeffStream.from_fn(diag),
-        CoeffStream.from_fn(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)))
+        value_rule(diag),
+        value_rule(lambda n: gamma.at(2 * n + k) * gamma.at(2 * n + l)))
 
 
 # row: (constructor, offsets (i, j, k, l, b1) of the closed form in its docstring)
@@ -292,18 +308,18 @@ def test_gamma_pairs_reach_every_fault_kind():
 def test_q_system_reads_each_gamma_once():
     vals = list(random_gamma(random.Random(5), 110).gamma.window(1, 110))
     reads = Counter()
-    gamma = GammaSeq(CoeffStream.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    gamma = GammaSeq(value_rule(lambda k: reads.update([k]) or vals[k - 1]))
     monic_sequence(q_system(gamma), 50)
     assert sorted(reads) == list(range(3, 103))  # b_m = gamma_{2m+1} + gamma_{2m+2}
     assert max(reads.values()) == 1
 
 
-# -- every integer-pair reader, on value-backed and rule-backed streams ------------
+# -- every integer-pair reader, on vector and value-rule streams ------------------
 #
-# A value stream splits its stored rational on read, as a rule splits the
-# value it gives; either way a reader's pairs must be ``_pairs`` of the
-# rationals the streams give, and a fault must be the one the rational read
-# meets first.
+# A vector stream hands out the pairs it stored, and a value rule splits the
+# value it gives when it is read; either way a reader's pairs must be
+# ``_pairs`` of the rationals the streams give, and a fault must be the one
+# the rational read meets first.
 
 
 def _rule_copy(stream: CoeffStream) -> CoeffStream:
@@ -315,7 +331,7 @@ def _rule_copy(stream: CoeffStream) -> CoeffStream:
             raise StreamExhausted(k, f"index {k} outside [1, {stop}]")
         return vals[k - 1]
 
-    return CoeffStream.from_fn(fn)
+    return value_rule(fn)
 
 
 _COPIES = {"values": lambda s: s, "rule": _rule_copy}
@@ -393,7 +409,7 @@ def test_pair_readers_reach_every_fault_kind():
 def test_associated_sequence_reads_each_gamma_once():
     vals = list(random_gamma(random.Random(6), 90).gamma.window(1, 90))
     reads = Counter()
-    gamma = GammaSeq(CoeffStream.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    gamma = GammaSeq(value_rule(lambda k: reads.update([k]) or vals[k - 1]))
     associated_sequence(system_from_gamma(gamma), 40)
     # b_2..b_40 = gamma_3 + gamma_4 .. gamma_79 + gamma_80, and a_1^2 = gamma_2 gamma_3:
     # b_1 = gamma_1 + gamma_2 is never read
@@ -407,7 +423,7 @@ def test_a_row_reads_each_gamma_once_in_its_lifetime(row):
     vals = list(random_gamma(random.Random(7), 40).gamma.window(1, 40))
     reads = Counter()
     # tilde, hat and u check a gamma at construction, through the same pairs
-    sys_ = _GAMMA_ROWS[row][0](GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    sys_ = _GAMMA_ROWS[row][0](value_gamma(lambda k: reads.update([k]) or vals[k - 1]))
     sys_.block(8)
     sys_._block_pairs(8)
     for m in range(1, 9):
@@ -418,17 +434,19 @@ def test_a_row_reads_each_gamma_once_in_its_lifetime(row):
     assert reads and max(reads.values()) == 1, reads
 
 
-class _CountingValues(CoeffStream):
-    """A value stream that counts its entry reads, as rationals or as pairs."""
+class _LoggedPairs(CoeffStream):
+    """A value stream that logs each pair it reads as (tag, index)."""
 
-    __slots__ = ("reads",)
+    __slots__ = ("tag", "log")
 
-    def __getitem__(self, n):
-        self.reads += 1
-        return super().__getitem__(n)
+    @classmethod
+    def of(cls, values, tag, log):
+        stream = cls.from_values(values)
+        stream.tag, stream.log = tag, log
+        return stream
 
     def _pair(self, n):
-        self.reads += 1
+        self.log.append((self.tag, n))
         return super()._pair(n)
 
 
@@ -457,18 +475,17 @@ def test_gamma_pairs_are_stored_as_they_are_accepted():
     # nothing is read at construction, and each accepted entry is read from
     # the stream once, whatever precedes it, by ``at`` and ``_pair`` together
     for vals in _STORE_CASES:
-        stream = _CountingValues(values=vals)
-        stream.reads = 0
+        stream = _LoggedPairs.of(vals, "gamma", [])
         g = GammaSeq(stream)
-        assert stream.reads == 0, vals
+        assert len(stream.log) == 0, vals
         for k in range(len(vals) + 2):
-            stream.reads = 0
+            stream.log.clear()
             want = _outcome(lambda: _split_at(g, k))
             if len(want) == 2:
                 assert [g._pair(k), g._pair(k), _split_at(g, k)] == [want] * 3, (vals, k)
-                assert stream.reads == 1, (vals, k)
+                assert len(stream.log) == 1, (vals, k)
     reads = Counter()
-    g = GammaSeq.from_fn(lambda k: reads.update([k]) or Rat(k))
+    g = value_gamma(lambda k: reads.update([k]) or Rat(k))
     assert [g._pair(k) for k in (1, 2, 1)] == [(1, 1), (2, 1), (1, 1)]
     assert reads == Counter({1: 1, 2: 1})
 
@@ -477,16 +494,15 @@ def test_a_refused_gamma_index_raises_on_every_read():
     # a fault is not stored: every read meets it in the stream again, with the
     # class, message and index of ``at``, and so does every read of a row
     for vals in _STORE_CASES:
-        stream = _CountingValues(values=vals)
-        stream.reads = 0
+        stream = _LoggedPairs.of(vals, "gamma", [])
         g = GammaSeq(stream)
         for k in range(len(vals) + 2):
             want = _outcome(lambda: _split_at(g, k))
             if len(want) == 3:
                 for _ in range(3):
-                    stream.reads = 0
+                    stream.log.clear()
                     assert _outcome(lambda: g._pair(k)) == want, (vals, k)
-                    assert stream.reads == 1, (vals, k)
+                    assert len(stream.log) == 1, (vals, k)
     g = GammaSeq.from_values(_PARITY_GAMMAS["bad5"])
     sys_ = system_from_gamma(g)
     want = _outcome(lambda: g.at(5))
@@ -517,7 +533,7 @@ def test_every_row_and_check_of_a_gamma_share_its_pairs():
     # readers of ``at``, each entry is read from the stream at most once
     vals = list(random_gamma(random.Random(8), 40).gamma.window(1, 40))
     reads = Counter()
-    _read_every_row_and_check(GammaSeq.from_fn(lambda k: reads.update([k]) or vals[k - 1]))
+    _read_every_row_and_check(value_gamma(lambda k: reads.update([k]) or vals[k - 1]))
     assert sorted(reads) == list(range(1, 21)) and max(reads.values()) == 1, reads
 
 
@@ -527,7 +543,7 @@ def test_a_dropped_gamma_is_freed_without_the_collector():
     vals = list(random_gamma(random.Random(9), 40).gamma.window(1, 40))
     gc.disable()
     try:
-        for make in (GammaSeq.from_values, lambda v: GammaSeq.from_fn(lambda k: v[k - 1])):
+        for make in (GammaSeq.from_values, lambda v: value_gamma(lambda k: v[k - 1])):
             g = make(vals)
             _read_every_row_and_check(g)
             ref = weakref.ref(g)
@@ -545,14 +561,13 @@ def test_rows_index_an_admissible_stored_gamma(row):
     # the window every row's order-8 block spans)
     make, offsets = _GAMMA_ROWS[row]
     for gamma, rereads in (("random0", 0), ("bad16", 1)):
-        stream = _CountingValues(values=_PARITY_GAMMAS[gamma])
-        stream.reads = 0
+        stream = _LoggedPairs.of(_PARITY_GAMMAS[gamma], "gamma", [])
         g = GammaSeq(stream)
         want = _outcome(lambda: tuple(_pairs(w) for w in _reference_row(g, offsets).block(8)))
         for k in range(1, 25):
             _outcome(lambda: g._pair(k))
-        stream.reads = 0
+        stream.log.clear()
         sys_ = make(g)
         for _ in range(2):
             assert _outcome(lambda: sys_._block_pairs(8)) == want
-        assert stream.reads == 2 * rereads, gamma
+        assert len(stream.log) == 2 * rereads, gamma

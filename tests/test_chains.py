@@ -34,7 +34,7 @@ from opchain.errors import (
 )
 from opchain.verify import random_gamma
 
-from reference import chain_at_via_polynomials
+from reference import chain_at_via_polynomials, value_rule
 
 LAG0 = laguerre_system(0)
 LAG_HALF = laguerre_system(Rat(-1, 2))
@@ -129,13 +129,13 @@ def test_system_from_gamma_small():
 
 def test_chain_at_origin_laguerre():
     d = chain_at(LAG0, Rat(0), 3)
-    assert d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
+    assert d.d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
 
 
 def test_chain_and_parameter_values():
     d = chain_at(LAG0, Rat(0), 3)
     m = minimal_parameters(d, 3)
-    assert d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
+    assert d.d.window(1, 3) == [Rat(1, 3), Rat(4, 15), Rat(9, 35)]
     assert m.g == (0, Rat(1, 3), Rat(2, 5), Rat(3, 7))
     assert m.minimal
 
@@ -147,10 +147,10 @@ def test_chain_at_pole():
 
 
 def test_chain_at_coerces_t_once():
-    want = chain_at(LAG0, Rat(1, 2), 3).window(1, 3)
+    want = chain_at(LAG0, Rat(1, 2), 3).d.window(1, 3)
     assert want == [Rat(4, 5), Rat(16, 45), Rat(4, 13)]
-    assert chain_at(LAG0, "1/2", 3).window(1, 3) == want
-    assert chain_at(LAG0, 0, 3).window(1, 3) == chain_at(LAG0, Rat(0), 3).window(1, 3)
+    assert chain_at(LAG0, "1/2", 3).d.window(1, 3) == want
+    assert chain_at(LAG0, 0, 3).d.window(1, 3) == chain_at(LAG0, Rat(0), 3).d.window(1, 3)
 
 
 def test_chain_at_rejects_a_float_t_by_its_own_value():
@@ -170,11 +170,11 @@ def test_chain_via_polynomials_equals_direct():
     for t in (Rat(-1), Rat(0)):
         lhs = chain_at_via_polynomials(LAG0, t, 3)
         rhs = chain_at(LAG0, t, 3)
-        assert lhs.window(1, 3) == rhs.window(1, 3)
+        assert lhs.d.window(1, 3) == rhs.d.window(1, 3)
 
 
 def test_chain_via_polynomials_empty():
-    assert chain_at_via_polynomials(LAG0, Rat(-1), 0).window(1, 0) == []
+    assert chain_at_via_polynomials(LAG0, Rat(-1), 0).d.window(1, 0) == []
 
 
 def test_chain_via_polynomials_random_system():
@@ -182,8 +182,8 @@ def test_chain_via_polynomials_random_system():
     gamma = random_gamma(rng, 30)
     sys = system_from_gamma(gamma)
     for t in (Rat(-3, 7), Rat(1000)):  # left and right of every zero
-        assert (chain_at_via_polynomials(sys, t, 8).window(1, 8)
-                == chain_at(sys, t, 8).window(1, 8))
+        assert (chain_at_via_polynomials(sys, t, 8).d.window(1, 8)
+                == chain_at(sys, t, 8).d.window(1, 8))
 
 
 # -- complementary constructions ---------------------------------------------------
@@ -192,13 +192,13 @@ def test_complementary_laguerre():
     m = minimal_parameters(chain_at(LAG0, Rat(0), 3), 3)
     comp = complementary(m)
     assert comp.parameters.g == (0, Rat(2, 3), Rat(3, 5), Rat(4, 7))
-    assert comp.window(1, 3) == [Rat(2, 3), Rat(1, 5), Rat(8, 35)]
+    assert comp.d.window(1, 3) == [Rat(2, 3), Rat(1, 5), Rat(8, 35)]
 
 
 def test_complementary_self_complementary_tail():
     m = ParameterSeq((Rat(0),) + (Rat(1, 2),) * 4)
     comp = complementary(m)
-    assert comp.window(1, 4) == [Rat(1, 2), Rat(1, 4), Rat(1, 4), Rat(1, 4)]
+    assert comp.d.window(1, 4) == [Rat(1, 2), Rat(1, 4), Rat(1, 4), Rat(1, 4)]
     assert comp.parameters.g == (0,) + (Rat(1, 2),) * 4
 
 
@@ -215,7 +215,7 @@ def test_complementary_is_an_involution():
     back = complementary(k)
     assert back.parameters.g == m.g
     d = chain_at(LAG0, Rat(0), 6)
-    assert back.window(1, 6) == d.window(1, 6)
+    assert back.d.window(1, 6) == d.d.window(1, 6)
 
 
 def test_generalised_complementary_worked_case():
@@ -235,7 +235,7 @@ def test_generalised_complementary_of_minimal_is_complementary():
     m = minimal_parameters(chain_at(LAG0, Rat(0), 4), 4)
     a = generalised_complementary(m)
     b = complementary(m)
-    assert a.window(1, 4) == b.window(1, 4)
+    assert a.d.window(1, 4) == b.d.window(1, 4)
     assert a.parameters.g == b.parameters.g
 
 
@@ -330,10 +330,9 @@ def test_true_interval_vacuous_window():
 def test_true_interval_two_sided():
     # constant 1/4 chain belongs to b_n = 1/2 inside (0, 1)
     from opchain import ThreeTermSystem
-    from opchain.streams import CoeffStream
     sys = ThreeTermSystem(
-        CoeffStream.from_fn(lambda n: Rat(1, 2)),
-        CoeffStream.from_fn(lambda n: Rat(1, 16)),
+        value_rule(lambda n: Rat(1, 2)),
+        value_rule(lambda n: Rat(1, 16)),
     )
     assert true_interval_predicate(sys, Rat(0), Rat(1), 15).passed
     assert not true_interval_predicate(sys, Rat(0), Rat(3, 5), 15).passed

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import opchain
-from opchain import cli, errors, families, verify
+from opchain import ThreeTermSystem, cli, errors, families, verify
+from opchain.streams import CoeffStream
 
 
 def run(capsys, *argv):
@@ -725,6 +726,30 @@ def test_block_height_budget_keeps_earlier_messages(capsys):
     bad3 = ",".join(["9" * 1000] * 2 + ["-3"] + ["9" * 1000] * 199)
     code, out, err = run(capsys, "perturb", "--variant", "tilde", "--gamma", bad3, "--n", "100")
     assert (code, out, err) == (2, "", "error: NonPositiveGamma: gamma_3 = -3 is not positive\n")
+
+
+def test_moments_budget_reads_up_to_its_first_tall_entry(capsys, tmp_path):
+    # the refusal reads the block only up to its first entry over the budget
+    # k^3 H^2 <= 2^43, here b_4 at k = 2048: the lcm of 2^10, 2^20, 2^30
+    # keeps H at 31 bits, and 2^40 takes it to 41
+    reads = []
+
+    def tall(tag):
+        return CoeffStream.from_pairs(lambda m: reads.append((tag, m)) or (1, 1 << (10 * m)))
+
+    args = argparse.Namespace(command="moments", k=2048)
+    with pytest.raises(ValueError, match=r"--k 2048 over entries of 41 bits is above the budget"):
+        cli._check_limits(args, ThreeTermSystem(tall("b"), tall("a2")))
+    assert reads == [("b", 1), ("b", 2), ("b", 3), ("b", 4)]
+    # a block that is short and not positive, and over the budget, is refused
+    # at its first tall entry; within the budget ``moments`` raises its fault
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"b": ["1/" + "9" * 20] * 3, "a2": ["-1"]}))
+    code, out, err = run(capsys, "moments", "--input", str(path), "--k", "2048")
+    assert (code, out, err) == (2, "", "error: ValueError: --k 2048 over entries of 67 bits is "
+                                       "above the budget k^3 H^2 <= 2^43\n")
+    code, out, err = run(capsys, "moments", "--input", str(path), "--k", "2")
+    assert (code, out, err) == (3, "", "error: NonPositiveA2: a2[1] = -1 is not positive\n")
 
 
 @pytest.mark.parametrize("sign", ["", "-"])

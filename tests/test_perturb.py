@@ -37,7 +37,7 @@ from opchain.streams import CoeffStream
 from opchain.systems import _pairs, _recurrence
 from opchain.verify import _bumped, random_gamma
 
-from reference import evaluate, even_part, odd_part, swapped_nu
+from reference import evaluate, even_part, odd_part, swapped_nu, value_gamma
 
 
 def P(*coeffs):
@@ -83,7 +83,7 @@ def _moved(gamma, word):
     at = gamma.at
     for letter in reversed(word):
         at = _MOVES[letter](at)
-    return GammaSeq.from_fn(at)
+    return value_gamma(at)
 
 
 # row: (constructor, word, minimal branch)

@@ -31,6 +31,7 @@ from reference import (
     even_part,
     odd_part,
     substitute_square,
+    value_rule,
 )
 
 
@@ -281,7 +282,7 @@ def test_fractions_over_foreign_integers_are_coerced():
     assert p == P(2 ** 62, 1) and all(type(n) is int for n in p.nums + (p.den,))
     assert P(1).scale(big).scale(4) == P(2 ** 64)
     assert evaluate(P(0, 1), big) * 4 == 2 ** 64
-    rule = CoeffStream.from_fn(lambda n: Fraction(_Int64(2 ** 62), n))
+    rule = value_rule(lambda n: Fraction(_Int64(2 ** 62), n))
     assert type(rule[1].numerator) is int and rule[1] * 4 == 2 ** 64
     assert rule._pair(3) == (2 ** 62, 3)
     values = CoeffStream.from_values([big])
@@ -296,7 +297,7 @@ def test_fractions_over_foreign_integers_are_coerced():
     # every integer-pair reader hands out Python ints
     sub = Fraction(_IntSub(2 ** 62))
     assert type(sub.numerator) is _IntSub
-    values, rule = CoeffStream.from_values([sub] * 3), CoeffStream.from_fn(lambda n: sub)
+    values, rule = CoeffStream.from_values([sub] * 3), value_rule(lambda n: sub)
     gammas = (GammaSeq.from_values([sub] * 8), GammaSeq(rule))
     pairs = [*map(values._pair, (1, 2, 3)), rule._pair(2), *(g._pair(3) for g in gammas)]
     for system in (ThreeTermSystem(values, rule), *map(system_from_gamma, gammas)):

@@ -13,6 +13,8 @@ from opchain import (
 from opchain.errors import InvalidRationalLiteral, StreamExhausted
 from opchain.streams import CoeffStream
 
+from reference import value_gamma, value_rule
+
 
 def _exhausted(stream, n):
     with pytest.raises(StreamExhausted) as info:
@@ -30,7 +32,7 @@ def test_value_stream_length_is_its_stop():
 
 
 def test_rule_stream_has_no_stop():
-    s = CoeffStream.from_fn(lambda n: Rat(n, 2))
+    s = value_rule(lambda n: Rat(n, 2))
     assert s.stop is None
     assert s[10**6] == Rat(10**6, 2)
     assert _exhausted(s, 0) == "index 0 outside [1, None]"
@@ -52,10 +54,17 @@ def test_value_stream_pairs_split_its_values():
     for k in (0, 4):
         with pytest.raises(StreamExhausted, match=rf"index {k} outside \[1, 3\]"):
             s._pair(k)
+    # a value stream is the rule of its stored pairs, one kind of stream: it
+    # hands out the same pair on every read, and a value gamma's cache keeps
+    # that pair, not a copy
+    assert CoeffStream.__slots__ == ("_pairs", "stop") and repr(s) == "CoeffStream(stop=3)"
+    assert all(s._pair(k) is s._pair(k) for k in (1, 2, 3))
+    g = GammaSeq(s)
+    assert g._pair(1) is s._pair(1) and g._pair(3) is s._pair(3)
 
 
 def test_rule_values_are_normalised_on_read():
-    s = CoeffStream.from_fn(lambda n: n if n % 2 else f"{n}/4")
+    s = value_rule(lambda n: n if n % 2 else f"{n}/4")
     assert all(type(v) is int for v in s._pair(2) + s._pair(3))
     assert s[3] == 3 and type(s[3]) is Rat
     assert s[2] == Rat(1, 2) and s._pair(2) == (1, 2)
@@ -68,15 +77,17 @@ def _float_rule(k):
 
 
 @pytest.mark.parametrize("read", [
-    lambda: CoeffStream.from_fn(_float_rule)[1],
-    lambda: CoeffStream.from_fn(_float_rule)._pair(1),
+    lambda: value_rule(_float_rule)[1],
+    lambda: value_rule(_float_rule)._pair(1),
     # a gamma rule, read by the integer-pair block and by the streams
-    lambda: monic_sequence(system_from_gamma(GammaSeq.from_fn(_float_rule)), 2),
-    lambda: system_from_gamma(GammaSeq.from_fn(_float_rule)).block(2),
+    lambda: monic_sequence(system_from_gamma(value_gamma(_float_rule)), 2),
+    lambda: system_from_gamma(value_gamma(_float_rule)).block(2),
     # a rule of a system
-    lambda: monic_sequence(ThreeTermSystem(CoeffStream.from_fn(_float_rule),
+    lambda: monic_sequence(ThreeTermSystem(value_rule(_float_rule),
                                            laguerre_system(0).a2), 2),
-    lambda: ThreeTermSystem(laguerre_system(0).b, CoeffStream.from_fn(_float_rule)).block(2),
+    lambda: ThreeTermSystem(laguerre_system(0).b, value_rule(_float_rule)).block(2),
+    # a vector, when the stream is built
+    lambda: CoeffStream.from_values([1, 0.5]),
 ])
 def test_a_float_from_a_rule_is_rejected(read):
     with pytest.raises(InvalidRationalLiteral, match="float 0.5 is not exact"):
@@ -95,7 +106,7 @@ def test_pair_rule_stream():
 
 @pytest.mark.parametrize("stream", [
     CoeffStream.from_values([1, 2]),
-    CoeffStream.from_fn(lambda n: n),
+    value_rule(lambda n: n),
     CoeffStream.from_pairs(lambda n: (n, 1)),
 ])
 def test_index_below_one_is_exhausted_for_every_kind(stream):
@@ -107,15 +118,6 @@ def test_index_below_one_is_exhausted_for_every_kind(stream):
         assert info.value.index == k
 
 
-@pytest.mark.parametrize("backings", [
-    {}, {"values": None}, {"pairs": None, "stop": 3},
-    {"values": [1], "pairs": abs}, {"values": [], "pairs": abs},
-])
-def test_stream_takes_exactly_one_backing(backings):
-    with pytest.raises(ValueError, match="exactly one of values/pairs required"):
-        CoeffStream(**backings)
-
-
 def _fault(read):
     """The fault of ``read()`` as (class name, message, index)."""
     with pytest.raises((InvalidRationalLiteral, StreamExhausted)) as info:
@@ -124,18 +126,18 @@ def _fault(read):
 
 
 def test_a_value_rule_is_a_pair_rule_over_its_split_values():
-    # ``from_fn`` is the pair rule of the split values: the rule is called only
-    # inside [1, stop], and each read keeps the stop and float messages
+    # ``value_rule`` is the pair rule of the split values: the rule is called
+    # only inside [1, stop], and each read keeps the stop and float messages
     calls = []
-    s = CoeffStream.from_fn(lambda n: calls.append(n) or Rat(n, 6), stop=4)
-    assert s.stop == 4 and repr(s) == "CoeffStream(pairs, stop=4)"
+    s = value_rule(lambda n: calls.append(n) or Rat(n, 6), stop=4)
+    assert s.stop == 4 and repr(s) == "CoeffStream(stop=4)"
     assert [s._pair(k) for k in range(1, 5)] == [(1, 6), (1, 3), (1, 2), (2, 3)]
     assert s.window(1, 4) == [Rat(k, 6) for k in range(1, 5)]
     for k in (0, 5):
         want = ("StreamExhausted", f"index {k} outside [1, 4]", k)
         assert _fault(lambda: s[k]) == _fault(lambda: s._pair(k)) == want
     assert calls == [1, 2, 3, 4] * 2
-    f = CoeffStream.from_fn(_float_rule, stop=1)
+    f = value_rule(_float_rule, stop=1)
     for read in (lambda: f[1], lambda: f._pair(1)):
         assert _fault(read) == ("InvalidRationalLiteral", "float 0.5 is not exact", None)
     assert _fault(lambda: f[2]) == ("StreamExhausted", "index 2 outside [1, 1]", 2)

@@ -27,7 +27,7 @@ from opchain.streams import CoeffStream
 from opchain.systems import block_heights, moment_height
 from opchain.verify import random_gamma
 
-from reference import even_part, odd_part, swapped_nu
+from reference import even_part, odd_part, swapped_nu, value_rule
 
 
 def P(*coeffs):
@@ -259,7 +259,7 @@ def _convergent_systems(draw):
             if k > len(vals):
                 raise StreamExhausted(k, f"rule ends at {len(vals)}")
             return vals[k - 1]
-        return CoeffStream.from_fn(at)
+        return value_rule(at)
 
     return ThreeTermSystem(rule(b), rule(a2)), n
 
@@ -387,21 +387,25 @@ def test_band_walk_matches_the_full_walk(label, sys):
 
 def _whole_block_height(sys, k):
     """H of the walk of ``moments(sys, k)``, from the whole block at once: the
-    bits of L, the lcm of its denominators, plus those of the tallest entry of L*J."""
+    bits of L, the lcm of its denominators, plus those of the tallest entry of
+    L*J.  Each entry a stream holds is read unchecked, and none past its end."""
     size = (k + 1) // 2 + 1
-    entries = [pair for part in sys._block_pairs(size) for pair in part]
+    entries = [stream._pair(m) for stream, hi in ((sys.b, size), (sys.a2, size - 1))
+               for m in range(1, hi + 1) if stream.stop is None or m <= stream.stop]
     L = math.lcm(*[q for _, q in entries])
     return L.bit_length() + max(abs(p * (L // q)).bit_length() for p, q in entries)
 
 
 @pytest.mark.parametrize("label, sys", _MOMENT_SYSTEMS, ids=[label for label, _ in _MOMENT_SYSTEMS])
 def test_moment_height_reads_as_the_walk(label, sys):
-    # the same reads and the same first fault as ``moments``, at every order;
-    # the last height is the whole block's H, and none before it exceeds it
+    # the block of ``moments`` at every order, and its ValueError at k < 0;
+    # the last height is the whole block's H, and none before it exceeds it.
+    # A faulty block is measured as far as its streams hold it, and
+    # ``moments`` raises the fault when it reads the block
     for k in range(-1, 42):
         got = _outcome(lambda: list(moment_height(sys, k)))
         want = _outcome(lambda: moments(sys, k))
-        if type(want) is not Rat:
+        if k < 0:
             assert got == want, (label, k)
             continue
         assert all(type(h) is int for h in got), (label, k)
@@ -421,13 +425,19 @@ def test_moment_height_is_that_of_the_walks_integers():
     assert list(moment_height(sys, 20))[-1] > math.prod(primes).bit_length()
 
 
-def test_moment_height_reads_the_block_before_its_first_height():
-    # a fault anywhere in the block comes before any height, as in ``moments``
+def test_moment_height_reads_no_fault_of_the_block():
+    # a fault in the block is not raised by the heights, which read a2
+    # unchecked and stop at each stream's end; ``moments`` raises it
     sys = ThreeTermSystem.from_values(["1/2", "1/3", "1/5"], ["1/7", "-1"])
-    heights = moment_height(sys, 4)
-    with pytest.raises(OpchainError) as exc:
-        next(heights)
-    assert _outcome(lambda: moments(sys, 4)) == (type(exc.value).__name__, str(exc.value), 2)
+    # L = 210, and a_2^2 L = -210 is the tallest entry of L*J
+    assert list(moment_height(sys, 4)) == [2, 3, 5, 8, 8, 8 + 8]
+    assert _outcome(lambda: moments(sys, 4)) == (
+        "NonPositiveA2", "a2[2] = -1 is not positive", 2)
+    short = ThreeTermSystem.from_values(["1/2"], [])
+    assert list(moment_height(short, 4)) == [2, 2 + 1]
+    assert _outcome(lambda: moments(short, 4))[0] == "StreamExhausted"
+    with pytest.raises(ValueError, match="moment order must be >= 0"):
+        next(moment_height(sys, -1))
 
 
 def test_block_heights_are_the_blocks_from_the_top():
